@@ -64,15 +64,8 @@ func BenchmarkA1_ParaBatching(b *testing.B)   { runExperiment(b, "A1") }
 func BenchmarkA2_ASIDFlush(b *testing.B)      { runExperiment(b, "A2") }
 func BenchmarkA3_PrecopyBounds(b *testing.B)  { runExperiment(b, "A3") }
 func BenchmarkA4_QueueDepth(b *testing.B)     { runExperiment(b, "A4") }
-func BenchmarkM1_ICache(b *testing.B)         { runExperiment(b, "M1") }
 func BenchmarkM2_ParallelFleet(b *testing.B)  { runExperiment(b, "M2") }
-func BenchmarkM3_Superblocks(b *testing.B)    { runExperiment(b, "M3") }
-func BenchmarkM4_Dispatch(b *testing.B)       { runExperiment(b, "M4") }
-func BenchmarkM5_WriteMemo(b *testing.B)      { runExperiment(b, "M5") }
-func BenchmarkM6_BlockChain(b *testing.B)     { runExperiment(b, "M6") }
 func BenchmarkM7_Evacuation(b *testing.B)     { runExperiment(b, "M7") }
-func BenchmarkM8_HotTraces(b *testing.B)      { runExperiment(b, "M8") }
-func BenchmarkM9_Dataplane(b *testing.B)      { runExperiment(b, "M9") }
 
 // ---- microbenchmarks of the simulator's own hot paths ----
 

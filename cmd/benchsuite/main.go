@@ -3,19 +3,19 @@
 // IDs (e.g. "T1 F7 A2") to run a subset; -list shows what exists. Unknown
 // IDs are an error, not a silent no-op.
 //
-// Flags for the perf trajectory:
+// Flags:
 //
-//	-json DIR      also write one BENCH_<id>.json per M-series experiment
 //	-cpuprofile F  write a pprof CPU profile of the run (interpreter profiling)
-//	-quick         scale M-series workloads down (CI smoke budgets)
+//	-quick         scale the M-series workloads down (smoke budgets)
+//
+// Performance is measured by the harness in benchmark/ (go run ./benchmark),
+// not here: these tables reproduce the paper's shapes.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -24,20 +24,8 @@ import (
 	"govisor/internal/bench"
 )
 
-// jsonResult is the machine-readable form of one experiment's table.
-type jsonResult struct {
-	ID      string     `json:"id"`
-	Name    string     `json:"name"`
-	Notes   string     `json:"notes"`
-	Header  []string   `json:"header"`
-	Rows    [][]string `json:"rows"`
-	Seconds float64    `json:"seconds"`
-	Quick   bool       `json:"quick"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonDir := flag.String("json", "", "directory to write BENCH_<id>.json files for M-series experiments")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	quick := flag.Bool("quick", false, "scale M-series microbenchmark workloads down for smoke runs")
 	flag.Parse()
@@ -76,12 +64,6 @@ func main() {
 	}
 
 	bench.SetQuick(*quick)
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	// The profile must be flushed even when experiments fail (that is
 	// exactly when one profiles), so stop it explicitly before any exit
 	// rather than deferring past os.Exit.
@@ -119,24 +101,6 @@ func main() {
 		}
 		fmt.Print(table.String())
 		fmt.Printf("(%.1fs)\n\n", elapsed.Seconds())
-		if *jsonDir != "" && strings.HasPrefix(e.ID, "M") {
-			out := jsonResult{
-				ID: e.ID, Name: e.Name, Notes: e.Notes,
-				Header: table.Header, Rows: table.Rows,
-				Seconds: elapsed.Seconds(), Quick: *quick,
-			}
-			buf, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: encoding %s: %v\n", e.ID, err)
-				failed++
-				continue
-			}
-			path := filepath.Join(*jsonDir, "BENCH_"+e.ID+".json")
-			if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: writing %s: %v\n", path, err)
-				failed++
-			}
-		}
 	}
 	stopProfile()
 	if failed > 0 {

@@ -7,7 +7,10 @@ type C struct {
 	Instret uint64
 	misses  uint64
 	scratch []byte
+	pend    exit
 }
+
+type exit struct{ reason int }
 
 // Negative: arms mutate the same integer fields (order and idiom differ).
 //
@@ -66,6 +69,34 @@ func (c *C) fastBuf() {
 }
 
 func (c *C) slowBuf() { c.Cycles++ }
+
+// Negative: the fast-rule → reference-rule shape (loadExec → execLoad). The
+// fast arm reports a small status and parks the rare exit in a struct-typed
+// field; the reference rule returns the exit. Both charge the same counters,
+// through the same helper on the exit path.
+//
+//govisor:pair refRule
+func (c *C) fastRule(ok bool) int {
+	if !ok {
+		c.pend = c.leave()
+		return 1
+	}
+	c.Cycles++
+	return 0
+}
+
+func (c *C) refRule(ok bool) (exit, bool) {
+	if !ok {
+		return c.leave(), true
+	}
+	c.Cycles++
+	return exit{}, false
+}
+
+func (c *C) leave() exit {
+	c.Instret++
+	return exit{reason: 1}
+}
 
 // Negative: the snapshot-replay shape (ChainFetch/ReplayFetch) — the fast
 // arm's bumps sit behind early-return validation checks, but the write-set

@@ -27,13 +27,12 @@ const (
 // AllModes lists the execution modes in comparison order.
 var AllModes = []core.Mode{core.ModeNative, core.ModeHW, core.ModePara, core.ModeTrap}
 
-// quickScale divides the M-series microbenchmark workload sizes when quick
-// mode is on (the CI smoke job): the tables keep their shape but run in
-// seconds. The reproduced experiments (T/F/A) are untouched — their result
+// quickScale divides the M-series (M2, M7) workload sizes when quick mode is
+// on: the tables keep their shape but run in seconds. The reproduced experiments (T/F/A) are untouched — their result
 // is the shape, and shrinking them would change it.
 var quickScale uint64 = 1
 
-// SetQuick toggles quick mode for the M-series simulator microbenchmarks.
+// SetQuick toggles quick mode for the M-series experiments.
 func SetQuick(on bool) {
 	if on {
 		quickScale = 25

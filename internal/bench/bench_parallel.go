@@ -43,8 +43,8 @@ func m2Fleet() (*core.Host, error) {
 }
 
 // M2ParallelFleet: host wall-clock for an 8-VM fleet under RunParallel at
-// 1/2/4/8 workers. Like M1, this is a microbenchmark of the simulator, not
-// of the simulated machine: guest cycles, retired instructions and the host
+// 1/2/4/8 workers. This is a microbenchmark of the simulator, not of the
+// simulated machine: guest cycles, retired instructions and the host
 // clock must be byte-identical at every worker count (enforced below, the
 // transparency property TestDifferentialParallelInvisible proves in full),
 // while wall-clock drops roughly with min(workers, host cores). On a

@@ -117,53 +117,18 @@ type Config struct {
 	EagerMem bool
 	// Costs overrides the cycle cost model (zero value ⇒ defaults).
 	Costs *vcpu.Costs
-	// UseASID controls TLB tagging (ablation A2). Default true.
+	// NoASID disables TLB ASID tagging, so every address-space switch
+	// flushes the TLB (ablation A2). Tagging is on by default.
 	NoASID bool
 	// NestedLevels overrides the nested walk depth in ModeHW (default 3).
 	NestedLevels int
-	// NoICache disables the vCPU's decoded-instruction block cache. The
-	// cache is architecturally invisible (identical cycles, registers, CSRs
-	// and statistics either way) and on by default; turning it off exists
-	// for the differential transparency tests and host-side benchmarking.
-	NoICache bool
-	// NoSuperblocks disables superblock dispatch on top of the icache —
-	// same invisibility contract, same reason to exist. NoICache implies
-	// no superblocks (blocks live in predecoded pages).
-	NoSuperblocks bool
-	// NoThreadedDispatch pins the vCPU to the original dispatch switch
-	// instead of the decode-time-resolved executor table — same
-	// invisibility contract as the icache and superblocks; the switch arm
-	// exists for the differential transparency tests and dispatch
-	// benchmarking.
-	NoThreadedDispatch bool
-	// NoWriteMemo pins the vCPU's store path to the unmemoized reference
-	// arm (per-store translation, range checks and version bumps) instead
-	// of the write-path memo stack — same invisibility contract; the arm
-	// exists for the differential transparency tests and the M5 write-memo
-	// benchmark.
-	NoWriteMemo bool
-	// NoBlockChain pins block entry to the unchained reference arm: no
-	// cross-page superblock continuation and no recorded block→successor
-	// links; every block entry repeats the full fetch translation and
-	// icache lookup — same invisibility contract; the arm exists for the
-	// differential transparency tests and the M6 chaining benchmark.
-	// NoICache and NoSuperblocks each imply no chaining (links live in
-	// predecoded pages and anchor at block boundaries).
-	NoBlockChain bool
-	// NoTraces pins execution to the per-dispatch chained-block reference
-	// arm: hot chain links are never promoted to traces (multi-block runs
-	// with one entry check, whole-span admission and batched accounting) —
-	// same invisibility contract; the arm exists for the differential
-	// transparency tests and the M8 hot-trace benchmark. NoBlockChain (and
-	// so NoICache / NoSuperblocks) implies no traces: traces are built from
-	// and entered through chain links.
-	NoTraces bool
-	// NoSpanDMA pins guest-physical DMA to the unmemoized reference arm:
-	// ReadSpan/WriteSpan resolve every page through the per-access Read/Write
-	// path instead of the epoch-validated span memo — same invisibility
-	// contract as the write memo; the arm exists for the differential
-	// transparency tests and the M9 dataplane benchmark.
-	NoSpanDMA bool
+	// Reference runs the VM on the reference engine: the per-instruction
+	// interpreter that is the executable semantics of GV64 (vcpu/ref.go),
+	// with device DMA resolved page by page. It is the oracle the
+	// differential suites hold the default fast engine to — every
+	// guest-visible byte, simulated cycle and statistic must match — and
+	// nothing else sets it.
+	Reference bool
 }
 
 // Marker is a benchmark region marker recorded by the HCMarker hypercall.
@@ -250,7 +215,6 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 		return nil, fmt.Errorf("core: %s: at least 32 pages of RAM required", cfg.Name)
 	}
 	g := mem.NewGuestPhys(pool, cfg.MemBytes)
-	g.SetNoSpanDMA(cfg.NoSpanDMA)
 
 	var style mmu.Style
 	depriv := false
@@ -274,20 +238,18 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 		ctx.NestedLevels = cfg.NestedLevels
 	}
 
-	cpu := vcpu.New(g, ctx)
+	var cpu *vcpu.CPU
+	if cfg.Reference {
+		cpu = vcpu.NewReference(g, ctx)
+		g.SetReferenceDMA()
+	} else {
+		cpu = vcpu.New(g, ctx)
+	}
 	cpu.Deprivileged = depriv
 	cpu.Venv = cfg.Mode.Venv()
 	if cfg.Costs != nil {
 		cpu.Costs = *cfg.Costs
 	}
-	if !cfg.NoICache {
-		cpu.ICache = vcpu.NewICache()
-	}
-	cpu.NoSuperblocks = cfg.NoSuperblocks
-	cpu.NoThreadedDispatch = cfg.NoThreadedDispatch
-	cpu.NoWriteMemo = cfg.NoWriteMemo
-	cpu.NoBlockChain = cfg.NoBlockChain || cfg.NoSuperblocks || cfg.NoICache
-	cpu.NoTraces = cfg.NoTraces || cpu.NoBlockChain
 
 	vm := &VM{
 		Name:        cfg.Name,

@@ -136,7 +136,8 @@ func checkDataplaneDelivery(t *testing.T, label string, h *core.Host, sw *vnet.S
 // workers is byte-identical per VM (full comparison including exit counters
 // and population stats), the serial engine reaches the same guest-visible
 // state (host clock legitimately differs: epoch scheduling is host
-// bookkeeping), and a NoSpanDMA reference fleet matches in full.
+// bookkeeping), and a reference-engine fleet (per-instruction interpreter,
+// page-by-page DMA) matches in full.
 func TestDifferentialDataplaneInvisible(t *testing.T) {
 	pairs := dataplanePairs()
 
@@ -176,26 +177,28 @@ func TestDifferentialDataplaneInvisible(t *testing.T) {
 			ref.VMs[i], hs.VMs[i], false)
 	}
 
-	// Span-memo reference arm: every DMA access resolves through the
-	// unmemoized per-page path. Full comparison — the memo may not even
-	// perturb population or dirty-tracking counters.
-	hn, nsw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.NoSpanDMA = true })
+	// Reference engine: the per-instruction interpreter, every DMA access
+	// resolving through the unmemoized per-page path. Full comparison — the
+	// fast engine may not even perturb population or dirty-tracking
+	// counters.
+	hn, nsw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.Reference = true })
 	hn.RunParallel(1, 8_000_000_000)
-	checkDataplaneDelivery(t, "nospan", hn, nsw, pairs)
+	checkDataplaneDelivery(t, "ref", hn, nsw, pairs)
 	if got := switchStats(nsw); got != refStats {
-		t.Errorf("nospan: switch stats diverged: %+v vs %+v", got, refStats)
+		t.Errorf("ref: switch stats diverged: %+v vs %+v", got, refStats)
 	}
 	for i := range hn.VMs {
-		compareVMs(t, fmt.Sprintf("nospan vm=%s", hn.VMs[i].Name),
+		checkReferenceVM(t, hn.VMs[i])
+		compareVMs(t, fmt.Sprintf("ref vm=%s", hn.VMs[i].Name),
 			ref.VMs[i], hn.VMs[i], true)
 	}
 
-	// And the cross product: NoSpanDMA under the serial engine.
-	hns, nssw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.NoSpanDMA = true })
+	// And the cross product: the reference engine under the serial host.
+	hns, nssw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.Reference = true })
 	hns.Run(8_000_000_000)
-	checkDataplaneDelivery(t, "nospan-serial", hns, nssw, pairs)
+	checkDataplaneDelivery(t, "ref-serial", hns, nssw, pairs)
 	for i := range hns.VMs {
-		compareVMs(t, fmt.Sprintf("nospan-serial vm=%s", hns.VMs[i].Name),
+		compareVMs(t, fmt.Sprintf("ref-serial vm=%s", hns.VMs[i].Name),
 			ref.VMs[i], hns.VMs[i], false)
 	}
 }

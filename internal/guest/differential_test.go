@@ -6,7 +6,6 @@ import (
 
 	"govisor/internal/core"
 	"govisor/internal/gabi"
-	"govisor/internal/isa"
 )
 
 // TestDifferentialExecutionAcrossModes is the transparency property at the
@@ -46,103 +45,6 @@ func TestDifferentialExecutionAcrossModes(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestDifferentialICacheInvisible is the transparency proof for the decoded-
-// instruction block cache: for every virtualization mode and workload, a run
-// with the cache must be indistinguishable from a run without it — not just
-// in architectural state (cycles, instret, registers, CSRs, UART output) but
-// in every simulation statistic (VM exits, TLB hits/misses/evictions, MMU
-// walks, shadow fills, dirty pages). The cache may only change host time.
-func TestDifferentialICacheInvisible(t *testing.T) {
-	workloads := []struct {
-		name string
-		w    Workload
-	}{
-		{"compute-hot", Compute(300, 50)},  // the F3 privileged-density loop
-		{"memtouch", MemTouch(4, 300, 40)}, // TLB pressure: fetch entries compete with data
-		{"ptchurn", PTChurn(2, false)},     // SFENCE flushes + write-protect faults
-		{"syscall", Syscall(60)},           // trap entry/SRET privilege flips mid-stream
-		{"csr", CSRLoop(80)},               // CSR exits every few instructions
-		{"idle", Idle(3, 50_000)},          // WFI, timer fast-forward, re-entry
-	}
-	for _, mode := range allModes {
-		for _, wl := range workloads {
-			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
-				on := bootAndRunCfgd(t, mode, wl.w, false)
-				off := bootAndRunCfgd(t, mode, wl.w, true)
-
-				con, coff := on.CPU, off.CPU
-				if con.Cycles != coff.Cycles || con.Instret != coff.Instret {
-					t.Errorf("time diverged: cached (cyc=%d ret=%d) vs plain (cyc=%d ret=%d)",
-						con.Cycles, con.Instret, coff.Cycles, coff.Instret)
-				}
-				if con.X != coff.X || con.PC != coff.PC || con.Priv != coff.Priv {
-					t.Error("register state diverged")
-				}
-				if con.CSR != coff.CSR {
-					t.Errorf("CSR state diverged: %+v vs %+v", con.CSR, coff.CSR)
-				}
-				if con.Stats != coff.Stats {
-					t.Errorf("exit stats diverged: %+v vs %+v", con.Stats, coff.Stats)
-				}
-				if on.Stats != off.Stats {
-					t.Errorf("VMM stats diverged: %+v vs %+v", on.Stats, off.Stats)
-				}
-				if on.MMUCtx.Stats != off.MMUCtx.Stats {
-					t.Errorf("MMU stats diverged: %+v vs %+v", on.MMUCtx.Stats, off.MMUCtx.Stats)
-				}
-				if on.MMUCtx.TLB.Stats != off.MMUCtx.TLB.Stats {
-					t.Errorf("TLB stats diverged: %+v vs %+v", on.MMUCtx.TLB.Stats, off.MMUCtx.TLB.Stats)
-				}
-				if on.Output() != off.Output() {
-					t.Errorf("UART output diverged: %q vs %q", on.Output(), off.Output())
-				}
-				if on.Mem.DirtySets != off.Mem.DirtySets || on.Mem.Present() != off.Mem.Present() {
-					t.Error("memory population diverged")
-				}
-				for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
-					if on.Result(slot) != off.Result(slot) {
-						t.Errorf("result slot %d diverged: %d vs %d", slot, on.Result(slot), off.Result(slot))
-					}
-				}
-				// The cached run should actually have used the cache.
-				if con.ICache == nil || con.ICache.Stats.Hits == 0 {
-					t.Error("cached run never hit the decoded cache")
-				}
-				if coff.ICache != nil {
-					t.Error("NoICache run has a cache attached")
-				}
-
-				// Full guest-RAM image comparison.
-				bufOn := make([]byte, isa.PageSize)
-				bufOff := make([]byte, isa.PageSize)
-				for gfn := uint64(0); gfn < on.Mem.Pages(); gfn++ {
-					on.Mem.ReadRaw(gfn, bufOn)
-					off.Mem.ReadRaw(gfn, bufOff)
-					for i := range bufOn {
-						if bufOn[i] != bufOff[i] {
-							t.Fatalf("guest RAM diverged at gfn %d byte %d", gfn, i)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// bootAndRunCfgd runs a workload with the decoded-instruction cache toggled.
-func bootAndRunCfgd(t *testing.T, mode core.Mode, w Workload, noICache bool) *core.VM {
-	t.Helper()
-	vm := bootVMCfg(t, mode, w, func(c *core.Config) { c.NoICache = noICache })
-	state := vm.RunToHalt(runBudget)
-	if state != core.StateHalted {
-		t.Fatalf("[%v icache=%v] final state %v (err=%v, pc=%#x)", mode, !noICache, state, vm.Err, vm.CPU.PC)
-	}
-	if vm.HaltCode != 0 {
-		t.Fatalf("[%v icache=%v] guest panicked: halt=%#x", mode, !noICache, vm.HaltCode)
-	}
-	return vm
 }
 
 // TestDifferentialMemoryImage: after the same deterministic workload, the

@@ -286,8 +286,8 @@ func BuildVirtioNetProgram(frames, batch, frameLen uint64, slot int) ([]byte, er
 
 // BuildVirtioNetUnicastProgram is BuildVirtioNetProgram with explicit
 // source and destination MACs, so frames steer through the switch FDB to a
-// specific peer instead of flooding — the sender half of the M9 dataplane
-// storm and the timestamp-ordering differential suite.
+// specific peer instead of flooding — the sender half of the dataplane
+// workloads and the timestamp-ordering differential suite.
 func BuildVirtioNetUnicastProgram(frames, batch, frameLen uint64, slot int, src, dst [6]byte) ([]byte, error) {
 	return buildVirtioNetTX(frames, batch, frameLen, slot, src, dst)
 }
@@ -384,8 +384,8 @@ func buildVirtioNetTX(frames, batch, frameLen uint64, slot int, src, dst [6]byte
 // BuildVirtioNetRXProgram emits a passive receiver: it arms the virtio-net
 // RX queue, posts `bufs` device-writable buffers of `bufLen` bytes each,
 // kicks once and halts. Frames steered to it land in the posted buffers at
-// epoch barriers while the vCPU sits halted — the receiver half of the M9
-// dataplane storm and the timestamp-ordering differential suite (interrupts
+// epoch barriers while the vCPU sits halted — the receiver half of the
+// dataplane workloads and the timestamp-ordering differential suite (interrupts
 // on a halted vCPU only set the pending bit, so delivery order is observable
 // purely through guest memory).
 func BuildVirtioNetRXProgram(bufs, bufLen uint64, slot int) ([]byte, error) {

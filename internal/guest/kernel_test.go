@@ -54,8 +54,8 @@ func bootVM(t *testing.T, mode core.Mode, w Workload) *core.VM {
 	return bootVMCfg(t, mode, w, nil)
 }
 
-// bootVMCfg is bootVM with a config tweak hook (differential tests toggle
-// NoICache through it).
+// bootVMCfg is bootVM with a config tweak hook (the refinement suite selects
+// the reference engine through it).
 func bootVMCfg(t *testing.T, mode core.Mode, w Workload, tweak func(*core.Config)) *core.VM {
 	t.Helper()
 	kernel, err := BuildKernel()

@@ -85,7 +85,7 @@ func buildFleet(t *testing.T, spec fleetSpec, mk func() core.Scheduler) *core.Ho
 }
 
 // buildFleetCfg is buildFleet with a per-VM config tweak hook (the
-// superblock differential toggles block dispatch fleet-wide).
+// refinement suite selects the reference engine fleet-wide).
 func buildFleetCfg(t *testing.T, spec fleetSpec, mk func() core.Scheduler, tweak func(*core.Config)) *core.Host {
 	t.Helper()
 	kernel, err := BuildKernel()
@@ -183,8 +183,9 @@ func compareVMs(t *testing.T, label string, a, b *core.VM, full bool) {
 		if ca.Stats != cb.Stats {
 			t.Errorf("%s: exit stats diverged: %+v vs %+v", label, ca.Stats, cb.Stats)
 		}
-		if a.Mem.DirtySets != b.Mem.DirtySets || a.Mem.Present() != b.Mem.Present() {
-			t.Errorf("%s: memory population diverged", label)
+		if a.Mem.DirtySets != b.Mem.DirtySets || a.Mem.COWBreaks != b.Mem.COWBreaks ||
+			a.Mem.DemandFills != b.Mem.DemandFills || a.Mem.Present() != b.Mem.Present() {
+			t.Errorf("%s: memory population/dirty accounting diverged", label)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"govisor/internal/isa"
 )
 
-// Stream programs are standalone guest images for the M3 superblock
-// benchmark: loops whose bodies are long unrolled straight-line runs, the
+// Stream programs are standalone guest images for the benchmark's compute
+// and memory workloads: loops whose bodies are long unrolled straight-line runs, the
 // shape superblock dispatch is built for. Unlike the I/O programs they run
 // with paging enabled (the VMM-prepared identity tables), so the fetch and
 // data translation fast paths are exercised alongside block dispatch.
@@ -25,7 +25,7 @@ const (
 	// source and a destination buffer within a page each iteration.
 	StreamCopy
 	// StreamStore is store-dense code: an unrolled run of stores walking
-	// two destination pages, the M5 write-memo target shape (every retired
+	// two destination pages, the write memo's target shape (every retired
 	// op pays the store-resolution cost).
 	StreamStore
 	// StreamMixed interleaves loads, ALU ops and stores in a fixed 1:1:2
@@ -34,12 +34,12 @@ const (
 	StreamMixed
 	// StreamXPageALU is the ALU mix with an unrolled body longer than a
 	// code page, so every iteration's superblock must cross page
-	// boundaries mid-run — the M6 cross-page continuation target shape.
+	// boundaries mid-run — the cross-page continuation target shape.
 	StreamXPageALU
 	// StreamXPageLoop is a short ALU body deliberately positioned to
 	// straddle a page boundary: each iteration enters on one page, crosses,
 	// and branches back, so the baseline pays a full fetch translation and
-	// icache lookup at the boundary and the back edge every time — the M6
+	// icache lookup at the boundary and the back edge every time — the
 	// block-chaining target shape.
 	StreamXPageLoop
 )

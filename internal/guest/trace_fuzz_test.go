@@ -8,7 +8,6 @@ import (
 	"govisor/internal/core"
 	"govisor/internal/gabi"
 	"govisor/internal/isa"
-	"govisor/internal/mem"
 )
 
 // fuzzCursor doles out fuzz bytes, falling back to a fixed rotation when the
@@ -126,10 +125,10 @@ func buildTraceFuzzImg(data []byte) ([]byte, error) {
 	return b.Finish()
 }
 
-// FuzzTraceFormation drives fuzz-decoded hot-loop guests through the full
-// fast-path stack and a NoTraces oracle, asserting byte-identical final state
-// — the trace engine's transparency proof extended to adversarial
-// chain/SMC/SFENCE interleavings.
+// FuzzTraceFormation drives fuzz-decoded hot-loop guests through the fast
+// engine and the reference interpreter, asserting byte-identical final state
+// — the refinement suite extended to adversarial chain/SMC/SFENCE
+// interleavings.
 func FuzzTraceFormation(f *testing.F) {
 	// Seeds: a calm hot loop (pure formation), SMC mid-run, dense fences,
 	// fences plus SMC, and a branchy multi-segment layout.
@@ -147,20 +146,13 @@ func FuzzTraceFormation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded image failed to assemble: %v", err)
 		}
-		boot := func(noTraces bool) *core.VM {
-			cfg := core.Config{Name: "trace-fuzz", Mode: core.ModeHW, MemBytes: testRAM, NoTraces: noTraces}
-			vm, err := core.NewVM(mem.NewPool(2*testRAM>>isa.PageShift), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vm.Boot(img); err != nil {
-				t.Fatal(err)
-			}
+		boot := func(reference bool) *core.VM {
+			vm := bootImage(t, core.ModeHW, img, func(c *core.Config) { c.Reference = reference })
 			if st := vm.RunToHalt(runBudget); st != core.StateHalted {
-				t.Fatalf("noTraces=%v: final state %v (err=%v, pc=%#x)", noTraces, st, vm.Err, vm.CPU.PC)
+				t.Fatalf("reference=%v: final state %v (err=%v, pc=%#x)", reference, st, vm.Err, vm.CPU.PC)
 			}
 			if vm.HaltCode != 0 {
-				t.Fatalf("noTraces=%v: guest panicked: halt=%#x", noTraces, vm.HaltCode)
+				t.Fatalf("reference=%v: guest panicked: halt=%#x", reference, vm.HaltCode)
 			}
 			return vm
 		}

@@ -113,18 +113,20 @@ func (s *Scanner) ScanVM(g *mem.GuestPhys) uint64 {
 			s.canon[hash] = canonRef{hfn: hfn, owner: g, gfn: gfn}
 			continue
 		}
-		// Canonical frame may have been split or released since recorded;
-		// verify it is still live and content-equal.
-		if s.pool.RefCount(ref.hfn) == 0 || !s.equalFrames(ref.hfn, hfn) {
+		// Canon entries outlive passes: the recorded owner may have unmapped
+		// or split the page since, and the pool may have handed the frame to
+		// another VM that is not copy-on-write. Merge only onto a frame its
+		// recorded owner still maps (so MarkCOWIfMapped below does protect
+		// it) and whose content still matches; otherwise the entry is stale
+		// and this page becomes the canonical one.
+		if ref.owner.Frame(ref.gfn) != ref.hfn || !s.equalFrames(ref.hfn, hfn) {
 			s.canon[hash] = canonRef{hfn: hfn, owner: g, gfn: gfn}
 			continue
 		}
 		// Merge: point this gfn at the canonical frame, COW both sides.
 		s.pool.IncRef(ref.hfn)
 		g.MapShared(gfn, ref.hfn)
-		if ref.owner != nil {
-			ref.owner.MarkCOWIfMapped(ref.gfn, ref.hfn)
-		}
+		ref.owner.MarkCOWIfMapped(ref.gfn, ref.hfn)
 		s.Stats.PagesMerged++
 	}
 	after := s.pool.InUse()

@@ -204,3 +204,55 @@ func TestSavingsScaleWithVMCount(t *testing.T) {
 		t.Fatalf("in use after dedup = %d", pool.InUse())
 	}
 }
+
+// TestStaleCanonOwnerAfterFrameReuse: canon entries outlive passes, so the
+// recorded owner may have unmapped its page and the pool may have handed the
+// same frame to another VM since. A later pass that merges a third VM onto
+// that frame must not trust the stale owner: MarkCOWIfMapped no-ops on it,
+// the frame's real owner stays writable, and its stores land in the other
+// guest's page.
+func TestStaleCanonOwnerAfterFrameReuse(t *testing.T) {
+	pool := mem.NewPool(64)
+	owner := newVMSpace(t, pool, 4)
+	reuser := mem.NewGuestPhys(pool, 4*isa.PageSize) // populated below, after the free
+	victim := newVMSpace(t, pool, 4)
+
+	// Pass 1 records (frame, owner, gfn 1) as the canonical 0x77 page.
+	fillPage(owner, 1, 0x77)
+	s := NewScanner(pool)
+	s.ScanVM(owner)
+	frame := owner.Frame(1)
+
+	// The owner balloons the page out; the pool reuses the frame for another
+	// VM, which happens to hold the same content.
+	owner.Unmap(1)
+	var gfn uint64
+	for gfn = 0; gfn < reuser.Pages(); gfn++ {
+		if err := reuser.Populate(gfn); err != nil {
+			t.Fatal(err)
+		}
+		if reuser.Frame(gfn) == frame {
+			break
+		}
+	}
+	if gfn == reuser.Pages() {
+		t.Fatal("pool never reused the freed frame — the test lost its premise")
+	}
+	fillPage(reuser, gfn, 0x77)
+	if reuser.Frame(gfn) != frame {
+		t.Fatal("refill moved the page off the reused frame")
+	}
+
+	// Pass 2 finds the victim's identical page.
+	fillPage(victim, 2, 0x77)
+	s.ScanVM(victim)
+
+	// Whatever the scanner decided, a store by the frame's real owner must
+	// stay in its own page.
+	if f := reuser.WriteUint(gfn<<isa.PageShift, 8, 0xdeadbeef); f != nil {
+		t.Fatal(f)
+	}
+	if got, f := victim.ReadUint(2<<isa.PageShift, 8); f != nil || got != 0x7777777777777777 {
+		t.Fatalf("victim reads %#x (fault %v) after another VM's store: cross-VM corruption", got, f)
+	}
+}

@@ -112,10 +112,10 @@ type GuestPhys struct {
 	// smemo is the DMA fast path: a direct-mapped cache of resolved span
 	// pages shared by ReadSpan, WriteSpan and ReadRaw. Like the write memo
 	// it validates against wepoch, so one epoch bump invalidates every
-	// entry; see span.go for the verdict argument. noSpanDMA selects the
-	// page-by-page reference arm (Config.NoSpanDMA).
-	smemo     [spanSlots]spanEntry
-	noSpanDMA bool
+	// entry; see span.go for the verdict argument. refDMA selects the
+	// page-by-page reference arm (SetReferenceDMA).
+	smemo  [spanSlots]spanEntry
+	refDMA bool
 
 	// Stats visible to experiments.
 	DirtySets   uint64 // writes that newly dirtied a page
@@ -583,8 +583,7 @@ func readUintFrom(data []byte, off uint64, size int) uint64 {
 
 // WriteUint writes a naturally aligned size-byte little-endian value.
 // This is the unmemoized store path: every call resolves the page and bumps
-// its version. Device models, VMM-internal writes and the NoWriteMemo
-// differential arm all use it.
+// its version. Device models and VMM-internal writes use it.
 func (g *GuestPhys) WriteUint(gpa uint64, size int, v uint64) *Fault {
 	hfn, f := g.resolveWrite(gpa)
 	if f != nil {
@@ -714,7 +713,7 @@ func (g *GuestPhys) ReadRaw(gfn uint64, buf []byte) {
 	}
 	if data := g.pool.Data(hfn); data != nil {
 		copy(buf, data)
-		if !g.noSpanDMA {
+		if !g.refDMA {
 			*e = spanEntry{gfn: gfn, epoch: atomic.LoadUint64(&g.wepoch), data: data}
 		}
 		return

@@ -30,15 +30,11 @@ type spanEntry struct {
 	data     []byte
 }
 
-// SetNoSpanDMA selects the reference arm: span resolution falls back to the
-// page-by-page Read/Write paths and the memo is dropped (entries installed
-// while the fast path was live must not serve hits afterwards).
-func (g *GuestPhys) SetNoSpanDMA(off bool) {
-	g.noSpanDMA = off
-	for i := range g.smemo {
-		g.smemo[i] = spanEntry{gfn: NoFrame}
-	}
-}
+// SetReferenceDMA pins this space's DMA to the reference arm: ReadSpan and
+// WriteSpan resolve every page through the plain Read/Write paths and the
+// span memo stays empty. Call it on a fresh space, before the first access;
+// core.Config.Reference is the one caller outside the tests.
+func (g *GuestPhys) SetReferenceDMA() { g.refDMA = true }
 
 // ReadSpan copies len(buf) bytes from gpa, resolving each page at most once
 // through the span memo: a valid entry proves the cached backing array still
@@ -51,7 +47,7 @@ func (g *GuestPhys) SetNoSpanDMA(off bool) {
 //
 //govisor:pair Read
 func (g *GuestPhys) ReadSpan(gpa uint64, buf []byte) *Fault {
-	if g.noSpanDMA {
+	if g.refDMA {
 		return g.Read(gpa, buf)
 	}
 	for len(buf) > 0 {
@@ -99,7 +95,7 @@ func (g *GuestPhys) ReadSpan(gpa uint64, buf []byte) *Fault {
 //
 //govisor:pair Write
 func (g *GuestPhys) WriteSpan(gpa uint64, buf []byte) *Fault {
-	if g.noSpanDMA {
+	if g.refDMA {
 		return g.Write(gpa, buf)
 	}
 	for len(buf) > 0 {

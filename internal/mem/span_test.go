@@ -197,16 +197,16 @@ func TestSpanReadRawMemoized(t *testing.T) {
 	}
 }
 
-// TestSpanDifferentialVsNoSpanDMA drives random span/page operations through
-// a fast space and a NoSpanDMA reference space and demands byte-identical
+// TestSpanDifferentialVsReferenceDMA drives random span/page operations
+// through a fast space and a reference-DMA space and demands byte-identical
 // RAM, faults and dirty accounting.
-func TestSpanDifferentialVsNoSpanDMA(t *testing.T) {
+func TestSpanDifferentialVsReferenceDMA(t *testing.T) {
 	const pages = 8
 	pf := NewPool(pages * 4)
 	pr := NewPool(pages * 4)
 	fast := NewGuestPhys(pf, pages<<isa.PageShift)
 	ref := NewGuestPhys(pr, pages<<isa.PageShift)
-	ref.SetNoSpanDMA(true)
+	ref.SetReferenceDMA()
 	for _, g := range []*GuestPhys{fast, ref} {
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)

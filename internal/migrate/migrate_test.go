@@ -120,15 +120,15 @@ func TestPreCopyMemoryIdenticalAtSwitchover(t *testing.T) {
 // post-round store. The test proves the iterative rounds keep observing
 // stores with the memo enabled, and that the whole migration — round page
 // counts, bytes, downtime, destination RAM — is byte-identical to the
-// memo-off reference arm.
+// same migration run on the reference engine.
 func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
-	run := func(noMemo bool) (Report, *core.VM) {
+	run := func(reference bool) (Report, *core.VM) {
 		kernel, err := guest.BuildKernel()
 		if err != nil {
 			t.Fatal(err)
 		}
 		pool := mem.NewPool(frames)
-		cfg := core.Config{Name: "src", Mode: core.ModeHW, MemBytes: vmRAM, NoWriteMemo: noMemo}
+		cfg := core.Config{Name: "src", Mode: core.ModeHW, MemBytes: vmRAM, Reference: reference}
 		src, err := core.NewVM(pool, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
 		if src.State != core.StateRunning {
 			t.Fatalf("source state %v (err=%v)", src.State, src.Err)
 		}
-		if !noMemo && src.Mem.WMemoHits == 0 {
+		if !reference && src.Mem.WMemoHits == 0 {
 			t.Fatal("warm-up never hit the write memo — vacuous regression test")
 		}
 		cfg.Name = "dst"
@@ -178,7 +178,7 @@ func TestPreCopyDirtyRoundsObserveWriteMemo(t *testing.T) {
 		}
 	}
 
-	// Memo on/off must agree on the whole migration, bit for bit.
+	// Fast and reference engines must agree on the whole migration, bit for bit.
 	if len(repMemo.Rounds) != len(repRef.Rounds) {
 		t.Fatalf("round counts diverged: %d vs %d", len(repMemo.Rounds), len(repRef.Rounds))
 	}

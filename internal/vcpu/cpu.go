@@ -47,58 +47,14 @@ type CPU struct {
 	Cycles  uint64 // simulated time, 1 cycle = 1 ns
 	Instret uint64
 
-	// ICache, when non-nil, enables the decoded-instruction block cache on
-	// the fetch path. It is architecturally invisible: guest state, cycle
-	// accounting and all simulation statistics are identical with it on or
-	// off; only host-side speed changes.
+	// ICache is the fast engine's decoded-instruction block cache, with the
+	// superblock, chain and trace layers built on it. It is also the engine
+	// seam: New attaches one and Run executes the fast engine; NewReference
+	// leaves it nil and Run executes the reference interpreter (ref.go). The
+	// fast engine is architecturally invisible — guest state, cycle
+	// accounting and every simulation statistic match the reference — so the
+	// choice only changes host-side speed.
 	ICache *ICache
-
-	// NoSuperblocks disables superblock dispatch (see superblock.go),
-	// pinning execution to the per-instruction path even when the ICache is
-	// on. Superblocks are architecturally invisible like the ICache they
-	// build on; the switch exists for the differential transparency tests
-	// and for isolating their host-side speedup in benchmarks.
-	NoSuperblocks bool
-
-	// NoThreadedDispatch pins instruction execution to the original
-	// `switch in.Op` interpreter (execute, below) instead of the decode-
-	// time-resolved executor table (dispatch.go). Threaded dispatch is
-	// architecturally invisible like the ICache and superblocks; the switch
-	// arm exists as the differential reference for the transparency tests
-	// and for isolating the dispatch win in benchmarks.
-	NoThreadedDispatch bool
-
-	// NoWriteMemo pins the store path to the unmemoized reference arm:
-	// per-store mmu.TranslateData, explicit RAM/MMIO range checks and
-	// mem.WriteUint with its per-store version bump, instead of the
-	// write-path memo stack (mmu.TranslateWrite + mem.WriteUintFast/Memo).
-	// It also disables the load path's read-memo RAM-verdict fold. The memo
-	// is architecturally invisible like the engines above; this arm exists
-	// as the differential reference for the transparency tests and for
-	// isolating the write-memo win in benchmark M5.
-	NoWriteMemo bool
-
-	// NoBlockChain pins block entry to the unchained reference arm: every
-	// superblock ends at its page boundary and every block entry repeats
-	// the full TranslateFetch + icache map lookup, instead of consuming
-	// recorded chain links (icache.go) that revalidate the memoized
-	// translation via mmu.ChainFetch — replaying its exact bookkeeping —
-	// and let superblocks continue across page boundaries (superblock.go).
-	// Chaining is architecturally invisible like the engines above; this
-	// arm is the differential reference for the transparency tests and
-	// isolates the chaining win in benchmark M6.
-	NoBlockChain bool
-
-	// NoTraces pins execution to the per-dispatch chained-block path: hot
-	// chain links never promote to traces (trace.go) — the multi-block
-	// straight-line runs with one entry check, one admission over the whole
-	// span and batched accounting that let closed loops iterate without
-	// returning to the fetch loop. Traces are architecturally invisible
-	// like the engines above; this arm is the differential reference for
-	// the transparency tests and isolates the trace win in benchmark M8.
-	// Implied by NoBlockChain (core.Config wires the implication): traces
-	// are built from and entered through chain links.
-	NoTraces bool
 
 	// pendExit carries the rare Exit out of the threaded executors and the
 	// superblock engine so the per-instruction status stays a small int
@@ -131,9 +87,10 @@ type CPU struct {
 	Stats Stats
 }
 
-// New creates a CPU over the given memory and translation context.
+// New creates a CPU running the fast engine over the given memory and
+// translation context.
 func New(m *mem.GuestPhys, ctx *mmu.Context) *CPU {
-	return &CPU{Mem: m, MMU: ctx, Costs: DefaultCosts(), codeGfn: mem.NoFrame}
+	return &CPU{Mem: m, MMU: ctx, Costs: DefaultCosts(), codeGfn: mem.NoFrame, ICache: NewICache()}
 }
 
 // Reg returns register r (x0 reads as zero by construction).
@@ -202,20 +159,12 @@ func (c *CPU) guestTrap(cause, tval uint64) (Exit, bool) {
 	return Exit{}, false
 }
 
-// translate wraps the MMU, converting its fault taxonomy into either a guest
-// trap or a VM exit. ok is false when an Exit must be returned.
-func (c *CPU) translate(va uint64, acc isa.Access) (gpa uint64, ex Exit, ok bool) {
-	gpa, refs, fault := c.MMU.Translate(va, acc, c.Priv == PrivU)
-	c.Cycles += uint64(refs) * c.Costs.PTRef
-	if fault == nil {
-		return gpa, Exit{}, true
-	}
-	return c.translateFault(va, acc, fault)
-}
-
-// fetchTranslate is translate for instruction fetch via the MMU's memoized
-// fetch path: identical cycle charges, faults and statistics, less host work
-// while the fetch stream stays on one page.
+// fetchTranslate translates an instruction fetch via the MMU's memoized
+// fetch path, converting its fault taxonomy into either a guest trap or a VM
+// exit: cycle charges, faults and statistics identical to a plain Translate,
+// less host work while the fetch stream stays on one page. ok is false when
+// the caller must return ex, or — ex.Reason == ExitNone — restart the loop
+// because a guest trap was delivered in place.
 func (c *CPU) fetchTranslate(va uint64) (gpa uint64, ex Exit, ok bool) {
 	gpa, refs, fault := c.MMU.TranslateFetch(va, c.Priv == PrivU)
 	c.Cycles += uint64(refs) * c.Costs.PTRef
@@ -223,18 +172,6 @@ func (c *CPU) fetchTranslate(va uint64) (gpa uint64, ex Exit, ok bool) {
 		return gpa, Exit{}, true
 	}
 	return c.translateFault(va, isa.AccExec, fault)
-}
-
-// translateData is translate for loads and stores via the MMU's memoized
-// data path: identical cycle charges, faults and statistics, less host work
-// while accesses revisit recently used pages.
-func (c *CPU) translateData(va uint64, acc isa.Access) (gpa uint64, ex Exit, ok bool) {
-	gpa, refs, fault := c.MMU.TranslateData(va, acc, c.Priv == PrivU)
-	c.Cycles += uint64(refs) * c.Costs.PTRef
-	if fault == nil {
-		return gpa, Exit{}, true
-	}
-	return c.translateFault(va, acc, fault)
 }
 
 func (c *CPU) translateFault(va uint64, acc isa.Access, fault *mmu.Fault) (gpa uint64, ex Exit, ok bool) {
@@ -261,10 +198,17 @@ func (c *CPU) memFaultExit(va uint64, acc isa.Access, f *mem.Fault) Exit {
 
 // Run interprets instructions until the cycle budget is exhausted or an exit
 // condition arises. The budget is a cycle count relative to the current
-// clock.
+// clock. The engine is chosen once, here: a CPU without an ICache is the
+// reference interpreter (ref.go); everything below is the fast engine —
+// chain → trace → superblock → threaded executor — with no engine selection
+// inside the loop.
 //
 //govisor:worker
 func (c *CPU) Run(budget uint64) Exit {
+	ic := c.ICache
+	if ic == nil {
+		return c.runRef(budget)
+	}
 	deadline := c.Cycles + budget
 	for {
 		if c.Cycles >= deadline {
@@ -283,11 +227,11 @@ func (c *CPU) Run(budget uint64) Exit {
 			continue
 		}
 
-		// Fetch. With the decoded-instruction cache enabled, fetches that
-		// stay on a predecoded page with an unchanged content version skip
-		// the guest-RAM read and isa.Decode; translation still runs (via the
-		// MMU's exact memoized fetch path) so the TLB's LRU state, the walk
-		// cycle charges and every statistic evolve identically either way.
+		// Fetch. Fetches that stay on a predecoded page with an unchanged
+		// content version skip the guest-RAM read and isa.Decode; translation
+		// still runs (via the MMU's exact memoized fetch path) so the TLB's
+		// LRU state, the walk cycle charges and every statistic evolve exactly
+		// as under the reference interpreter.
 		if c.PC&3 != 0 {
 			if e, exited := c.guestTrap(isa.CauseInstrMisaligned, c.PC); exited {
 				return e
@@ -297,134 +241,107 @@ func (c *CPU) Run(budget uint64) Exit {
 		var in isa.Inst
 		var raw uint32
 		var fn execFn
-		if ic := c.ICache; ic != nil {
-			var p *decodedPage
-			var i, gfn, gpa uint64
-			var recSrc *decodedPage
-			var recSlot uint16
-			var hitLink *chainLink
-			if c.chainArmed {
-				src, slot := c.chainPage, c.chainSlot
-				c.chainArmed = false
-				if !c.NoBlockChain {
-					// Chain consume: a link recorded for the slot that just
-					// redirected control proves this fetch's outcome — the
-					// observed successor PC recurs, the target page's content
-					// version is unchanged, and the translation snapshot
-					// revalidates (SATP, privilege, TLB generation) via
-					// ChainFetch, which replays exactly the bookkeeping the
-					// real TranslateFetch below would perform — so the map
-					// lookup and full translation are skipped.
-					if l := src.chainAt(slot); l != nil && l.pc == c.PC &&
-						c.Mem.PageVersion(l.gfn) == l.page.ver &&
-						c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
-						p, i, gfn = l.page, uint64(l.tslot), l.gfn
-						hitLink = l
-						ic.noteChainHit(gfn, p)
-					} else {
-						ic.Stats.ChainMisses++
-						recSrc, recSlot = src, slot
-					}
-				}
-			}
-			if p == nil {
-				var ex Exit
-				var ok bool
-				gpa, ex, ok = c.fetchTranslate(c.PC)
-				if !ok {
-					if ex.Reason == ExitNone {
-						continue
-					}
-					return ex
-				}
-				gfn = gpa >> isa.PageShift
-				i = (gpa & isa.PageMask) >> 2
-				p = ic.lookup(c.Mem, gfn)
-				if p != nil && recSrc != nil {
-					// Chain record: the real fetch just resolved the armed
-					// slot's successor; park it with the translation
-					// snapshot, latest-wins.
-					ic.setChain(recSrc, recSlot, c.PC, p, gfn, uint16(i), c.MMU.SnapFetch())
-				}
-			}
-			if p != nil {
-				// Superblock dispatch: a straight-line run of ≥2 decoded
-				// instructions executes as one unit when no event boundary
-				// (quantum, timer latch, interrupt window) can land inside
-				// its cycle span; otherwise fall through to the exact
-				// per-instruction path below.
-				if !c.NoSuperblocks && p.blkLen[i] > 1 {
-					if hitLink != nil && !c.NoTraces {
-						// Trace layer (trace.go): a validated chain consume
-						// is the only way in. A link that already carries a
-						// trace dispatches it (one entry check, whole-span
-						// admission, batched run); otherwise the consume
-						// heats the link toward promotion.
-						if tr := hitLink.tr; tr != nil {
-							ex, done, dispatched := c.runTrace(tr, deadline)
-							if dispatched {
-								if done {
-									return ex
-								}
-								continue
-							}
-						} else if hitLink.heat < traceHotThreshold {
-							hitLink.heat++
-							if hitLink.heat == traceHotThreshold {
-								c.formTrace(hitLink)
-							}
-						}
-					}
-					ex, done, dispatched := c.runBlock(p, i, gfn, deadline)
-					if dispatched {
-						if done {
-							return ex
-						}
-						continue
-					}
-				}
-				// Lazy slot decode, spelled out here because the compiler
-				// will not inline it as a method and this is the hottest
-				// line in the simulator. The threaded executor is resolved
-				// once, here, so steady-state fetches load a direct func
-				// pointer instead of re-inspecting the opcode.
-				if p.valid[i>>6]&(1<<(i&63)) == 0 {
-					p.ins[i] = isa.Decode(p.raw[i])
-					p.fn[i] = execTable.For(p.ins[i].Op)
-					p.valid[i>>6] |= 1 << (i & 63)
-				}
-				in, raw, fn = p.ins[i], p.raw[i], p.fn[i]
-				if !c.NoBlockChain && isa.IsChainSource(in.Op) {
-					// Arm the slot so the post-redirect fetch can consume or
-					// record its chain link. Chain sources never trap and
-					// never exit, so the arm is consumed on the very next
-					// loop iteration in the common case.
-					c.chainPage, c.chainSlot, c.chainArmed = p, uint16(i), true
-				}
+		var p *decodedPage
+		var i, gfn, gpa uint64
+		var recSrc *decodedPage
+		var recSlot uint16
+		var hitLink *chainLink
+		if c.chainArmed {
+			src, slot := c.chainPage, c.chainSlot
+			c.chainArmed = false
+			// Chain consume: a link recorded for the slot that just
+			// redirected control proves this fetch's outcome — the observed
+			// successor PC recurs, the target page's content version is
+			// unchanged, and the translation snapshot revalidates (SATP,
+			// privilege, TLB generation) via ChainFetch, which replays
+			// exactly the bookkeeping the real TranslateFetch below would
+			// perform — so the map lookup and full translation are skipped.
+			if l := src.chainAt(slot); l != nil && l.pc == c.PC &&
+				c.Mem.PageVersion(l.gfn) == l.page.ver &&
+				c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
+				p, i, gfn = l.page, uint64(l.tslot), l.gfn
+				hitLink = l
+				ic.noteChainHit(gfn, p)
 			} else {
-				word, e, st := c.fetchWord(gpa)
-				if st == fetchExit {
-					return e
-				}
-				if st == fetchRetry {
-					continue
-				}
-				raw = uint32(word)
-				in = isa.Decode(raw)
-				fn = execTable.For(in.Op)
-				ic.fill(c.Mem, gfn)
-				if recSrc != nil {
-					ic.setChain(recSrc, recSlot, c.PC, ic.cur, gfn, uint16(i), c.MMU.SnapFetch())
-				}
+				ic.Stats.ChainMisses++
+				recSrc, recSlot = src, slot
 			}
-		} else {
-			gpa, ex, ok := c.translate(c.PC, isa.AccExec)
+		}
+		if p == nil {
+			var ex Exit
+			var ok bool
+			gpa, ex, ok = c.fetchTranslate(c.PC)
 			if !ok {
 				if ex.Reason == ExitNone {
 					continue
 				}
 				return ex
 			}
+			gfn = gpa >> isa.PageShift
+			i = (gpa & isa.PageMask) >> 2
+			p = ic.lookup(c.Mem, gfn)
+			if p != nil && recSrc != nil {
+				// Chain record: the real fetch just resolved the armed
+				// slot's successor; park it with the translation snapshot,
+				// latest-wins.
+				ic.setChain(recSrc, recSlot, c.PC, p, gfn, uint16(i), c.MMU.SnapFetch())
+			}
+		}
+		if p != nil {
+			// Superblock dispatch: a straight-line run of ≥2 decoded
+			// instructions executes as one unit when no event boundary
+			// (quantum, timer latch, interrupt window) can land inside its
+			// cycle span; otherwise fall through to the exact
+			// per-instruction path below.
+			if p.blkLen[i] > 1 {
+				if hitLink != nil {
+					// Trace layer (trace.go): a validated chain consume is
+					// the only way in. A link that already carries a trace
+					// dispatches it (one entry check, whole-span admission,
+					// batched run); otherwise the consume heats the link
+					// toward promotion.
+					if tr := hitLink.tr; tr != nil {
+						ex, done, dispatched := c.runTrace(tr, deadline)
+						if dispatched {
+							if done {
+								return ex
+							}
+							continue
+						}
+					} else if hitLink.heat < traceHotThreshold {
+						hitLink.heat++
+						if hitLink.heat == traceHotThreshold {
+							c.formTrace(hitLink)
+						}
+					}
+				}
+				ex, done, dispatched := c.runBlock(p, i, gfn, deadline)
+				if dispatched {
+					if done {
+						return ex
+					}
+					continue
+				}
+			}
+			// Lazy slot decode, spelled out here because the compiler will
+			// not inline it as a method and this is the hottest line in the
+			// simulator. The threaded executor is resolved once, here, so
+			// steady-state fetches load a direct func pointer instead of
+			// re-inspecting the opcode.
+			if p.valid[i>>6]&(1<<(i&63)) == 0 {
+				p.ins[i] = isa.Decode(p.raw[i])
+				p.fn[i] = execTable.For(p.ins[i].Op)
+				p.valid[i>>6] |= 1 << (i & 63)
+			}
+			in, raw, fn = p.ins[i], p.raw[i], p.fn[i]
+			if isa.IsChainSource(in.Op) {
+				// Arm the slot so the post-redirect fetch can consume or
+				// record its chain link. Chain sources never trap and never
+				// exit, so the arm is consumed on the very next loop
+				// iteration in the common case.
+				c.chainPage, c.chainSlot, c.chainArmed = p, uint16(i), true
+			}
+		} else {
 			word, e, st := c.fetchWord(gpa)
 			if st == fetchExit {
 				return e
@@ -435,7 +352,13 @@ func (c *CPU) Run(budget uint64) Exit {
 			raw = uint32(word)
 			in = isa.Decode(raw)
 			fn = execTable.For(in.Op)
+			ic.fill(c.Mem, gfn)
+			if recSrc != nil {
+				ic.setChain(recSrc, recSlot, c.PC, ic.cur, gfn, uint16(i), c.MMU.SnapFetch())
+			}
 		}
+		// The executor table is total over valid opcodes (TestExecTableComplete,
+		// FuzzDecode), so past this check fn is never nil.
 		if !in.Op.Valid() {
 			if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
 				return e
@@ -444,14 +367,7 @@ func (c *CPU) Run(budget uint64) Exit {
 		}
 		c.Cycles += c.Costs.Instr
 		c.Instret++
-		if fn == nil || c.NoThreadedDispatch {
-			// Reference arm: the original dispatch switch. (fn is never nil
-			// for a valid opcode — the table is total, see FuzzDecode — but
-			// falling back keeps the nil case safe by construction.)
-			if ex, done := c.execute(in, raw); done {
-				return ex
-			}
-		} else if fn(c, in, raw) == stExit {
+		if fn(c, in, raw) == stExit {
 			return c.pendExit
 		}
 	}
@@ -464,9 +380,9 @@ const (
 	fetchExit         // Run must return the Exit
 )
 
-// fetchWord performs the uncached instruction read at gpa: the executing-
-// from-device-space check and the guest-physical read, with the same fault
-// taxonomy the interpreter has always had.
+// fetchWord performs the fast engine's instruction read at gpa on an icache
+// miss: the executing-from-device-space check and the guest-physical read,
+// with the reference interpreter's fault taxonomy (refFetch).
 func (c *CPU) fetchWord(gpa uint64) (uint64, Exit, int) {
 	if c.IsMMIO != nil && !c.Mem.Contains(gpa) && c.IsMMIO(gpa) {
 		// Executing out of device space is an access fault.
@@ -486,317 +402,6 @@ func (c *CPU) fetchWord(gpa uint64) (uint64, Exit, int) {
 		return 0, c.memFaultExit(c.PC, isa.AccExec, f), fetchExit
 	}
 	return word, Exit{}, fetchOK
-}
-
-// execute runs one decoded instruction. done reports that Run must return ex.
-func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
-	switch in.Op {
-	// ---- register-register ALU ----
-	case isa.OpADD:
-		c.SetReg(in.Rd, c.X[in.Rs1]+c.X[in.Rs2])
-	case isa.OpSUB:
-		c.SetReg(in.Rd, c.X[in.Rs1]-c.X[in.Rs2])
-	case isa.OpAND:
-		c.SetReg(in.Rd, c.X[in.Rs1]&c.X[in.Rs2])
-	case isa.OpOR:
-		c.SetReg(in.Rd, c.X[in.Rs1]|c.X[in.Rs2])
-	case isa.OpXOR:
-		c.SetReg(in.Rd, c.X[in.Rs1]^c.X[in.Rs2])
-	case isa.OpSLL:
-		c.SetReg(in.Rd, c.X[in.Rs1]<<(c.X[in.Rs2]&63))
-	case isa.OpSRL:
-		c.SetReg(in.Rd, c.X[in.Rs1]>>(c.X[in.Rs2]&63))
-	case isa.OpSRA:
-		c.SetReg(in.Rd, uint64(int64(c.X[in.Rs1])>>(c.X[in.Rs2]&63)))
-	case isa.OpSLT:
-		c.SetReg(in.Rd, boolTo64(int64(c.X[in.Rs1]) < int64(c.X[in.Rs2])))
-	case isa.OpSLTU:
-		c.SetReg(in.Rd, boolTo64(c.X[in.Rs1] < c.X[in.Rs2]))
-	case isa.OpMUL:
-		c.SetReg(in.Rd, c.X[in.Rs1]*c.X[in.Rs2])
-	case isa.OpMULH:
-		hi, _ := mulh64(int64(c.X[in.Rs1]), int64(c.X[in.Rs2]))
-		c.SetReg(in.Rd, uint64(hi))
-	case isa.OpDIV:
-		c.SetReg(in.Rd, uint64(div64(int64(c.X[in.Rs1]), int64(c.X[in.Rs2]))))
-	case isa.OpDIVU:
-		c.SetReg(in.Rd, divu64(c.X[in.Rs1], c.X[in.Rs2]))
-	case isa.OpREM:
-		c.SetReg(in.Rd, uint64(rem64(int64(c.X[in.Rs1]), int64(c.X[in.Rs2]))))
-	case isa.OpREMU:
-		c.SetReg(in.Rd, remu64(c.X[in.Rs1], c.X[in.Rs2]))
-
-	// ---- immediates ----
-	case isa.OpADDI:
-		c.SetReg(in.Rd, c.X[in.Rs1]+uint64(int64(in.Imm)))
-	case isa.OpANDI:
-		c.SetReg(in.Rd, c.X[in.Rs1]&uint64(uint32(in.Imm)))
-	case isa.OpORI:
-		c.SetReg(in.Rd, c.X[in.Rs1]|uint64(uint32(in.Imm)))
-	case isa.OpXORI:
-		c.SetReg(in.Rd, c.X[in.Rs1]^uint64(uint32(in.Imm)))
-	case isa.OpSLLI:
-		c.SetReg(in.Rd, c.X[in.Rs1]<<(uint(in.Imm)&63))
-	case isa.OpSRLI:
-		c.SetReg(in.Rd, c.X[in.Rs1]>>(uint(in.Imm)&63))
-	case isa.OpSRAI:
-		c.SetReg(in.Rd, uint64(int64(c.X[in.Rs1])>>(uint(in.Imm)&63)))
-	case isa.OpSLTI:
-		c.SetReg(in.Rd, boolTo64(int64(c.X[in.Rs1]) < int64(in.Imm)))
-	case isa.OpSLTIU:
-		c.SetReg(in.Rd, boolTo64(c.X[in.Rs1] < uint64(int64(in.Imm))))
-	case isa.OpLUI:
-		c.SetReg(in.Rd, uint64(int64(in.Imm))<<16)
-
-	// ---- loads / stores ----
-	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLWU, isa.OpLD:
-		return c.execLoad(in)
-	case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
-		return c.execStore(in)
-
-	// ---- control flow ----
-	case isa.OpBEQ:
-		return c.branch(in, c.X[in.Rs1] == c.X[in.Rs2])
-	case isa.OpBNE:
-		return c.branch(in, c.X[in.Rs1] != c.X[in.Rs2])
-	case isa.OpBLT:
-		return c.branch(in, int64(c.X[in.Rs1]) < int64(c.X[in.Rs2]))
-	case isa.OpBGE:
-		return c.branch(in, int64(c.X[in.Rs1]) >= int64(c.X[in.Rs2]))
-	case isa.OpBLTU:
-		return c.branch(in, c.X[in.Rs1] < c.X[in.Rs2])
-	case isa.OpBGEU:
-		return c.branch(in, c.X[in.Rs1] >= c.X[in.Rs2])
-	case isa.OpJAL:
-		c.SetReg(in.Rd, c.PC+4)
-		c.PC += uint64(int64(in.Imm))
-		return Exit{}, false
-	case isa.OpJALR:
-		target := (c.X[in.Rs1] + uint64(int64(in.Imm))) &^ 1
-		c.SetReg(in.Rd, c.PC+4)
-		c.PC = target
-		return Exit{}, false
-
-	// ---- system ----
-	case isa.OpECALL:
-		if !c.Deprivileged && c.Priv == PrivU {
-			// Native/HW-assist syscall: vectors straight into the guest
-			// kernel without VMM involvement.
-			c.InjectTrap(isa.CauseEcallU, 0)
-			return Exit{}, false
-		}
-		return c.vmExit(Exit{Reason: ExitEcall, From: c.Priv}), true
-	case isa.OpEBREAK:
-		if e, exited := c.guestTrap(isa.CauseBreakpoint, c.PC); exited {
-			return e, true
-		}
-		return Exit{}, false
-	case isa.OpSRET:
-		if c.Priv != PrivS {
-			return c.illegal(raw)
-		}
-		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
-		}
-		c.ExecuteSRET()
-		return Exit{}, false
-	case isa.OpWFI:
-		if c.Priv != PrivS {
-			return c.illegal(raw)
-		}
-		c.PC += 4
-		if c.CSR.Sip&c.CSR.Sie != 0 {
-			return Exit{}, false // already pending: WFI is a no-op
-		}
-		return c.vmExit(Exit{Reason: ExitWFI}), true
-	case isa.OpFENCE:
-		// No reordering to model.
-	case isa.OpSFENCE:
-		if c.Priv != PrivS {
-			return c.illegal(raw)
-		}
-		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
-		}
-		c.MMU.Flush(c.X[in.Rs1], uint16(c.X[in.Rs2]))
-	case isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC:
-		return c.execCSR(in, raw)
-	case isa.OpHALT:
-		if c.Priv != PrivS {
-			return c.illegal(raw)
-		}
-		c.PC += 4
-		return c.exit(Exit{Reason: ExitHalt, Code: uint16(in.Imm)}), true
-	default:
-		return c.illegal(raw)
-	}
-	c.PC += 4
-	return Exit{}, false
-}
-
-func (c *CPU) illegal(raw uint32) (Exit, bool) {
-	if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
-		return e, true
-	}
-	return Exit{}, false
-}
-
-func (c *CPU) branch(in isa.Inst, taken bool) (Exit, bool) {
-	if taken {
-		c.PC += uint64(int64(in.Imm))
-	} else {
-		c.PC += 4
-	}
-	return Exit{}, false
-}
-
-func loadMeta(op isa.Op) (size int, signed bool) {
-	switch op {
-	case isa.OpLB:
-		return 1, true
-	case isa.OpLBU:
-		return 1, false
-	case isa.OpLH:
-		return 2, true
-	case isa.OpLHU:
-		return 2, false
-	case isa.OpLW:
-		return 4, true
-	case isa.OpLWU:
-		return 4, false
-	default:
-		return 8, false
-	}
-}
-
-func storeSize(op isa.Op) int {
-	switch op {
-	case isa.OpSB:
-		return 1
-	case isa.OpSH:
-		return 2
-	case isa.OpSW:
-		return 4
-	default:
-		return 8
-	}
-}
-
-func (c *CPU) execLoad(in isa.Inst) (Exit, bool) {
-	size, signed := loadMeta(in.Op)
-	va := c.X[in.Rs1] + uint64(int64(in.Imm))
-	if va&uint64(size-1) != 0 {
-		if e, exited := c.guestTrap(isa.CauseLoadMisaligned, va); exited {
-			return e, true
-		}
-		return Exit{}, false
-	}
-	gpa, ex, ok := c.translateData(va, isa.AccRead)
-	if !ok {
-		return ex, ex.Reason != ExitNone
-	}
-	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		return c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Rd: in.Rd, Signed: signed,
-		}}), true
-	}
-	c.Cycles += c.Costs.MemAccess
-	v, f := c.Mem.ReadUint(gpa, size)
-	if f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			if e, exited := c.guestTrap(isa.CauseLoadAccess, va); exited {
-				return e, true
-			}
-			return Exit{}, false
-		}
-		return c.memFaultExit(va, isa.AccRead, f), true
-	}
-	if signed {
-		switch size {
-		case 1:
-			v = uint64(int64(int8(v)))
-		case 2:
-			v = uint64(int64(int16(v)))
-		case 4:
-			v = uint64(int64(int32(v)))
-		}
-	}
-	c.SetReg(in.Rd, v)
-	c.PC += 4
-	return Exit{}, false
-}
-
-func (c *CPU) execStore(in isa.Inst) (Exit, bool) {
-	size := storeSize(in.Op)
-	va := c.X[in.Rs1] + uint64(int64(in.Imm))
-	val := c.X[in.Rs2]
-	if va&uint64(size-1) != 0 {
-		if e, exited := c.guestTrap(isa.CauseStoreMisaligned, va); exited {
-			return e, true
-		}
-		return Exit{}, false
-	}
-	gpa, ex, ok := c.translateData(va, isa.AccWrite)
-	if !ok {
-		return ex, ex.Reason != ExitNone
-	}
-	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		return c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Write: true, Value: val,
-		}}), true
-	}
-	c.Cycles += c.Costs.MemAccess
-	if f := c.Mem.WriteUint(gpa, size, val); f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			if e, exited := c.guestTrap(isa.CauseStoreAccess, va); exited {
-				return e, true
-			}
-			return Exit{}, false
-		}
-		return c.memFaultExit(va, isa.AccWrite, f), true
-	}
-	c.PC += 4
-	return Exit{}, false
-}
-
-func (c *CPU) execCSR(in isa.Inst, raw uint32) (Exit, bool) {
-	addr := uint16(in.Imm)
-	// Unprivileged counters execute directly in every regime.
-	if !isa.IsUserCSR(addr) {
-		if c.Priv != PrivS {
-			return c.illegal(raw)
-		}
-		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
-		}
-	}
-	old, known := c.ReadCSR(addr)
-	if !known {
-		return c.illegal(raw)
-	}
-	src := c.X[in.Rs1]
-	var newVal uint64
-	write := true
-	switch in.Op {
-	case isa.OpCSRRW:
-		newVal = src
-	case isa.OpCSRRS:
-		newVal = old | src
-		write = in.Rs1 != 0
-	default: // CSRRC
-		newVal = old &^ src
-		write = in.Rs1 != 0
-	}
-	if write {
-		if !c.WriteCSR(addr, newVal) {
-			return c.illegal(raw)
-		}
-	}
-	c.SetReg(in.Rd, old)
-	c.PC += 4
-	return Exit{}, false
 }
 
 // EmulatePrivileged is the VMM-side emulation of an instruction that exited

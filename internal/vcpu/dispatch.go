@@ -7,14 +7,13 @@ import (
 )
 
 // Threaded dispatch: every opcode resolves once, at decode/predecode time,
-// to an executor function, and the hot loop calls the resolved pointer per
-// retired instruction instead of walking the `switch in.Op` in execute.
-// Executors return a small int status; the rare Exit travels out of line
-// through c.pendExit, so the no-exit fast path never materializes the large
-// Exit struct. The engine is architecturally invisible — byte-identical
-// guest state, cycle accounting and statistics to the switch — and the
-// original switch is retained behind CPU.NoThreadedDispatch as the
-// differential reference arm (see TestDifferentialThreadedDispatch*).
+// to an executor function, and the fast engine calls the resolved pointer
+// per retired instruction instead of walking an opcode switch. Executors
+// return a small int status; the rare Exit travels out of line through
+// c.pendExit, so the no-exit fast path never materializes the large Exit
+// struct. Each executor refines the reference interpreter's rule for its
+// opcode (execute in ref.go): byte-identical guest state, cycle accounting
+// and statistics, proven per opcode by TestThreadedExecutorsMatchSwitch.
 
 // Executor statuses. Shared between the threaded executors and the
 // superblock engine: both keep the per-instruction result a small int and
@@ -263,10 +262,9 @@ func execLUI(c *CPU, in isa.Inst, _ uint32) int {
 // ---- loads / stores ----
 //
 // Decode-time resolution bakes the access width and extension into the
-// executor, so the per-instruction path skips the loadMeta/storeSize
-// switches; the shared bodies (loadExec/storeExec) are the same ones the
-// superblock engine runs, and the switch arm's execLoad/execStore stay in
-// lockstep with them under the differential suites.
+// executor, so the fast engine skips the reference rules' loadMeta/storeSize
+// switches; the shared bodies (loadExec/storeExec) also run inside
+// superblocks and traces.
 
 func execLB(c *CPU, in isa.Inst, _ uint32) int  { return c.loadExec(in, 1, true) }
 func execLBU(c *CPU, in isa.Inst, _ uint32) int { return c.loadExec(in, 1, false) }
@@ -281,10 +279,10 @@ func execSH(c *CPU, in isa.Inst, _ uint32) int { return c.storeExec(in, 2) }
 func execSW(c *CPU, in isa.Inst, _ uint32) int { return c.storeExec(in, 4) }
 func execSD(c *CPU, in isa.Inst, _ uint32) int { return c.storeExec(in, 8) }
 
-// loadExec is the load body shared by the threaded executors and the
-// superblock engine: semantics, cycle charges, fault taxonomy and statistics
-// identical to the switch arm's execLoad — any change here must land there
-// too (and vice versa); the differential suites enforce the lockstep.
+// loadExec is the fast engine's load rule: semantics, cycle charges, fault
+// taxonomy and statistics identical to the reference rule execLoad — any
+// change here must land there too (and vice versa); the differential suites
+// enforce the lockstep.
 //
 //govisor:pair execLoad
 func (c *CPU) loadExec(in isa.Inst, size int, signed bool) int {
@@ -297,17 +295,15 @@ func (c *CPU) loadExec(in isa.Inst, size int, signed bool) int {
 	if fault != nil {
 		return c.faultStatus(va, isa.AccRead, fault)
 	}
-	if !c.NoWriteMemo {
-		// Memoized RAM verdict: a read-memo hit proves the page is inside
-		// guest RAM, so the Contains/IsMMIO range checks fold into the probe
-		// and the value comes straight from the cached page — exactly what
-		// the full path below computes for an in-RAM address.
-		if v, ok := c.Mem.ReadUintFast(gpa, size); ok {
-			c.Cycles += c.Costs.MemAccess
-			c.SetReg(in.Rd, extendLoad(v, size, signed))
-			c.PC += 4
-			return stOK
-		}
+	// Memoized RAM verdict: a read-memo hit proves the page is inside guest
+	// RAM, so the Contains/IsMMIO range checks fold into the probe and the
+	// value comes straight from the cached page — exactly what the full
+	// path below computes for an in-RAM address.
+	if v, ok := c.Mem.ReadUintFast(gpa, size); ok {
+		c.Cycles += c.Costs.MemAccess
+		c.SetReg(in.Rd, extendLoad(v, size, signed))
+		c.PC += 4
+		return stOK
 	}
 	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
 		c.PC += 4
@@ -345,19 +341,15 @@ func extendLoad(v uint64, size int, signed bool) uint64 {
 	return v
 }
 
-// storeExec is the store body shared by the threaded executors and the
-// superblock engine (same lockstep contract with execStore as loadExec).
-// A retired store into the executing superblock's code page (c.codeGfn,
-// mem.NoFrame outside blocks) returns stSMC so the block ends; every other
-// consumer treats stSMC exactly like stOK. The memoized body lives here;
-// storeExecRef is the NoWriteMemo reference arm, byte-for-byte the PR 4
-// store path.
+// storeExec is the fast engine's store rule (same lockstep contract with
+// the reference rule execStore as loadExec), over the write-path memo stack
+// (mmu.TranslateWrite + mem.WriteUintFast/Fill). A retired store into the
+// executing superblock's code page (c.codeGfn, mem.NoFrame outside blocks)
+// returns stSMC so the block ends; every other consumer treats stSMC exactly
+// like stOK.
 //
-//govisor:pair storeExecRef
+//govisor:pair execStore
 func (c *CPU) storeExec(in isa.Inst, size int) int {
-	if c.NoWriteMemo {
-		return c.storeExecRef(in, size)
-	}
 	va := c.X[in.Rs1] + uint64(int64(in.Imm))
 	val := c.X[in.Rs2]
 	if va&uint64(size-1) != 0 {
@@ -391,43 +383,6 @@ func (c *CPU) storeExec(in isa.Inst, size int) int {
 	}
 	c.Cycles += c.Costs.MemAccess
 	if f := c.Mem.WriteUintFill(gpa, size, val); f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			return c.guestTrapStatus(isa.CauseStoreAccess, va)
-		}
-		c.pendExit = c.memFaultExit(va, isa.AccWrite, f)
-		return stExit
-	}
-	c.PC += 4
-	if gpa>>isa.PageShift == c.codeGfn {
-		return stSMC
-	}
-	return stOK
-}
-
-// storeExecRef is storeExec's unmemoized reference arm: per-store
-// TranslateData, explicit range checks and WriteUint with its per-store
-// version bump — the differential baseline the memo must be invisible
-// against.
-func (c *CPU) storeExecRef(in isa.Inst, size int) int {
-	va := c.X[in.Rs1] + uint64(int64(in.Imm))
-	val := c.X[in.Rs2]
-	if va&uint64(size-1) != 0 {
-		return c.guestTrapStatus(isa.CauseStoreMisaligned, va)
-	}
-	gpa, refs, fault := c.MMU.TranslateData(va, isa.AccWrite, c.Priv == PrivU)
-	c.Cycles += uint64(refs) * c.Costs.PTRef
-	if fault != nil {
-		return c.faultStatus(va, isa.AccWrite, fault)
-	}
-	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		c.pendExit = c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Write: true, Value: val,
-		}})
-		return stExit
-	}
-	c.Cycles += c.Costs.MemAccess
-	if f := c.Mem.WriteUint(gpa, size, val); f != nil {
 		if f.Kind == mem.FaultBeyondRAM {
 			return c.guestTrapStatus(isa.CauseStoreAccess, va)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"govisor/internal/asm"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
 	"govisor/internal/mmu"
@@ -25,80 +26,90 @@ func TestExecTableComplete(t *testing.T) {
 	}
 }
 
-// newCPUPairTD builds two CPUs over identical images differing only in
-// NoThreadedDispatch (icache on in both; superblock dispatch per noSB).
-func newCPUPairTD(t *testing.T, img []byte, noSB bool, tweak func(*CPU)) (threaded, sw *CPU) {
-	t.Helper()
-	build := func(noTD bool) *CPU {
-		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
-		if err := g.PopulateAll(); err != nil {
-			t.Fatal(err)
-		}
-		if f := g.Write(0x1000, img); f != nil {
-			t.Fatal(f)
-		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
-		c.Priv = PrivS
-		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoSuperblocks = noSB
-		c.NoThreadedDispatch = noTD
-		if tweak != nil {
-			tweak(c)
-		}
-		return c
-	}
-	return build(false), build(true)
-}
-
 // TestThreadedDispatchQuantumSweep: quantum expiry must land on exactly the
-// same instruction with threaded dispatch on or off, with superblocks both
-// enabled and pinned off — the same sweep that protects the superblock
-// horizon, re-aimed at the dispatch engine.
+// same instruction under the executor table and the reference switch on a
+// program that retires every executor kind — ALU, load, store (into its own
+// code page), taken and untaken branches, a jump — with the budget swept so
+// deadlines land on each of them, including either side of the
+// self-modifying store.
 func TestThreadedDispatchQuantumSweep(t *testing.T) {
-	img := straightLineImg(t, 100)
-	for _, noSB := range []bool{false, true} {
-		for budget := uint64(1); budget < 160; budget += 3 {
-			threaded, sw := newCPUPairTD(t, img, noSB, nil)
-			for {
-				exT := threaded.Run(budget)
-				exS := sw.Run(budget)
-				if exT.Reason != exS.Reason {
-					t.Fatalf("noSB=%v budget %d: exit diverged: threaded %v switch %v (pc %#x vs %#x)",
-						noSB, budget, exT, exS, threaded.PC, sw.PC)
-				}
-				compareCPUs(t, "dispatch-quantum", threaded, sw)
-				if t.Failed() {
-					t.Fatalf("diverged at noSB=%v budget %d", noSB, budget)
-				}
-				if exT.Reason == ExitHalt {
-					break
-				}
+	for budget := uint64(1); budget < 40; budget++ {
+		threaded, sw := newCPUPair(t, smcProgram(), nil)
+		for {
+			exT := threaded.Run(budget)
+			exS := sw.Run(budget)
+			if exT.Reason != exS.Reason {
+				t.Fatalf("budget %d: exit diverged: threaded %v switch %v (pc %#x vs %#x)",
+					budget, exT, exS, threaded.PC, sw.PC)
+			}
+			compareCPUs(t, "dispatch-quantum", threaded, sw)
+			if t.Failed() {
+				t.Fatalf("diverged at budget %d", budget)
+			}
+			if exT.Reason == ExitHalt {
+				break
 			}
 		}
+		if threaded.X[isa.RegA0] != 111 {
+			t.Fatalf("budget %d: a0 = %d, want 111", budget, threaded.X[isa.RegA0])
+		}
 	}
 }
 
-// TestThreadedDispatchSelfModifyingCode: the SMC bail must behave
-// identically under both dispatch engines.
+// TestThreadedDispatchSelfModifyingCode: every store width's executor must
+// report a store into the executing code page. Each variant patches the
+// immediate field of the instruction that follows the store in the same
+// straight-line run, through SB, SH, SW or SD; a width whose executor missed
+// the SMC check would retire the stale predecoded slot.
 func TestThreadedDispatchSelfModifyingCode(t *testing.T) {
-	threaded, sw := newCPUPairTD(t, smcProgram(), false, nil)
-	exT, exS := threaded.Run(1_000_000), sw.Run(1_000_000)
-	if exT.Reason != ExitHalt || exS.Reason != ExitHalt {
-		t.Fatalf("exits: threaded %v switch %v", exT, exS)
+	old := isa.Encode(isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegA0, Imm: 11})
+	patched := isa.Encode(isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegA0, Imm: 100})
+	nop := isa.Encode(isa.Inst{Op: isa.OpADDI})
+	if old>>8 != patched>>8 {
+		t.Fatalf("the two encodings differ above the low byte (%#x vs %#x): SB cannot patch one into the other", old, patched)
 	}
-	if threaded.X[isa.RegA0] != 111 {
-		t.Fatalf("threaded a0 = %d, want 111 (stale executor?)", threaded.X[isa.RegA0])
+	for _, st := range []struct {
+		op  isa.Op
+		val uint64
+	}{
+		{isa.OpSB, uint64(patched & 0xFF)},
+		{isa.OpSH, uint64(patched & 0xFFFF)},
+		{isa.OpSW, uint64(patched)},
+		{isa.OpSD, uint64(nop)<<32 | uint64(patched)},
+	} {
+		b := asm.NewBuilder(0x1000)
+		b.Li(isa.RegT1, st.val)
+		b.La(isa.RegT2, "patched")
+		b.J("body")
+		b.Align(8) // SD needs the patched slot 8-byte aligned
+		b.Label("body")
+		b.I(isa.OpADDI, isa.RegA1, isa.RegA1, 1)
+		b.Store(st.op, isa.RegT1, isa.RegT2, 0)
+		b.Label("patched")
+		b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 11)
+		b.I(isa.OpADDI, isa.RegA1, isa.RegA1, 1) // SD overwrites this with a nop
+		b.Halt(0)
+		img, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		threaded, sw := newCPUPair(t, img, nil)
+		exT, exS := threaded.Run(1_000_000), sw.Run(1_000_000)
+		if exT.Reason != ExitHalt || exS.Reason != ExitHalt {
+			t.Fatalf("%v: exits: threaded %v switch %v", st.op, exT, exS)
+		}
+		if threaded.X[isa.RegA0] != 100 {
+			t.Fatalf("%v: threaded a0 = %d, want 100 (stale executor?)", st.op, threaded.X[isa.RegA0])
+		}
+		compareCPUs(t, "dispatch-smc "+st.op.String(), threaded, sw)
 	}
-	compareCPUs(t, "dispatch-smc", threaded, sw)
 }
 
-// TestDecodeResolvesExecutors guards the differential suites against
-// vacuity: threaded dispatch is the default, so its plumbing must actually
-// resolve an executor for every decoded slot — a regression that left fn nil
-// would silently fall back to the switch and pass every equivalence test.
+// TestDecodeResolvesExecutors pins the fast loop's contract with the decode
+// step: every decoded slot of a valid opcode carries a resolved executor
+// (CPU.Run calls it without a nil check), and invalid slots carry none.
 func TestDecodeResolvesExecutors(t *testing.T) {
-	threaded, _ := newCPUPairTD(t, straightLineImg(t, 100), false, nil)
+	threaded := newCPU(t, New, straightLineImg(t, 100), 0x1000)
 	if ex := threaded.Run(1_000_000); ex.Reason != ExitHalt {
 		t.Fatalf("run ended %v", ex)
 	}
@@ -127,17 +138,17 @@ var knownCSRs = []uint16{
 	isa.CSRCycle, isa.CSRTime, isa.CSRInstret, isa.CSRVenv,
 }
 
-// TestThreadedExecutorsMatchSwitch is the per-opcode equivalence property:
-// for every valid opcode, a randomized single-step through the threaded
-// executor must leave the machine in exactly the state the dispatch switch
-// produces — registers, PC, privilege, CSRs, cycles, instret, every
-// statistic — and agree on whether (and with what) Run would exit. The
-// status/Exit mapping is checked directly: done ⇔ stExit, with the same
-// Exit value.
+// TestThreadedExecutorsMatchSwitch is the per-opcode refinement property:
+// for every valid opcode, a randomized single-step through the fast engine's
+// executor must leave the machine in exactly the state the reference
+// interpreter's rule (the execute switch in ref.go) produces — registers,
+// PC, privilege, CSRs, cycles, instret, every statistic — and agree on
+// whether (and with what) Run would exit. The status/Exit mapping is checked
+// directly: done ⇔ stExit, with the same Exit value.
 func TestThreadedExecutorsMatchSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const pages = 64
-	build := func(seed int64) *CPU {
+	build := func(mk engine, seed int64) *CPU {
 		r := rand.New(rand.NewSource(seed))
 		g := mem.NewGuestPhys(mem.NewPool(pages*2), pages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
@@ -150,7 +161,7 @@ func TestThreadedExecutorsMatchSwitch(t *testing.T) {
 			}
 			g.WriteRaw(gfn, buf)
 		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		for i := 1; i < 32; i++ {
 			switch r.Intn(3) {
 			case 0: // in-RAM, aligned: loads/stores usually land
@@ -186,7 +197,7 @@ func TestThreadedExecutorsMatchSwitch(t *testing.T) {
 			}
 			in := isa.Decode(raw)
 			seed := int64(op)<<32 | int64(trial)
-			a, b := build(seed), build(seed)
+			a, b := build(New, seed), build(NewReference, seed)
 
 			st := fn(a, in, raw)
 			ex, done := b.execute(in, raw)

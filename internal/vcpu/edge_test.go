@@ -10,7 +10,7 @@ import (
 )
 
 func TestFinishMMIOReadExtensions(t *testing.T) {
-	c := newCPU(t, []byte{0, 0, 0, 0}, 0x1000)
+	c := newCPU(t, New, []byte{0, 0, 0, 0}, 0x1000)
 	cases := []struct {
 		size   uint8
 		signed bool
@@ -39,7 +39,7 @@ func TestFinishMMIOReadExtensions(t *testing.T) {
 }
 
 func TestEmulatePrivilegedRejectsGarbage(t *testing.T) {
-	c := newCPU(t, []byte{0, 0, 0, 0}, 0x1000)
+	c := newCPU(t, New, []byte{0, 0, 0, 0}, 0x1000)
 	if err := c.EmulatePrivileged(isa.Inst{Op: isa.OpADD}); err == nil {
 		t.Fatal("emulating ADD should fail")
 	}
@@ -52,99 +52,109 @@ func TestEmulatePrivilegedRejectsGarbage(t *testing.T) {
 }
 
 func TestCSRRSWithX0DoesNotWrite(t *testing.T) {
-	// csrr (CSRRS rd, csr, x0) must not fault on read-only CSRs.
-	c := buildRun(t, func(b *asm.Builder) {
-		b.Csrr(isa.RegA0, isa.CSRCycle) // read-only: must succeed
-		b.Halt(0)
+	eachEngine(t, func(t *testing.T, mk engine) {
+		// csrr (CSRRS rd, csr, x0) must not fault on read-only CSRs.
+		c := buildRun(t, mk, func(b *asm.Builder) {
+			b.Csrr(isa.RegA0, isa.CSRCycle) // read-only: must succeed
+			b.Halt(0)
+		})
+		if c.X[isa.RegA0] == 0 {
+			t.Fatal("cycle read failed")
+		}
 	})
-	if c.X[isa.RegA0] == 0 {
-		t.Fatal("cycle read failed")
-	}
 }
 
 func TestWriteToReadOnlyCSRTraps(t *testing.T) {
-	c := buildRun(t, func(b *asm.Builder) {
-		b.La(isa.RegT0, "handler")
-		b.Csrw(isa.CSRStvec, isa.RegT0)
-		b.Li(isa.RegT1, 5)
-		b.Csrw(isa.CSRCycle, isa.RegT1) // illegal
-		b.Label("spin")
-		b.J("spin")
-		b.Align(4)
-		b.Label("handler")
-		b.Csrr(isa.RegA0, isa.CSRScause)
-		b.Halt(0)
+	eachEngine(t, func(t *testing.T, mk engine) {
+		c := buildRun(t, mk, func(b *asm.Builder) {
+			b.La(isa.RegT0, "handler")
+			b.Csrw(isa.CSRStvec, isa.RegT0)
+			b.Li(isa.RegT1, 5)
+			b.Csrw(isa.CSRCycle, isa.RegT1) // illegal
+			b.Label("spin")
+			b.J("spin")
+			b.Align(4)
+			b.Label("handler")
+			b.Csrr(isa.RegA0, isa.CSRScause)
+			b.Halt(0)
+		})
+		if c.X[isa.RegA0] != isa.CauseIllegal {
+			t.Fatalf("cause = %d", c.X[isa.RegA0])
+		}
 	})
-	if c.X[isa.RegA0] != isa.CauseIllegal {
-		t.Fatalf("cause = %d", c.X[isa.RegA0])
-	}
 }
 
 func TestMisalignedPCTraps(t *testing.T) {
-	b := asm.NewBuilder(0x1000)
-	b.La(isa.RegT0, "handler")
-	b.Csrw(isa.CSRStvec, isa.RegT0)
-	b.Li(isa.RegT1, 0x2002) // misaligned target
-	b.Jalr(isa.RegZero, isa.RegT1, 0)
-	b.Align(4)
-	b.Label("handler")
-	b.Csrr(isa.RegA0, isa.CSRScause)
-	b.Halt(0)
-	img, _ := b.Finish()
-	c := newCPU(t, img, 0x1000)
-	if ex := c.Run(100_000); ex.Reason != ExitHalt {
-		t.Fatalf("exit %v", ex)
-	}
-	// JALR clears bit 0 only; 0x2002 stays misaligned → instr-misaligned.
-	if c.X[isa.RegA0] != isa.CauseInstrMisaligned {
-		t.Fatalf("cause = %d", c.X[isa.RegA0])
-	}
+	eachEngine(t, func(t *testing.T, mk engine) {
+		b := asm.NewBuilder(0x1000)
+		b.La(isa.RegT0, "handler")
+		b.Csrw(isa.CSRStvec, isa.RegT0)
+		b.Li(isa.RegT1, 0x2002) // misaligned target
+		b.Jalr(isa.RegZero, isa.RegT1, 0)
+		b.Align(4)
+		b.Label("handler")
+		b.Csrr(isa.RegA0, isa.CSRScause)
+		b.Halt(0)
+		img, _ := b.Finish()
+		c := newCPU(t, mk, img, 0x1000)
+		if ex := c.Run(100_000); ex.Reason != ExitHalt {
+			t.Fatalf("exit %v", ex)
+		}
+		// JALR clears bit 0 only; 0x2002 stays misaligned → instr-misaligned.
+		if c.X[isa.RegA0] != isa.CauseInstrMisaligned {
+			t.Fatalf("cause = %d", c.X[isa.RegA0])
+		}
+	})
 }
 
 func TestHaltFromUserModeIsIllegal(t *testing.T) {
-	c := buildRun(t, func(b *asm.Builder) {
-		b.La(isa.RegT0, "handler")
-		b.Csrw(isa.CSRStvec, isa.RegT0)
-		b.La(isa.RegT1, "user")
-		b.Csrw(isa.CSRSepc, isa.RegT1)
-		b.Li(isa.RegT2, 0)
-		b.Csrw(isa.CSRSstatus, isa.RegT2)
-		b.Sret()
-		b.Label("user")
-		b.Halt(1) // privileged from U → illegal
-		b.Align(4)
-		b.Label("handler")
-		b.Csrr(isa.RegA0, isa.CSRScause)
-		b.Halt(0)
+	eachEngine(t, func(t *testing.T, mk engine) {
+		c := buildRun(t, mk, func(b *asm.Builder) {
+			b.La(isa.RegT0, "handler")
+			b.Csrw(isa.CSRStvec, isa.RegT0)
+			b.La(isa.RegT1, "user")
+			b.Csrw(isa.CSRSepc, isa.RegT1)
+			b.Li(isa.RegT2, 0)
+			b.Csrw(isa.CSRSstatus, isa.RegT2)
+			b.Sret()
+			b.Label("user")
+			b.Halt(1) // privileged from U → illegal
+			b.Align(4)
+			b.Label("handler")
+			b.Csrr(isa.RegA0, isa.CSRScause)
+			b.Halt(0)
+		})
+		if c.X[isa.RegA0] != isa.CauseIllegal {
+			t.Fatalf("cause = %d", c.X[isa.RegA0])
+		}
 	})
-	if c.X[isa.RegA0] != isa.CauseIllegal {
-		t.Fatalf("cause = %d", c.X[isa.RegA0])
-	}
 }
 
 func TestSRETFromUserIsIllegal(t *testing.T) {
-	c := buildRun(t, func(b *asm.Builder) {
-		b.La(isa.RegT0, "handler")
-		b.Csrw(isa.CSRStvec, isa.RegT0)
-		b.La(isa.RegT1, "user")
-		b.Csrw(isa.CSRSepc, isa.RegT1)
-		b.Li(isa.RegT2, 0)
-		b.Csrw(isa.CSRSstatus, isa.RegT2)
-		b.Sret()
-		b.Label("user")
-		b.Sret()
-		b.Align(4)
-		b.Label("handler")
-		b.Csrr(isa.RegA0, isa.CSRScause)
-		b.Halt(0)
+	eachEngine(t, func(t *testing.T, mk engine) {
+		c := buildRun(t, mk, func(b *asm.Builder) {
+			b.La(isa.RegT0, "handler")
+			b.Csrw(isa.CSRStvec, isa.RegT0)
+			b.La(isa.RegT1, "user")
+			b.Csrw(isa.CSRSepc, isa.RegT1)
+			b.Li(isa.RegT2, 0)
+			b.Csrw(isa.CSRSstatus, isa.RegT2)
+			b.Sret()
+			b.Label("user")
+			b.Sret()
+			b.Align(4)
+			b.Label("handler")
+			b.Csrr(isa.RegA0, isa.CSRScause)
+			b.Halt(0)
+		})
+		if c.X[isa.RegA0] != isa.CauseIllegal {
+			t.Fatalf("cause = %d", c.X[isa.RegA0])
+		}
 	})
-	if c.X[isa.RegA0] != isa.CauseIllegal {
-		t.Fatalf("cause = %d", c.X[isa.RegA0])
-	}
 }
 
 func TestInterruptPriorityExtBeforeTimer(t *testing.T) {
-	c := newCPU(t, []byte{0, 0, 0, 0}, 0x1000)
+	c := newCPU(t, New, []byte{0, 0, 0, 0}, 0x1000)
 	c.CSR.Sie = 1<<isa.IntExt | 1<<isa.IntTimer | 1<<isa.IntSoft
 	c.CSR.Sstatus = isa.StatusSIE
 	c.Priv = PrivS
@@ -161,7 +171,7 @@ func TestInterruptPriorityExtBeforeTimer(t *testing.T) {
 }
 
 func TestInterruptMaskedBySIE(t *testing.T) {
-	c := newCPU(t, []byte{0, 0, 0, 0}, 0x1000)
+	c := newCPU(t, New, []byte{0, 0, 0, 0}, 0x1000)
 	c.Priv = PrivS
 	c.CSR.Sie = 1 << isa.IntTimer
 	c.RaiseIRQ(isa.IntTimer)
@@ -176,7 +186,7 @@ func TestInterruptMaskedBySIE(t *testing.T) {
 }
 
 func TestTrapStacksAndSRETRestoresState(t *testing.T) {
-	c := newCPU(t, []byte{0, 0, 0, 0}, 0x1000)
+	c := newCPU(t, New, []byte{0, 0, 0, 0}, 0x1000)
 	c.Priv = PrivU
 	c.CSR.Sstatus = isa.StatusSIE
 	c.CSR.Stvec = 0x3000
@@ -199,23 +209,25 @@ func TestTrapStacksAndSRETRestoresState(t *testing.T) {
 }
 
 func TestHostFaultExitOnBalloonedCodePage(t *testing.T) {
-	// Executing from an unmapped page must escalate to the VMM, not the
-	// guest (failure injection: balloon stole the code page).
-	g := mem.NewGuestPhys(mem.NewPool(64), 32*isa.PageSize)
-	g.PopulateAll()
-	b := asm.NewBuilder(0x1000)
-	b.Nop()
-	b.Halt(0)
-	img, _ := b.Finish()
-	g.Write(0x1000, img)
-	g.Unmap(1) // steal the code page
-	c := New(g, mmu.NewContext(g, mmu.StyleDirect))
-	c.Priv = PrivS
-	c.PC = 0x1000
-	ex := c.Run(10_000)
-	if ex.Reason != ExitHostFault || ex.Mem.Kind != mem.FaultNotPresent {
-		t.Fatalf("exit = %v", ex)
-	}
+	eachEngine(t, func(t *testing.T, mk engine) {
+		// Executing from an unmapped page must escalate to the VMM, not the
+		// guest (failure injection: balloon stole the code page).
+		g := mem.NewGuestPhys(mem.NewPool(64), 32*isa.PageSize)
+		g.PopulateAll()
+		b := asm.NewBuilder(0x1000)
+		b.Nop()
+		b.Halt(0)
+		img, _ := b.Finish()
+		g.Write(0x1000, img)
+		g.Unmap(1) // steal the code page
+		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
+		c.Priv = PrivS
+		c.PC = 0x1000
+		ex := c.Run(10_000)
+		if ex.Reason != ExitHostFault || ex.Mem.Kind != mem.FaultNotPresent {
+			t.Fatalf("exit = %v", ex)
+		}
+	})
 }
 
 func TestExitStringsRender(t *testing.T) {

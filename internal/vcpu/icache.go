@@ -5,7 +5,6 @@ import (
 
 	"govisor/internal/isa"
 	"govisor/internal/mem"
-	"govisor/internal/metrics"
 	"govisor/internal/mmu"
 )
 
@@ -245,36 +244,4 @@ func (ic *ICache) evictOne() {
 		ic.curGfn, ic.cur = mem.NoFrame, nil
 	}
 	ic.Stats.Evictions++
-}
-
-// HitRate returns hits / all lookups, or 0 when idle.
-func (ic *ICache) HitRate() float64 {
-	total := ic.Stats.Hits + ic.Stats.Misses + ic.Stats.Invalidations
-	if total == 0 {
-		return 0
-	}
-	return float64(ic.Stats.Hits) / float64(total)
-}
-
-// Pages returns the number of currently cached predecoded pages.
-func (ic *ICache) Pages() int { return len(ic.pages) }
-
-// Counters exposes the cache statistics as a metrics counter set, the form
-// the benchmark tables consume.
-func (ic *ICache) Counters() *metrics.CounterSet {
-	s := &metrics.CounterSet{}
-	s.Add("icache_hits", ic.Stats.Hits)
-	s.Add("icache_misses", ic.Stats.Misses)
-	s.Add("icache_invalidations", ic.Stats.Invalidations)
-	s.Add("icache_predecodes", ic.Stats.Predecodes)
-	s.Add("icache_evictions", ic.Stats.Evictions)
-	s.Add("icache_chain_hits", ic.Stats.ChainHits)
-	s.Add("icache_chain_misses", ic.Stats.ChainMisses)
-	s.Add("icache_chain_resolves", ic.Stats.ChainResolves)
-	s.Add("icache_block_crossings", ic.Stats.Crossings)
-	s.Add("icache_trace_formations", ic.Stats.TraceFormations)
-	s.Add("icache_trace_entries", ic.Stats.TraceEntries)
-	s.Add("icache_trace_demotions", ic.Stats.TraceDemotions)
-	s.Add("icache_trace_invalidations", ic.Stats.TraceInvalidations)
-	return s
 }

@@ -39,9 +39,7 @@ import (
 // slot's decode-time-resolved func pointer — stores included: storeExec
 // detects stores into the executing page through c.codeGfn (set for the
 // block's duration) and reports stSMC, so blocks need no per-instruction
-// store special-casing. Under CPU.NoThreadedDispatch the block body instead
-// routes through blockLoad/blockStore and the execute switch — the
-// differential reference arm.
+// store special-casing.
 
 // blockAdmissible reports whether a straight-line run of n instructions
 // containing memOps memory operations can retire without any event boundary
@@ -94,19 +92,18 @@ func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done
 	}
 
 	instr := c.Costs.Instr
-	threaded := !c.NoThreadedDispatch
 	// Arm the self-modifying-code detector in storeExec for the block's
 	// duration; outside blocks the sentinel never matches a store.
 	c.codeGfn = gfn
 	for {
-		retired, st := c.retireRun(p, idx, n, threaded, memOps == 0)
+		retired, st := c.retireRun(p, idx, n, memOps == 0)
 		c.Cycles += retired * instr
 		c.Instret += retired
 		if st == stExit {
 			c.codeGfn = mem.NoFrame
 			return c.pendExit, true, true
 		}
-		if st != stOK || idx+n < instPerPage || c.NoBlockChain {
+		if st != stOK || idx+n < instPerPage {
 			break
 		}
 		// The run was cut by the page boundary, not a terminator. Arm the
@@ -162,30 +159,17 @@ const stBail = -1
 // (mmu.ReplayFetchSpan, bit-identical bookkeeping because no data-side
 // touch can interleave with the folded fetch hits) and a body loop with no
 // per-instruction replay or status dispatch.
-func (c *CPU) retireRun(p *decodedPage, idx, n uint64, threaded, memless bool) (retired uint64, status int) {
+func (c *CPU) retireRun(p *decodedPage, idx, n uint64, memless bool) (retired uint64, status int) {
 	if memless && n > 1 && c.MMU.ReplayFetchSpan(c.PC, n-1) {
-		if threaded {
-			for retired < n {
-				j := idx + retired
-				if p.valid[j>>6]&(1<<(j&63)) == 0 {
-					p.ins[j] = isa.Decode(p.raw[j])
-					p.fn[j] = execTable.For(p.ins[j].Op)
-					p.valid[j>>6] |= 1 << (j & 63)
-				}
-				p.fn[j](c, p.ins[j], p.raw[j])
-				retired++
+		for retired < n {
+			j := idx + retired
+			if p.valid[j>>6]&(1<<(j&63)) == 0 {
+				p.ins[j] = isa.Decode(p.raw[j])
+				p.fn[j] = execTable.For(p.ins[j].Op)
+				p.valid[j>>6] |= 1 << (j & 63)
 			}
-		} else {
-			for retired < n {
-				j := idx + retired
-				if p.valid[j>>6]&(1<<(j&63)) == 0 {
-					p.ins[j] = isa.Decode(p.raw[j])
-					p.fn[j] = execTable.For(p.ins[j].Op)
-					p.valid[j>>6] |= 1 << (j & 63)
-				}
-				c.execute(p.ins[j], p.raw[j])
-				retired++
-			}
+			p.fn[j](c, p.ins[j], p.raw[j])
+			retired++
 		}
 		return n, stOK
 	}
@@ -201,61 +185,15 @@ func (c *CPU) retireRun(p *decodedPage, idx, n uint64, threaded, memless bool) (
 			return retired, stBail // TLB insert/flush under the fetch stream
 		}
 		retired++
-		// Statuses stay small ints and the rare Exit goes through
-		// c.pendExit, keeping the large Exit struct out of the
-		// per-instruction return path.
-		var st int
-		if threaded {
-			// Block-specialized execution: every instruction — stores
-			// included — runs the slot's decode-time-resolved executor.
-			st = p.fn[j](c, in, p.raw[j])
-		} else {
-			switch {
-			case isa.IsLoad(in.Op):
-				st = c.blockLoad(in)
-			case isa.IsStore(in.Op):
-				st = c.blockStore(in)
-			default:
-				pcNext := c.PC + 4
-				ex, d := c.execute(in, p.raw[j])
-				if d {
-					c.pendExit = ex
-					return retired, stExit
-				}
-				if c.PC == pcNext {
-					st = stOK
-				} else {
-					st = stTrap
-				}
-			}
-		}
-		switch st {
-		case stOK:
-		case stExit:
-			return retired, stExit
-		default: // stTrap: control redirected; stSMC: the run wrote itself
+		// Block-specialized execution: every instruction — stores included
+		// — runs the slot's decode-time-resolved executor. Statuses stay
+		// small ints and the rare Exit goes through c.pendExit, keeping the
+		// large Exit struct out of the per-instruction return path.
+		if st := p.fn[j](c, in, p.raw[j]); st != stOK {
+			// stExit, stTrap (control redirected) or stSMC (the run wrote
+			// itself): the run ends here.
 			return retired, st
 		}
 	}
 	return retired, stOK
-}
-
-// blockLoad is the load entry for the reference (switch-dispatch) block arm:
-// the shared loadExec body behind the loadMeta width switch the threaded
-// executors resolve at decode time instead.
-//
-//govisor:pair loadExec
-func (c *CPU) blockLoad(in isa.Inst) int {
-	size, signed := loadMeta(in.Op)
-	return c.loadExec(in, size, signed)
-}
-
-// blockStore is the store entry for the reference (switch-dispatch) block
-// arm: the shared storeExec body (whose c.codeGfn check reports stores into
-// the executing page as stSMC) behind the storeSize width switch the
-// threaded executors resolve at decode time instead.
-//
-//govisor:pair storeExec
-func (c *CPU) blockStore(in isa.Inst) int {
-	return c.storeExec(in, storeSize(in.Op))
 }

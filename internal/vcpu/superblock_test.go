@@ -9,36 +9,11 @@ import (
 	"govisor/internal/mmu"
 )
 
-// newCPUPairSB builds two CPUs over identical images, both with the decoded
-// cache, differing only in superblock dispatch.
-func newCPUPairSB(t *testing.T, img []byte, tweak func(*CPU)) (blocks, slow *CPU) {
-	t.Helper()
-	build := func(noSB bool) *CPU {
-		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
-		if err := g.PopulateAll(); err != nil {
-			t.Fatal(err)
-		}
-		if f := g.Write(0x1000, img); f != nil {
-			t.Fatal(f)
-		}
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
-		c.Priv = PrivS
-		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoSuperblocks = noSB
-		if tweak != nil {
-			tweak(c)
-		}
-		return c
-	}
-	return build(false), build(true)
-}
-
 // compareCPUs asserts every architectural and statistical field matches.
 func compareCPUs(t *testing.T, label string, a, b *CPU) {
 	t.Helper()
 	if a.Cycles != b.Cycles || a.Instret != b.Instret {
-		t.Errorf("%s: time diverged: blocks (cyc=%d ret=%d) slow (cyc=%d ret=%d)",
+		t.Errorf("%s: time diverged: fast (cyc=%d ret=%d) ref (cyc=%d ret=%d)",
 			label, a.Cycles, a.Instret, b.Cycles, b.Instret)
 	}
 	if a.X != b.X || a.PC != b.PC || a.Priv != b.Priv {
@@ -83,14 +58,15 @@ func straightLineImg(t *testing.T, n int) []byte {
 }
 
 // TestSuperblockQuantumFallback: quantum expiry must land on exactly the
-// same instruction with blocks on or off — the horizon check falls back to
-// the per-instruction path whenever the deadline could land inside a block.
+// same instruction as under the reference interpreter — the horizon check
+// falls back to the per-instruction path whenever the deadline could land
+// inside a block.
 // Swept across budgets so the deadline lands on every boundary of the run,
 // including deep inside would-be blocks.
 func TestSuperblockQuantumFallback(t *testing.T) {
 	img := straightLineImg(t, 100)
 	for budget := uint64(1); budget < 160; budget += 3 {
-		blocks, slow := newCPUPairSB(t, img, nil)
+		blocks, slow := newCPUPair(t, img, nil)
 		for {
 			exB := blocks.Run(budget)
 			exS := slow.Run(budget)
@@ -110,7 +86,8 @@ func TestSuperblockQuantumFallback(t *testing.T) {
 }
 
 // TestSuperblockStimecmpFallback: the STIP latch must set at exactly the
-// same instruction boundary with blocks on or off, for every placement of
+// same instruction boundary as under the reference interpreter, for every
+// placement of
 // STIMECMP inside the run — including mid-block, where dispatch must fall
 // back. With the timer interrupt enabled the trap must also vector at the
 // identical point.
@@ -139,7 +116,7 @@ func TestSuperblockStimecmpFallback(t *testing.T) {
 					c.CSR.Sstatus = isa.StatusSIE
 				}
 			}
-			blocks, slow := newCPUPairSB(t, img, tweak)
+			blocks, slow := newCPUPair(t, img, tweak)
 			for {
 				exB := blocks.Run(1_000_000)
 				exS := slow.Run(1_000_000)
@@ -163,8 +140,8 @@ func TestSuperblockStimecmpFallback(t *testing.T) {
 
 // TestSuperblockInterruptWindowFallback: a deprivileged vCPU with an
 // interrupt becoming deliverable partway through a straight-line run must
-// exit with ExitIntrWindow at exactly the same instruction with blocks on or
-// off. The IRQ is raised between Run calls (as the VMM does), with small
+// exit with ExitIntrWindow at exactly the same instruction under both
+// engines. The IRQ is raised between Run calls (as the VMM does), with small
 // quanta so re-entry points land mid-run.
 func TestSuperblockInterruptWindowFallback(t *testing.T) {
 	img := straightLineImg(t, 100)
@@ -174,7 +151,7 @@ func TestSuperblockInterruptWindowFallback(t *testing.T) {
 			c.CSR.Sie = 1 << isa.IntExt
 			c.CSR.Sstatus = isa.StatusSIE
 		}
-		blocks, slow := newCPUPairSB(t, img, tweak)
+		blocks, slow := newCPUPair(t, img, tweak)
 		raised := false
 		for {
 			budget := uint64(25)
@@ -214,18 +191,34 @@ func TestSuperblockInterruptWindowFallback(t *testing.T) {
 	}
 }
 
-// TestSuperblockSelfModifyingCode: a store into the executing superblock
-// must end the block and re-predecode, keeping block execution byte-
-// identical with the per-instruction path (which notices on the very next
-// fetch).
+// TestSuperblockSelfModifyingCode: a store that patches the very next
+// instruction of the straight-line run it belongs to must end the block
+// (stSMC) so the patched word is re-fetched — a block that kept retiring its
+// predecoded slots would execute the stale "addi a0, a0, 11" and compute 11
+// where the reference interpreter, which re-reads every instruction,
+// computes 100.
 func TestSuperblockSelfModifyingCode(t *testing.T) {
-	blocks, slow := newCPUPairSB(t, smcProgram(), nil)
+	newWord := isa.Encode(isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegA0, Imm: 100})
+	b := asm.NewBuilder(0x1000)
+	b.Li(isa.RegT1, uint64(newWord))
+	b.La(isa.RegT2, "patched")
+	b.I(isa.OpADDI, isa.RegA1, isa.RegA1, 1)
+	b.Store(isa.OpSW, isa.RegT1, isa.RegT2, 0)
+	b.Label("patched")
+	b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 11)
+	b.I(isa.OpADDI, isa.RegA1, isa.RegA1, 1)
+	b.Halt(0)
+	img, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, slow := newCPUPair(t, img, nil)
 	exB, exS := blocks.Run(1_000_000), slow.Run(1_000_000)
 	if exB.Reason != ExitHalt || exS.Reason != ExitHalt {
 		t.Fatalf("exits: blocks %v slow %v", exB, exS)
 	}
-	if blocks.X[isa.RegA0] != 111 {
-		t.Fatalf("blocks a0 = %d, want 111 (stale superblock?)", blocks.X[isa.RegA0])
+	if blocks.X[isa.RegA0] != 100 {
+		t.Fatalf("blocks a0 = %d, want 100 (stale superblock?)", blocks.X[isa.RegA0])
 	}
 	compareCPUs(t, "smc", blocks, slow)
 }
@@ -292,8 +285,8 @@ func TestSuperblockLoweringShapes(t *testing.T) {
 // wrapped, the tiny wrapped horizon compared below the deadline, and a block
 // whose span crossed the quantum was dispatched — retiring past the deadline
 // (and, once the clock itself wrapped, running clean through HALT while the
-// reference arm exited with ExitQuantum). The wrap-guarded blockAdmissible
-// refuses dispatch and both arms exit at the identical instruction.
+// reference interpreter exited with ExitQuantum). The wrap-guarded blockAdmissible
+// refuses dispatch and both engines exit at the identical instruction.
 func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	// A long load-heavy straight-line run: big worst-case span.
 	var ins []isa.Inst
@@ -304,7 +297,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	}
 	ins = append(ins, isa.Inst{Op: isa.OpHALT})
 	img := words(ins...)
-	cached, plain := newCPUPair(t, img)
+	cached, plain := newCPUPair(t, img, nil)
 	span := uint64(len(ins)-1)*cached.Costs.Instr +
 		200*(cached.Costs.MemAccess+cached.MMU.MaxWalkRefs()*cached.Costs.PTRef)
 	delta := span / 2   // span >= delta: admission must refuse...
@@ -324,7 +317,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	// The same saturated entry must also hold with STIMECMP armed just past
 	// the clock: cmp - Cycles < span, so admission refuses; the latch then
 	// fires at the same loop-top boundary either way.
-	cached2, plain2 := newCPUPair(t, img)
+	cached2, plain2 := newCPUPair(t, img, nil)
 	for _, c := range []*CPU{cached2, plain2} {
 		c.Cycles = ^uint64(0) - span - span/4
 		c.CSR.Stimecmp = c.Cycles + delta
@@ -367,14 +360,13 @@ func chainLoopImg(t *testing.T, iters uint64) []byte {
 }
 
 // TestBlockChainCrossPageLoop: a hot loop straddling a page boundary must be
-// byte-identical between the chained engine and the NoBlockChain reference
-// arm — across a budget sweep that lands quantum deadlines on every boundary
-// near the crossing — while the chained run actually crosses and chains.
+// byte-identical between the chained engine and the reference interpreter —
+// across a budget sweep that lands quantum deadlines on every boundary near
+// the crossing — while the chained run actually crosses and chains.
 func TestBlockChainCrossPageLoop(t *testing.T) {
 	img := chainLoopImg(t, 50)
 	for budget := uint64(97); budget < 4000; budget += 449 {
-		chained, _ := newCPUPairSB(t, img, nil)
-		unchained, _ := newCPUPairSB(t, img, func(c *CPU) { c.NoBlockChain = true })
+		chained, unchained := newCPUPair(t, img, nil)
 		for {
 			exC := chained.Run(budget)
 			exU := unchained.Run(budget)
@@ -394,8 +386,8 @@ func TestBlockChainCrossPageLoop(t *testing.T) {
 		if st.Crossings == 0 || st.ChainHits == 0 {
 			t.Fatalf("budget %d: chain engine idle: %+v", budget, st)
 		}
-		if un := unchained.ICache.Stats; un.Crossings != 0 || un.ChainHits != 0 || un.ChainResolves != 0 {
-			t.Fatalf("budget %d: reference arm used the chain cache: %+v", budget, un)
+		if unchained.ICache != nil {
+			t.Fatalf("budget %d: reference CPU has an icache attached", budget)
 		}
 	}
 }
@@ -404,7 +396,7 @@ func TestBlockChainCrossPageLoop(t *testing.T) {
 // re-proven on every consumption. The guest overwrites an instruction in the
 // *successor* page of a chained crossing (page version bump) and later runs
 // an SFENCE.VMA between chained iterations (TLB generation bump); both must
-// invalidate the link and both arms must stay byte-identical.
+// invalidate the link and both engines must stay byte-identical.
 func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 	// Loop straddles 0x2000; iteration 25 stores a new instruction into the
 	// successor page (changing an ADDI a0,+1 to ADDI a0,+3 at 0x2010), and
@@ -441,8 +433,7 @@ func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 	}
 	for _, sfence := range []bool{false, true} {
 		img := build(sfence)
-		chained, _ := newCPUPairSB(t, img, nil)
-		unchained, _ := newCPUPairSB(t, img, func(c *CPU) { c.NoBlockChain = true })
+		chained, unchained := newCPUPair(t, img, nil)
 		exC, exU := chained.Run(10_000_000), unchained.Run(10_000_000)
 		if exC.Reason != ExitHalt || exU.Reason != ExitHalt {
 			t.Fatalf("sfence=%v exits: chained %v unchained %v", sfence, exC, exU)
@@ -462,9 +453,10 @@ func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 // to a different frame with different code, then SFENCE.VMAs. The chain
 // link's translation snapshot still names the old frame (whose content, and
 // hence page version, never changed), so only the TLB-generation check in
-// mmu.ChainFetch stands between the chained arm and silently executing stale
-// code. The chained and unchained arms must stay byte-identical across the
-// remap, and both must observe the new frame's code.
+// mmu.ChainFetch stands between the chained engine and silently executing stale
+// code. The chained engine and the reference interpreter must stay
+// byte-identical across the remap, and both must observe the new frame's
+// code.
 func TestBlockChainRemapFlushExact(t *testing.T) {
 	const (
 		targetVA = uint64(0x200000) // chained page, outside the identity region
@@ -473,7 +465,7 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 		iters    = uint64(64)
 		remapAt  = uint64(32)
 	)
-	build := func(noChain bool) *CPU {
+	build := func(mk engine) *CPU {
 		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)
@@ -546,22 +538,20 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 			t.Fatal(f)
 		}
 
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		c.Priv = PrivS
 		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoBlockChain = noChain
 		return c
 	}
 
-	chained, plain := build(false), build(true)
+	chained, plain := build(New), build(NewReference)
 	for name, c := range map[string]*CPU{"chained": chained, "plain": plain} {
 		if ex := c.Run(10_000_000); ex.Reason != ExitHalt {
 			t.Fatalf("%s: exit %v (pc=%#x)", name, ex, c.PC)
 		}
 	}
 	// Iterations 0..remapAt ran frame 1 (+1), the rest frame 2 (+2): both
-	// arms must have switched frames at exactly the remap.
+	// engines must have switched frames at exactly the remap.
 	want := (remapAt + 1) + (iters-remapAt-1)*2
 	if chained.X[isa.RegA1] != want || plain.X[isa.RegA1] != want {
 		t.Errorf("a1: chained=%d plain=%d want %d (stale frame executed?)",
@@ -569,6 +559,6 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 	}
 	compareCPUs(t, "remap", chained, plain)
 	if st := chained.ICache.Stats; st.ChainHits == 0 {
-		t.Errorf("chained arm never chained: %+v", st)
+		t.Errorf("fast engine never chained: %+v", st)
 	}
 }

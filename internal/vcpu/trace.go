@@ -42,9 +42,8 @@ import (
 //     where the untraced run would have noticed, with accounting flushed
 //     for everything that actually retired.
 //
-// The whole engine is host-side: Config.NoTraces (implied by NoBlockChain)
-// disables it for the differential reference arm, and the suites in
-// internal/guest prove guest-visible state byte-identical either way.
+// The whole engine is host-side: the suites in internal/guest prove
+// guest-visible state byte-identical to the reference interpreter.
 
 const (
 	// traceHotThreshold is how many consecutive validated consumes a chain
@@ -205,19 +204,6 @@ func (c *CPU) formTrace(l *chainLink) {
 	l.tr = tr
 }
 
-// traceAdmissible is the trace engine's event-horizon admission: the same
-// wrap-guarded quantum/STIMECMP span check the superblock engine makes, run
-// once over the whole trace pass's worst-case cycle span. Admitting the
-// total span implies every per-block admission the unchained run would make
-// along the pass (each suffix span is no larger, and actual cycles spent
-// never exceed the worst case already subtracted), so event boundaries land
-// on exactly the same instruction either way.
-//
-//govisor:pair blockAdmissible
-func (c *CPU) traceAdmissible(n, memOps, deadline uint64) bool {
-	return c.blockAdmissible(n, memOps, deadline)
-}
-
 // traceReject records an entry-check failure: the trace demotes to the
 // block path for this dispatch, and traceFailLimit consecutive rejections
 // drop it entirely so formation can restart from fresh links.
@@ -246,7 +232,7 @@ const (
 // the hop can have changed the page's version without ending it as stSMC),
 // then the slot's lazy decode and the same executor the outer loop would
 // call. Cycle/instret accounting stays with the caller's batch.
-func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64, threaded bool) int {
+func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64) int {
 	if !c.MMU.ReplayFetch(c.PC) {
 		return termBail
 	}
@@ -260,15 +246,8 @@ func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64, threaded b
 		p.fn[j] = execTable.For(p.ins[j].Op)
 		p.valid[j>>6] |= 1 << (j & 63)
 	}
-	if threaded {
-		if st := p.fn[j](c, p.ins[j], p.raw[j]); st == stExit {
-			return termExit
-		}
-	} else {
-		if ex, d := c.execute(p.ins[j], p.raw[j]); d {
-			c.pendExit = ex
-			return termExit
-		}
+	if p.fn[j](c, p.ins[j], p.raw[j]) == stExit {
+		return termExit
 	}
 	if c.PC != expectPC {
 		return termDiverge
@@ -338,7 +317,14 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		}
 	}
 
-	if !c.traceAdmissible(totalN, totalMem, deadline) {
+	// Event-horizon admission: the same wrap-guarded quantum/STIMECMP span
+	// check the superblock engine makes, run once over the whole pass's
+	// worst-case cycle span. Admitting the total span implies every per-block
+	// admission the untraced run would make along the pass (each suffix span
+	// is no larger, and actual cycles spent never exceed the worst case
+	// already subtracted), so event boundaries land on exactly the same
+	// instruction either way.
+	if !c.blockAdmissible(totalN, totalMem, deadline) {
 		// Not staleness — the quantum or timer horizon is too close for a
 		// whole pass. The block path runs this dispatch and event
 		// boundaries land exactly where the untraced run puts them.
@@ -349,7 +335,6 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 	ic.Stats.TraceEntries++
 
 	instr := c.Costs.Instr
-	threaded := !c.NoThreadedDispatch
 	var retired uint64
 	// flushExit ends the pass at the current instruction boundary with
 	// accounting batched for everything that actually retired. (retired is
@@ -363,7 +348,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		for k := 0; k < nh; k++ {
 			rt := &tr.rt[k]
 			c.codeGfn = rt.gfn
-			r, st := c.retireRun(rt.p, rt.slot, rt.n, threaded, rt.p.blkMem[rt.slot] == 0)
+			r, st := c.retireRun(rt.p, rt.slot, rt.n, rt.p.blkMem[rt.slot] == 0)
 			retired += r
 			if st != stOK {
 				flushExit(retired)
@@ -394,7 +379,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				ic.noteChainHit(next.link.gfn, next.link.page)
 				ic.Stats.Crossings++
 			} else {
-				switch c.traceTerm(rt.p, rt.term, next.link.pc, threaded) {
+				switch c.traceTerm(rt.p, rt.term, next.link.pc) {
 				case termBail:
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
@@ -441,7 +426,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		}
 		// Closed loop: retire the tail terminator; control should return
 		// to the head.
-		switch c.traceTerm(last.p, last.term, tr.headPC, threaded) {
+		switch c.traceTerm(last.p, last.term, tr.headPC) {
 		case termBail:
 			flushExit(retired)
 			ic.Stats.TraceDemotions++
@@ -467,7 +452,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		retired = 0
 		c.chainPage, c.chainSlot, c.chainArmed = last.p, uint16(last.term), true
 		tl := tr.tailLink
-		if !c.traceAdmissible(totalN, totalMem, deadline) ||
+		if !c.blockAdmissible(totalN, totalMem, deadline) ||
 			c.Mem.PageVersion(tl.gfn) != tl.page.ver ||
 			!c.MMU.ChainFetch(&tl.snap, c.PC, user) {
 			// Horizon reached or the back edge went stale: exit armed at

@@ -10,16 +10,7 @@ import (
 	"govisor/internal/mmu"
 )
 
-// newCPUPairTrace builds two CPUs over identical images, both with the full
-// chained-block engine, differing only in hot-trace promotion.
-func newCPUPairTrace(t *testing.T, img []byte) (traced, plain *CPU) {
-	t.Helper()
-	traced, _ = newCPUPairSB(t, img, nil)
-	plain, _ = newCPUPairSB(t, img, func(c *CPU) { c.NoTraces = true })
-	return traced, plain
-}
-
-// runPairToHalt drives both arms to halt and asserts byte-identical state.
+// runPairToHalt drives both engines to halt and asserts byte-identical state.
 func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
 	t.Helper()
 	exT, exP := traced.Run(50_000_000), plain.Run(50_000_000)
@@ -34,24 +25,22 @@ func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
 
 // TestTraceFormationAndLoop: the boundary-straddling hot loop must promote
 // to a closed-loop trace (one formation, one entry per iteration) and stay
-// byte-identical to the NoTraces reference arm, which must never touch the
-// trace machinery.
+// byte-identical to the reference interpreter.
 func TestTraceFormationAndLoop(t *testing.T) {
 	img := chainLoopImg(t, 200)
-	traced, plain := newCPUPairTrace(t, img)
+	traced, plain := newCPUPair(t, img, nil)
 	runPairToHalt(t, "trace-loop", traced, plain)
 	st := traced.ICache.Stats
 	if st.TraceFormations == 0 || st.TraceEntries < 100 {
 		t.Fatalf("trace engine idle on a hot loop: %+v", st)
 	}
-	if pst := plain.ICache.Stats; pst.TraceFormations != 0 || pst.TraceEntries != 0 ||
-		pst.TraceDemotions != 0 || pst.TraceInvalidations != 0 {
-		t.Fatalf("reference arm used the trace engine: %+v", pst)
+	if plain.ICache != nil {
+		t.Fatal("reference CPU has an icache attached")
 	}
 }
 
 // TestTraceQuantumFallback: quantum expiry must land on exactly the same
-// instruction with traces on or off. The whole-span admission refuses a pass
+// instruction under both engines. The whole-span admission refuses a pass
 // whose worst case could cross the deadline, the per-iteration re-admission
 // refuses further passes, and a budget sweep lands the deadline on every
 // boundary in and around would-be traces.
@@ -59,7 +48,7 @@ func TestTraceQuantumFallback(t *testing.T) {
 	img := chainLoopImg(t, 60)
 	var entries uint64
 	for budget := uint64(97); budget < 4000; budget += 449 {
-		traced, plain := newCPUPairTrace(t, img)
+		traced, plain := newCPUPair(t, img, nil)
 		for {
 			exT := traced.Run(budget)
 			exP := plain.Run(budget)
@@ -83,13 +72,13 @@ func TestTraceQuantumFallback(t *testing.T) {
 }
 
 // TestTraceStimecmpExact: the timer latch must flip at exactly the same
-// instruction with traces on or off — the trace admission refuses any pass
+// instruction under both engines — the trace admission refuses any pass
 // whose worst-case span could cross an unlatched STIMECMP. Swept so the
 // latch point lands before, inside and after the hot loop's trace passes.
 func TestTraceStimecmpExact(t *testing.T) {
 	img := chainLoopImg(t, 60)
 	for cmp := uint64(50); cmp < 6000; cmp += 377 {
-		traced, plain := newCPUPairTrace(t, img)
+		traced, plain := newCPUPair(t, img, nil)
 		traced.CSR.Stimecmp, plain.CSR.Stimecmp = cmp, cmp
 		runPairToHalt(t, "trace-stimecmp", traced, plain)
 		if traced.CSR.Sip != plain.CSR.Sip {
@@ -143,11 +132,11 @@ func traceTortureImg(t *testing.T, iters, patchAt uint64, sfence bool) []byte {
 
 // TestTraceSMCMidTraceConstituent: a store into a mid-trace constituent page
 // (the successor page of the crossing) must demote the trace on the exact
-// instruction where the block path notices, and both arms must stay
+// instruction where the block path notices, and both engines must stay
 // byte-identical through the patch, the refill and the re-formation.
 func TestTraceSMCMidTraceConstituent(t *testing.T) {
 	img := traceTortureImg(t, 50, 25, false)
-	traced, plain := newCPUPairTrace(t, img)
+	traced, plain := newCPUPair(t, img, nil)
 	runPairToHalt(t, "trace-smc", traced, plain)
 	st := traced.ICache.Stats
 	if st.TraceEntries == 0 {
@@ -163,10 +152,10 @@ func TestTraceSMCMidTraceConstituent(t *testing.T) {
 // trace depends on goes stale at once. Entry admission must refuse the pass
 // (a demotion per fence) and fall back to the block path, which re-proves
 // the links; once their snapshots are fresh the same trace re-admits — all
-// byte-identical to the reference arm.
+// byte-identical to the reference interpreter.
 func TestTraceSfenceBetweenFormationAndEntry(t *testing.T) {
 	img := traceTortureImg(t, 96, 0, true)
-	traced, plain := newCPUPairTrace(t, img)
+	traced, plain := newCPUPair(t, img, nil)
 	runPairToHalt(t, "trace-sfence", traced, plain)
 	st := traced.ICache.Stats
 	if st.TraceDemotions == 0 {
@@ -184,8 +173,8 @@ func TestTraceSfenceBetweenFormationAndEntry(t *testing.T) {
 // see — a leaf PTE is retargeted to a different frame whose code differs
 // while the old frame's content (and so its version) never changes. The
 // trace's snapshots still name the old frame; only the TLB-generation check
-// stands between the traced arm and silently executing stale code. Both
-// arms must observe the new frame at exactly the remap iteration.
+// stands between the traced engine and silently executing stale code. Both
+// engines must observe the new frame at exactly the remap iteration.
 func TestTraceRemapFlushExact(t *testing.T) {
 	const (
 		targetVA = uint64(0x200000)
@@ -194,7 +183,7 @@ func TestTraceRemapFlushExact(t *testing.T) {
 		iters    = uint64(64)
 		remapAt  = uint64(32)
 	)
-	build := func(noTraces bool) *CPU {
+	build := func(mk engine) *CPU {
 		g := mem.NewGuestPhys(mem.NewPool(ramPages*2), ramPages*isa.PageSize)
 		if err := g.PopulateAll(); err != nil {
 			t.Fatal(err)
@@ -269,15 +258,13 @@ func TestTraceRemapFlushExact(t *testing.T) {
 			t.Fatal(f)
 		}
 
-		c := New(g, mmu.NewContext(g, mmu.StyleDirect))
+		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		c.Priv = PrivS
 		c.PC = 0x1000
-		c.ICache = NewICache()
-		c.NoTraces = noTraces
 		return c
 	}
 
-	traced, plain := build(false), build(true)
+	traced, plain := build(New), build(NewReference)
 	runPairToHalt(t, "trace-remap", traced, plain)
 	want := (remapAt + 1) + (iters-remapAt-1)*2
 	if traced.X[isa.RegA1] != want || plain.X[isa.RegA1] != want {
@@ -285,13 +272,13 @@ func TestTraceRemapFlushExact(t *testing.T) {
 			traced.X[isa.RegA1], plain.X[isa.RegA1], want)
 	}
 	if st := traced.ICache.Stats; st.TraceEntries == 0 {
-		t.Errorf("traced arm never entered a trace: %+v", st)
+		t.Errorf("fast engine never entered a trace: %+v", st)
 	}
 }
 
 // TestTraceStoreEviction: more hot loops than the trace store holds. Each
 // tiny loop runs hot enough to form its own trace; past maxTraces the store
-// must evict deterministically, keep every arm byte-identical, and keep
+// must evict deterministically, stay byte-identical to the reference, and keep
 // admitting the still-hot newcomers.
 func TestTraceStoreEviction(t *testing.T) {
 	const loops = maxTraces + 6
@@ -310,7 +297,7 @@ func TestTraceStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, plain := newCPUPairTrace(t, img)
+	traced, plain := newCPUPair(t, img, nil)
 	runPairToHalt(t, "trace-evict", traced, plain)
 	st := traced.ICache.Stats
 	if st.TraceFormations < loops {
