@@ -8,10 +8,11 @@ const MaxFrameSize = 1536
 // NetBackend is the link a NIC attaches to; implemented by internal/vnet
 // switch ports.
 type NetBackend interface {
-	// Send transmits a frame into the network.
+	// Send transmits a frame into the network. The backend copies or
+	// consumes it before returning; the caller reuses the buffer.
 	Send(frame []byte)
 	// SetReceiver registers the function invoked for frames addressed to
-	// this port.
+	// this port. The frame is valid only for the duration of the call.
 	SetReceiver(fn func(frame []byte))
 }
 
@@ -88,9 +89,7 @@ func (n *RegNIC) MMIOWrite(off uint64, size int, v uint64) {
 		}
 	case RegNICTxSend:
 		if n.backend != nil && n.txLen > 0 {
-			frame := make([]byte, n.txLen)
-			copy(frame, n.txBuf[:n.txLen])
-			n.backend.Send(frame)
+			n.backend.Send(n.txBuf[:n.txLen])
 			n.TxFrames++
 		}
 	case RegNICRxDone:

@@ -157,11 +157,16 @@ func (c *CPU) formTrace(l *chainLink) {
 		l.heat = 0
 		return
 	}
-	tr := &trace{headPC: l.pc, headGfn: l.gfn, headLink: l}
-	tr.hops = append(tr.hops, traceHop{pc: l.pc, gfn: l.gfn})
+	// The walk fills a stack array: most hot links sit on a lone block
+	// ending in a system op, fail here every traceHotThreshold consumes,
+	// and must not cost the heap anything. Only a formed trace is allocated.
+	var hops [maxTraceHops]traceHop
+	hops[0] = traceHop{pc: l.pc, gfn: l.gfn}
+	nh := 1
+	var tailLink *chainLink
 	p, slot := headP, headSlot
 	user := c.Priv == PrivU
-	for len(tr.hops) < maxTraceHops {
+	for nh < maxTraceHops {
 		n := uint64(p.blkLen[slot])
 		if n == 0 {
 			break
@@ -186,20 +191,22 @@ func (c *CPU) formTrace(l *chainLink) {
 		if nl == l {
 			// The walk consumed its own entry link: a closed loop whose
 			// tail re-enters the head every pass.
-			tr.tailTerm = true
-			tr.tailLink = nl
+			tailLink = nl
 			break
 		}
 		if nl.page.blkLen[nl.tslot] == 0 {
 			break
 		}
-		tr.hops = append(tr.hops, traceHop{pc: nl.pc, gfn: nl.gfn})
+		hops[nh] = traceHop{pc: nl.pc, gfn: nl.gfn}
+		nh++
 		p, slot = nl.page, uint64(nl.tslot)
 	}
-	if !tr.tailTerm && len(tr.hops) < 2 {
+	if tailLink == nil && nh < 2 {
 		l.heat = 0
 		return
 	}
+	tr := &trace{headPC: l.pc, headGfn: l.gfn, headLink: l, tailTerm: tailLink != nil, tailLink: tailLink}
+	tr.hops = append(tr.hops, hops[:nh]...)
 	c.ICache.registerTrace(tr)
 	l.tr = tr
 }

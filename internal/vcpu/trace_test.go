@@ -310,3 +310,57 @@ func TestTraceStoreEviction(t *testing.T) {
 		t.Fatalf("trace store over bound: %d", len(traced.ICache.traces))
 	}
 }
+
+// TestTraceFailedFormationAllocatesNothing: a hot back edge into a block that
+// ends in a system op can never form a trace — the walk stops at the CSR
+// read with one hop and no loop — and retries every traceHotThreshold
+// consumes for as long as the loop runs. The attempt must leave no trace
+// behind and cost the heap nothing; before the fix each one allocated and
+// discarded a ~0.5 KiB trace.
+func TestTraceFailedFormationAllocatesNothing(t *testing.T) {
+	b := asm.NewBuilder(0x1000)
+	b.Li(isa.RegS0, 1<<20)
+	b.Label("loop")
+	b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 1)
+	b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 1)
+	b.Csrr(isa.RegT0, isa.CSRSscratch)
+	b.I(isa.OpADDI, isa.RegS0, isa.RegS0, -1)
+	b.Label("back")
+	b.Branch(isa.OpBNE, isa.RegS0, isa.RegZero, "loop")
+	b.Halt(0)
+	img, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _ := b.LabelAddr("back")
+	// Stop mid-loop: the exit edge would overwrite the back edge's link.
+	c := newCPU(t, New, img, 0x1000)
+	if ex := c.Run(2000); ex.Reason != ExitQuantum {
+		t.Fatalf("exit = %v (pc=%#x)", ex, c.PC)
+	}
+	page := c.ICache.pages[back>>isa.PageShift]
+	if page == nil {
+		t.Fatal("code page not in the icache")
+	}
+	l := page.chainAt(uint16(back & isa.PageMask / 4))
+	if l == nil || l.page.blkLen[l.tslot] < 2 {
+		t.Fatalf("no chain link through the loop's back edge: %+v", l)
+	}
+	if c.ICache.Stats.ChainHits == 0 || c.ICache.Stats.TraceFormations != 0 {
+		t.Fatalf("the loop should chain hot and never trace: %+v", c.ICache.Stats)
+	}
+	attempt := func() {
+		l.heat = traceHotThreshold
+		c.formTrace(l)
+	}
+	attempt()
+	if l.tr != nil || l.heat != 0 || c.ICache.Stats.TraceFormations != 0 {
+		t.Fatalf("failed formation left state behind: tr=%v heat=%d %+v", l.tr, l.heat, c.ICache.Stats)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := testing.AllocsPerRun(100, attempt); n != 0 {
+		t.Fatalf("a failed formation attempt allocates %v times, want 0", n)
+	}
+}

@@ -28,7 +28,8 @@ type Balloon struct {
 	targetPages uint64 // host-requested balloon size
 	actualPages uint64 // currently leased
 
-	Inflations, Deflations uint64
+	// Dropped counts descriptors refused for their length.
+	Inflations, Deflations, Dropped uint64
 }
 
 // NewBalloon creates the model.
@@ -79,6 +80,10 @@ func (b *Balloon) Process(q *Queue, qi int) {
 		}
 		for _, d := range ch.Buf {
 			if d.Device || d.Len%8 != 0 {
+				continue
+			}
+			if d.Len > maxDescRead {
+				b.Dropped++
 				continue
 			}
 			buf := make([]byte, d.Len)

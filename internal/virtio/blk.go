@@ -35,6 +35,11 @@ type Blk struct {
 	img BlockBackend
 	dev *MMIODev
 
+	// sector stages one sector between the image and guest memory: a data
+	// descriptor streams through it, so its guest-written length never
+	// sizes a host buffer.
+	sector [SectorSize]byte
+
 	// Stats.
 	Requests, SectorsRead, SectorsWritten, Errors uint64
 }
@@ -77,7 +82,9 @@ func (b *Blk) Process(q *Queue, qi int) {
 }
 
 // handle executes one request chain and returns the device-written byte
-// count (data read + status byte).
+// count (data read + status byte). Data moves a sector at a time, so a
+// request that fails part-way has transferred the sectors before the
+// failure; written counts whole descriptors only.
 func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 	b.Requests++
 	if len(ch.Buf) < 2 || ch.Buf[0].Device || ch.Buf[0].Len < BlkHeaderSize {
@@ -105,20 +112,19 @@ func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 				ok = false
 				break
 			}
-			buf := make([]byte, d.Len)
-			for s := uint32(0); s < d.Len/SectorSize; s++ {
-				if err := b.img.ReadSector(sector, buf[s*SectorSize:(s+1)*SectorSize]); err != nil {
+			for off := uint32(0); off < d.Len; off += SectorSize {
+				if err := b.img.ReadSector(sector, b.sector[:]); err != nil {
 					ok = false
 					break
 				}
 				sector++
 				b.SectorsRead++
+				if err := q.WriteTo(sectorOf(d, off), b.sector[:]); err != nil {
+					ok = false
+					break
+				}
 			}
 			if !ok {
-				break
-			}
-			if err := q.WriteTo(d, buf); err != nil {
-				ok = false
 				break
 			}
 			written += d.Len
@@ -129,13 +135,12 @@ func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 				ok = false
 				break
 			}
-			buf := make([]byte, d.Len)
-			if err := q.ReadFrom(d, buf); err != nil {
-				ok = false
-				break
-			}
-			for s := uint32(0); s < d.Len/SectorSize; s++ {
-				if err := b.img.WriteSector(sector, buf[s*SectorSize:(s+1)*SectorSize]); err != nil {
+			for off := uint32(0); off < d.Len; off += SectorSize {
+				if err := q.ReadFrom(sectorOf(d, off), b.sector[:]); err != nil {
+					ok = false
+					break
+				}
+				if err := b.img.WriteSector(sector, b.sector[:]); err != nil {
 					ok = false
 					break
 				}
@@ -159,6 +164,11 @@ func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 	}
 	q.WriteTo(status, []byte{code})
 	return written + 1
+}
+
+// sectorOf is the one-sector window of data descriptor d at byte offset off.
+func sectorOf(d DescBuf, off uint32) DescBuf {
+	return DescBuf{Addr: d.Addr + uint64(off), Len: SectorSize, Device: d.Device}
 }
 
 func (b *Blk) fail(q *Queue, ch Chain) uint32 {

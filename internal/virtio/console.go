@@ -15,7 +15,8 @@ type Console struct {
 	out bytes.Buffer
 	in  []byte
 
-	TxBytes, RxBytes uint64
+	// TxDropped counts TX descriptors refused for their length.
+	TxBytes, RxBytes, TxDropped uint64
 }
 
 // NewConsole creates the model.
@@ -45,6 +46,10 @@ func (c *Console) Process(q *Queue, qi int) {
 			}
 			for _, d := range ch.Buf {
 				if d.Device {
+					continue
+				}
+				if d.Len > maxDescRead {
+					c.TxDropped++
 					continue
 				}
 				buf := make([]byte, d.Len)

@@ -10,21 +10,32 @@ const (
 	NetTXQueue = 1
 )
 
-// NetBackend matches dev.NetBackend structurally.
+// NetBackend matches dev.NetBackend structurally. Send copies or consumes the
+// frame before it returns, and the frame handed to a receiver is valid only
+// for the duration of the call: both sides reuse their buffers.
 type NetBackend interface {
 	Send(frame []byte)
 	SetReceiver(fn func(frame []byte))
 }
 
 // Net is the virtio-net device model: an RX queue the guest posts empty
-// buffers into and a TX queue it posts frames on. Frames arriving while no
-// RX buffers are posted are queued up to a bounded depth, then dropped —
-// matching real NIC semantics.
+// buffers into and a TX queue it posts frames on. A frame arriving while RX
+// buffers are posted is written straight into them; frames arriving while
+// none are posted are queued up to a bounded depth, then dropped oldest
+// first — matching real NIC semantics.
 type Net struct {
 	link NetBackend
 	dev  *MMIODev
 
-	rxBacklog [][]byte
+	// txBuf gathers one TX chain (header + frame) at a time. It grows to
+	// the largest chain seen, which maxTxFrame bounds.
+	txBuf []byte
+
+	// rxBacklog is a ring of rxLen frames starting at rxHead, oldest first.
+	// A slot keeps its buffer when its frame leaves, so a backlog that has
+	// seen its largest frames stops allocating.
+	rxBacklog     [netBacklogDepth][]byte
+	rxHead, rxLen int
 
 	// Stats.
 	TxFrames, RxFrames, RxDropped, TxDropped uint64
@@ -36,6 +47,9 @@ const netBacklogDepth = 256
 // TSO-style frame). A malformed descriptor advertising a multi-gigabyte
 // length must not size a host allocation.
 const maxTxFrame = 64 << 10
+
+// zeroNetHeader is the header the device writes ahead of every RX frame.
+var zeroNetHeader [NetHeaderSize]byte
 
 // NewNet creates the model over a link (a vnet switch port).
 func NewNet(link NetBackend) *Net {
@@ -83,7 +97,10 @@ func (n *Net) processTX(q *Queue) {
 			// neither size a host allocation nor reach the wire.
 			n.TxDropped++
 		case total > NetHeaderSize:
-			buf := make([]byte, total)
+			if int(total) > len(n.txBuf) {
+				n.txBuf = make([]byte, total)
+			}
+			buf := n.txBuf[:total]
 			off := 0
 			faulted := false
 			for _, d := range ch.Buf {
@@ -105,13 +122,12 @@ func (n *Net) processTX(q *Queue) {
 			}
 			if faulted {
 				// A descriptor aimed at faulting memory: transmitting the
-				// zero-filled remainder would put a frame the guest never
-				// wrote on the wire. Drop it; the chain still completes.
+				// unread remainder would put a frame the guest never wrote
+				// on the wire. Drop it; the chain still completes.
 				n.TxDropped++
 			} else {
-				frame := buf[NetHeaderSize:]
 				if n.link != nil {
-					n.link.Send(frame)
+					n.link.Send(buf[NetHeaderSize:])
 				}
 				n.TxFrames++
 			}
@@ -124,56 +140,78 @@ func (n *Net) processTX(q *Queue) {
 	}
 }
 
-// receive handles a frame from the link.
+// rxQueue returns the RX queue once the guest has configured it.
+func (n *Net) rxQueue() *Queue {
+	if n.dev == nil {
+		return nil
+	}
+	if q := n.dev.Queue(NetRXQueue); q != nil && q.Ready() {
+		return q
+	}
+	return nil
+}
+
+// receive handles a frame from the link, which owns the bytes again once
+// receive returns. Behind a backlog the frame queues, to keep arrival order;
+// otherwise it goes straight into a posted RX buffer when there is one.
 func (n *Net) receive(frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	n.rxBacklog = append(n.rxBacklog, cp)
-	if len(n.rxBacklog) > netBacklogDepth {
-		n.rxBacklog = n.rxBacklog[1:]
+	if n.rxLen > 0 {
+		n.enqueue(frame)
+		n.flushBacklog()
+		return
+	}
+	if q := n.rxQueue(); q != nil {
+		if ch, ok := q.Pop(); ok {
+			n.fillRX(q, ch, frame)
+			n.dev.SignalUsed()
+			return
+		}
+	}
+	n.enqueue(frame)
+}
+
+// enqueue copies frame onto the tail of the backlog. A full backlog drops
+// its oldest frame to make room.
+func (n *Net) enqueue(frame []byte) {
+	if n.rxLen == netBacklogDepth {
+		n.rxHead = (n.rxHead + 1) % netBacklogDepth
+		n.rxLen--
 		n.RxDropped++
 	}
-	n.flushBacklog()
+	slot := &n.rxBacklog[(n.rxHead+n.rxLen)%netBacklogDepth]
+	*slot = append((*slot)[:0], frame...)
+	n.rxLen++
 }
 
 func (n *Net) flushBacklog() {
-	if n.dev == nil {
-		return
-	}
-	q := n.dev.Queue(NetRXQueue)
-	if q == nil || !q.Ready() {
+	q := n.rxQueue()
+	if q == nil {
 		return
 	}
 	delivered := false
-	for len(n.rxBacklog) > 0 {
+	for n.rxLen > 0 {
 		ch, ok := q.Pop()
 		if !ok {
 			break
 		}
-		frame := n.rxBacklog[0]
-		n.rxBacklog = n.rxBacklog[1:]
-		// Device writes header (zeros) + frame into the chain's buffers.
-		payload := make([]byte, NetHeaderSize+len(frame))
-		copy(payload[NetHeaderSize:], frame)
-		written := uint32(0)
-		off := 0
-		for _, d := range ch.Buf {
-			if !d.Device || off >= len(payload) {
-				continue
-			}
-			nb := int(d.Len)
-			if nb > len(payload)-off {
-				nb = len(payload) - off
-			}
-			q.WriteTo(d, payload[off:off+nb])
-			off += nb
-			written += uint32(nb)
-		}
-		q.Push(ch.Head, written)
-		n.RxFrames++
+		n.fillRX(q, ch, n.rxBacklog[n.rxHead])
+		n.rxHead = (n.rxHead + 1) % netBacklogDepth
+		n.rxLen--
 		delivered = true
+	}
+	if n.rxLen == 0 {
+		n.rxHead = 0 // refill the slots that already own buffers
 	}
 	if delivered {
 		n.dev.SignalUsed()
 	}
+}
+
+// fillRX completes one RX chain: the device writes header (zeros) + frame
+// into the chain's buffers, as much as they hold.
+func (n *Net) fillRX(q *Queue, ch Chain, frame []byte) {
+	written := q.scatter(ch, 0, zeroNetHeader[:])
+	written += q.scatter(ch, NetHeaderSize, frame)
+	q.Push(ch.Head, written)
+	n.RxFrames++
 }

@@ -47,7 +47,16 @@ type DescBuf struct {
 	Device bool // device-writable (DescWrite)
 }
 
+// maxDescRead bounds the guest-readable descriptor a backend reads in one
+// piece (console bytes, a balloon page array of 8192 frame numbers), as
+// maxTxFrame bounds a net chain: the length is a guest-written uint32 and
+// must not size a host allocation. Longer descriptors are refused unread.
+const maxDescRead = 64 << 10
+
 // Chain is one request: the head descriptor index plus resolved buffers.
+// Buf is the queue's own scratch, so a Chain is valid until the next Pop on
+// the queue it came from: a backend finishes (and Pushes) one chain before
+// it pops the next.
 type Chain struct {
 	Head uint16
 	Buf  []DescBuf
@@ -91,6 +100,9 @@ type Queue struct {
 	// completion to slot 0. The shadow advances monotonically and is written
 	// out on each Push.
 	usedIdx uint16
+
+	// chainBuf backs the Buf of the Chain the latest Pop returned.
+	chainBuf []DescBuf
 
 	// Stats.
 	Kicks, Chains, Malformed uint64
@@ -155,27 +167,28 @@ func (q *Queue) Pop() (Chain, bool) {
 
 // resolve walks one descriptor chain from head. A chain may reference each
 // of the ring's num descriptors at most once, so num hops is the longest
-// well-formed walk; the num+1th hop proves a cycle.
+// well-formed walk; the num+1th hop proves a cycle. The descriptors land in
+// q.chainBuf, overwriting the previous chain's.
 func (q *Queue) resolve(head uint16) (Chain, bool) {
-	ch := Chain{Head: head}
+	q.chainBuf = q.chainBuf[:0]
 	idx := head
 	for hops := 0; hops < int(q.num); hops++ {
 		d := q.desc + uint64(idx%q.num)*descSize
 		var raw [descSize]byte
 		if f := q.g.ReadSpan(d, raw[:]); f != nil {
-			return ch, false
+			break
 		}
 		addr := binary.LittleEndian.Uint64(raw[0:])
 		length := binary.LittleEndian.Uint32(raw[8:])
 		flags := binary.LittleEndian.Uint16(raw[12:])
 		next := binary.LittleEndian.Uint16(raw[14:])
-		ch.Buf = append(ch.Buf, DescBuf{Addr: addr, Len: length, Device: flags&DescWrite != 0})
+		q.chainBuf = append(q.chainBuf, DescBuf{Addr: addr, Len: length, Device: flags&DescWrite != 0})
 		if flags&DescNext == 0 {
-			return ch, true
+			return Chain{Head: head, Buf: q.chainBuf}, true
 		}
 		idx = next
 	}
-	return ch, false
+	return Chain{Head: head}, false
 }
 
 // Push records a completed chain in the used ring, advancing the
@@ -232,4 +245,38 @@ func (q *Queue) WriteTo(b DescBuf, data []byte) error {
 		return f
 	}
 	return nil
+}
+
+// scatter writes data into the device-writable space of ch starting skip
+// bytes into it, splitting across descriptor boundaries, and returns the
+// bytes placed — fewer than len(data) when the chain is short. Like the
+// per-descriptor WriteTo it is built on, a write fault costs the guest those
+// bytes and nothing else.
+func (q *Queue) scatter(ch Chain, skip uint32, data []byte) (written uint32) {
+	for _, d := range ch.Buf {
+		if !d.Device {
+			continue
+		}
+		if skip >= d.Len {
+			skip -= d.Len
+			continue
+		}
+		if len(data) == 0 {
+			break
+		}
+		room := DescBuf{Addr: d.Addr + uint64(skip), Len: d.Len - skip, Device: true}
+		skip = 0
+		nb := len(data)
+		if uint64(nb) > uint64(room.Len) {
+			nb = int(room.Len)
+		}
+		// A buffer at the very top of the address space faults from its
+		// first byte; the skip must not wrap the rest of it into low RAM.
+		if room.Addr >= d.Addr {
+			q.WriteTo(room, data[:nb])
+		}
+		data = data[nb:]
+		written += uint32(nb)
+	}
+	return written
 }

@@ -6,10 +6,13 @@
 package virtio
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/storage"
 )
 
 // qSetup arms a bare queue at a fixed layout and returns it with its rings'
@@ -354,5 +357,143 @@ func TestQueueEnsurePageArithmetic(t *testing.T) {
 		if got[i] != byte(i) {
 			t.Fatalf("byte %d mismatch", i)
 		}
+	}
+}
+
+// hostAllocCeiling bounds what one hostile chain may make the host allocate.
+// It is loose on purpose — a sparse image's sectors, a console buffer — next
+// to the 4 GiB a guest-written uint32 length can ask for.
+const hostAllocCeiling = 4 << 20
+
+// allocatedBy runs fn and returns the bytes it made the Go heap allocate.
+func allocatedBy(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestBlkGuestSizedDescriptor: a data descriptor's length is a guest-written
+// uint32 and must never size a host buffer. Chains advertising 4 GiB − 1 (not
+// a sector multiple) and 4 GiB − 512 (a sector multiple: the transfer starts
+// and runs until the image or guest RAM ends) complete with an I/O error, in
+// both directions, under the allocation ceiling — and the queue stays live.
+func TestBlkGuestSizedDescriptor(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		reqType uint32
+		length  uint32
+		sectors uint64 // sectors transferred before the failure
+	}{
+		{"in-unaligned", BlkTIn, 0xFFFF_FFFF, 0},
+		{"out-unaligned", BlkTOut, 0xFFFF_FFFF, 0},
+		{"in-aligned", BlkTIn, 0xFFFF_FE00, 8},
+		{"out-aligned", BlkTOut, 0xFFFF_FE00, 8},
+	} {
+		g, blk, _, drv, bufBase := blkSetup(t, storage.NewRaw(8))
+		hdrGPA, dataGPA, statusGPA := bufBase, bufBase+0x1000, bufBase+0x800
+		var hdr [BlkHeaderSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:], tc.reqType)
+		g.Write(hdrGPA, hdr[:])
+		g.WriteUintPriv(statusGPA, 1, 0xEE)
+		chain := []DescBuf{
+			{Addr: hdrGPA, Len: BlkHeaderSize},
+			{Addr: dataGPA, Len: tc.length, Device: tc.reqType == BlkTIn},
+			{Addr: statusGPA, Len: 1, Device: true},
+		}
+		got := allocatedBy(func() {
+			if _, err := drv.Submit(chain); err != nil {
+				t.Fatal(err)
+			}
+			drv.Kick()
+		})
+		if got > hostAllocCeiling {
+			t.Errorf("%s: the chain made the host allocate %d bytes", tc.name, got)
+		}
+		_, written, ok := drv.PollUsed()
+		if !ok || written != 1 {
+			t.Fatalf("%s: completion ok=%v written=%d, want the status byte alone", tc.name, ok, written)
+		}
+		if st, _ := g.ReadUint(statusGPA, 1); st != BlkSIOErr {
+			t.Errorf("%s: status = %d, want BlkSIOErr", tc.name, st)
+		}
+		if blk.Errors != 1 || blk.SectorsRead+blk.SectorsWritten != tc.sectors {
+			t.Errorf("%s: errors=%d sectors=%d, want 1/%d", tc.name, blk.Errors, blk.SectorsRead+blk.SectorsWritten, tc.sectors)
+		}
+		if st, _ := blkRequest(t, g, drv, bufBase, BlkTOut, 1, make([]byte, SectorSize)); st != BlkSOK {
+			t.Errorf("%s: follow-up request status = %d", tc.name, st)
+		}
+	}
+}
+
+// TestConsoleGuestSizedDescriptor: a TX descriptor longer than
+// maxDescRead is refused unread and counted, the chain completes, and the
+// descriptors around it still reach the output.
+func TestConsoleGuestSizedDescriptor(t *testing.T) {
+	g := newGuest(t, 64)
+	con := NewConsole()
+	d := NewMMIODev("vcon", con, g, nil)
+	con.Bind(d)
+	drv, buf, err := NewDriver(g, d, ConsoleTXQueue, 0x8000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Write(buf, []byte("before|after"))
+	chain := []DescBuf{{Addr: buf, Len: 7}, {Addr: buf, Len: 0xFFFF_FFFF}, {Addr: buf + 7, Len: 5}}
+	got := allocatedBy(func() {
+		if _, err := drv.Submit(chain); err != nil {
+			t.Fatal(err)
+		}
+		drv.Kick()
+	})
+	if got > hostAllocCeiling {
+		t.Errorf("the chain made the host allocate %d bytes", got)
+	}
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("oversized descriptor must still complete its chain")
+	}
+	if con.Output() != "before|after" || con.TxDropped != 1 || con.TxBytes != 12 {
+		t.Fatalf("output=%q dropped=%d bytes=%d", con.Output(), con.TxDropped, con.TxBytes)
+	}
+	// The bound itself is not refused.
+	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: maxDescRead}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	if con.TxDropped != 1 || con.TxBytes != 12+maxDescRead {
+		t.Fatalf("a %d-byte descriptor: dropped=%d bytes=%d", maxDescRead, con.TxDropped, con.TxBytes)
+	}
+}
+
+// TestBalloonGuestSizedDescriptor: a page-array descriptor longer than
+// maxDescRead is refused unread and counted — no page is reclaimed on its
+// say-so — while the chain completes and its well-formed neighbour is served.
+func TestBalloonGuestSizedDescriptor(t *testing.T) {
+	g := newGuest(t, 64)
+	ops := &fakeBalloonOps{}
+	bal := NewBalloon(ops)
+	d := NewMMIODev("vballoon", bal, g, nil)
+	bal.Bind(d)
+	drv, buf, err := NewDriver(g, d, BalloonInflateQueue, 0x8000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.WriteUintPriv(buf, 8, 30)
+	chain := []DescBuf{{Addr: buf, Len: 0xFFFF_FFF8}, {Addr: buf, Len: 8}}
+	got := allocatedBy(func() {
+		if _, err := drv.Submit(chain); err != nil {
+			t.Fatal(err)
+		}
+		drv.Kick()
+	})
+	if got > hostAllocCeiling {
+		t.Errorf("the chain made the host allocate %d bytes", got)
+	}
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("oversized descriptor must still complete its chain")
+	}
+	if bal.Dropped != 1 || bal.Actual() != 1 || len(ops.reclaimed) != 1 || ops.reclaimed[0] != 30 {
+		t.Fatalf("dropped=%d actual=%d reclaimed=%v", bal.Dropped, bal.Actual(), ops.reclaimed)
 	}
 }

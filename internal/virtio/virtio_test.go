@@ -8,6 +8,7 @@ import (
 	"govisor/internal/isa"
 	"govisor/internal/mem"
 	"govisor/internal/storage"
+	"govisor/internal/vnet"
 )
 
 func newGuest(t *testing.T, pages uint64) *mem.GuestPhys {
@@ -278,6 +279,9 @@ func TestNetTxRx(t *testing.T) {
 	}
 }
 
+// TestNetBacklogWhenNoRxBuffers: frames arriving with no RX buffer posted
+// queue in arrival order; past netBacklogDepth the oldest is dropped for each
+// newcomer; and posting buffers drains what survived, oldest first.
 func TestNetBacklogWhenNoRxBuffers(t *testing.T) {
 	g := newGuest(t, 64)
 	link := &pipeLink{}
@@ -289,7 +293,8 @@ func TestNetBacklogWhenNoRxBuffers(t *testing.T) {
 	if n.RxFrames != 0 || n.RxDropped != 0 {
 		t.Fatal("should be backlogged")
 	}
-	drv, buf, err := NewDriver(g, d, NetRXQueue, 0x8000, 16)
+	const num = 16
+	drv, buf, err := NewDriver(g, d, NetRXQueue, 0x8000, num)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,6 +302,210 @@ func TestNetBacklogWhenNoRxBuffers(t *testing.T) {
 	drv.Kick() // posting buffers flushes the backlog
 	if n.RxFrames != 1 {
 		t.Fatalf("rx = %d", n.RxFrames)
+	}
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("no rx completion")
+	}
+
+	// Overflow: 10 frames more than the backlog holds, of differing
+	// lengths so a slot's recycled buffer is seen shrinking and growing.
+	const extra = 10
+	numbered := func(i int) []byte {
+		f := make([]byte, 14+i%97)
+		binary.LittleEndian.PutUint32(f[len(f)-4:], uint32(i))
+		return f
+	}
+	for i := 0; i < netBacklogDepth+extra; i++ {
+		n.receive(numbered(i))
+	}
+	if n.RxDropped != extra || n.RxFrames != 1 {
+		t.Fatalf("dropped=%d rx=%d, want %d/1", n.RxDropped, n.RxFrames, extra)
+	}
+	// Drain a ring's worth at a time: frames extra.. survive, in order.
+	next := extra
+	for next < netBacklogDepth+extra {
+		for i := 0; i < num; i++ {
+			drv.Submit([]DescBuf{{Addr: buf + uint64(i)*2048, Len: 2048, Device: true}})
+		}
+		drv.Kick()
+		for i := 0; i < num; i++ {
+			_, written, ok := drv.PollUsed()
+			want := numbered(next)
+			if !ok || int(written) != NetHeaderSize+len(want) {
+				t.Fatalf("frame %d: completion ok=%v written=%d, want %d", next, ok, written, NetHeaderSize+len(want))
+			}
+			got := make([]byte, len(want))
+			g.Read(buf+uint64(i)*2048+NetHeaderSize, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("slot %d holds %x, want frame %d: %x", i, got, next, want)
+			}
+			next++
+		}
+	}
+	if n.RxFrames != 1+netBacklogDepth || n.RxDropped != extra {
+		t.Fatalf("rx=%d dropped=%d after the drain", n.RxFrames, n.RxDropped)
+	}
+	// Backlog empty again: the next frame takes the direct path.
+	drv.Submit([]DescBuf{{Addr: buf, Len: 2048, Device: true}})
+	drv.Kick()
+	n.receive(numbered(7))
+	if _, written, ok := drv.PollUsed(); !ok || int(written) != NetHeaderSize+len(numbered(7)) {
+		t.Fatalf("direct delivery after the drain: ok=%v written=%d", ok, written)
+	}
+}
+
+// TestNetRxScatterAcrossDescriptors: the device writes a zero header and the
+// frame back to back into the chain's device-writable space, wherever the
+// descriptor boundaries fall — mid-header included — skips descriptors that
+// are not device-writable, and truncates when the chain is short. Both the
+// direct path (buffer posted first) and the backlog path (frame first) go
+// through the same scatter.
+func TestNetRxScatterAcrossDescriptors(t *testing.T) {
+	frame := make([]byte, 60)
+	for i := range frame {
+		frame[i] = byte(0x40 + i)
+	}
+	want := append(make([]byte, NetHeaderSize), frame...)
+	for _, tc := range []struct {
+		name  string
+		lens  []uint32 // device-writable descriptor lengths
+		extra bool     // a guest-readable descriptor between the first two
+	}{
+		{"one-buffer", []uint32{2048}, false},
+		{"split-mid-header", []uint32{5, 2048}, false},
+		{"split-at-header-end", []uint32{NetHeaderSize, 2048}, false},
+		{"three-way", []uint32{7, 9, 100}, true},
+		{"zero-length-first", []uint32{0, 3, 2048}, false},
+		{"short-chain", []uint32{16, 8}, false},
+		{"shorter-than-header", []uint32{4, 4}, true},
+	} {
+		for _, backlog := range []bool{false, true} {
+			g := newGuest(t, 64)
+			n := NewNet(&pipeLink{})
+			d := NewMMIODev("vnet", n, g, nil)
+			n.Bind(d)
+			drv, buf, err := NewDriver(g, d, NetRXQueue, 0x8000, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chain []DescBuf
+			space := 0
+			for i, l := range tc.lens {
+				addr := buf + uint64(i)*0x1000
+				g.Write(addr, bytes.Repeat([]byte{0xAA}, int(l)+4))
+				chain = append(chain, DescBuf{Addr: addr, Len: l, Device: true})
+				space += int(l)
+				if i == 0 && tc.extra {
+					chain = append(chain, DescBuf{Addr: buf + 0x8000, Len: 64})
+				}
+			}
+			if backlog {
+				n.receive(frame)
+			}
+			drv.Submit(chain)
+			drv.Kick()
+			if !backlog {
+				n.receive(frame)
+			}
+			_, written, ok := drv.PollUsed()
+			wantLen := min(space, len(want))
+			if !ok || int(written) != wantLen {
+				t.Fatalf("%s backlog=%v: ok=%v written=%d, want %d", tc.name, backlog, ok, written, wantLen)
+			}
+			var got []byte
+			for _, b := range chain {
+				if !b.Device {
+					continue
+				}
+				part := make([]byte, b.Len+4)
+				g.Read(b.Addr, part)
+				got = append(got, part[:b.Len]...)
+				if !bytes.Equal(part[b.Len:], []byte{0xAA, 0xAA, 0xAA, 0xAA}) && len(got) <= wantLen {
+					t.Fatalf("%s backlog=%v: wrote past a %d-byte descriptor", tc.name, backlog, b.Len)
+				}
+			}
+			if !bytes.Equal(got[:wantLen], want[:wantLen]) {
+				t.Fatalf("%s backlog=%v: chain holds\n%x\nwant\n%x", tc.name, backlog, got[:wantLen], want[:wantLen])
+			}
+			if rest := got[wantLen:]; !bytes.Equal(rest, bytes.Repeat([]byte{0xAA}, len(rest))) {
+				t.Fatalf("%s backlog=%v: bytes past the frame were written: %x", tc.name, backlog, rest)
+			}
+		}
+	}
+}
+
+// TestNetFramePathAllocatesNothing: in steady state a frame crosses the host
+// — TX chain, TX scratch, the sending port's epoch arena, the barrier flush,
+// the receiver's RX descriptors — without a heap allocation, both when the
+// receiver has a buffer posted (ring-direct) and when it does not (the
+// backlog ring, drained when buffers arrive).
+func TestNetFramePathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, backlog := range []bool{false, true} {
+		gA, gB := newGuest(t, 64), newGuest(t, 64)
+		sw := vnet.NewSwitch()
+		pa, pb := sw.NewPort(), sw.NewPort()
+		macA, macB := vnet.MACForVM(1), vnet.MACForVM(2)
+		sw.Learn(macB, pb)
+		sw.SetDeferred(true)
+		netA, netB := NewNet(pa), NewNet(pb)
+		devA := NewMMIODev("vnetA", netA, gA, nil)
+		netA.Bind(devA)
+		devB := NewMMIODev("vnetB", netB, gB, nil)
+		netB.Bind(devB)
+		tx, bufA, err := NewDriver(gA, devA, NetTXQueue, 0x8000, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, bufB, err := NewDriver(gB, devB, NetRXQueue, 0x8000, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := vnet.BuildFrame(macB, macA, bytes.Repeat([]byte("payload!"), 30))
+		gA.Write(bufA+NetHeaderSize, wire)
+		txChain := []DescBuf{{Addr: bufA, Len: NetHeaderSize}, {Addr: bufA + NetHeaderSize, Len: uint32(len(wire))}}
+		rxChain := []DescBuf{{Addr: bufB, Len: 2048, Device: true}}
+		const burst = 8
+		post := func() {
+			for i := 0; i < burst; i++ {
+				rx.Submit(rxChain)
+			}
+			rx.Kick()
+		}
+		round := func() {
+			if !backlog {
+				post()
+			}
+			for i := 0; i < burst; i++ {
+				tx.Submit(txChain)
+			}
+			tx.Kick()
+			sw.Flush()
+			if backlog {
+				post()
+			}
+			for i := 0; i < burst; i++ {
+				if _, _, ok := tx.PollUsed(); !ok {
+					t.Fatal("tx chain never completed")
+				}
+				if _, written, ok := rx.PollUsed(); !ok || int(written) != NetHeaderSize+len(wire) {
+					t.Fatalf("rx completion ok=%v written=%d", ok, written)
+				}
+			}
+			tx.AckInterrupt()
+			rx.AckInterrupt()
+		}
+		round() // AllocsPerRun's own warm-up run covers each port's other queue
+		if a := testing.AllocsPerRun(50, round); a != 0 {
+			t.Errorf("backlog=%v: %v allocations per %d-frame round, want 0", backlog, a, burst)
+		}
+		got := make([]byte, len(wire))
+		gB.Read(bufB+NetHeaderSize, got)
+		if !bytes.Equal(got, wire) || netB.RxDropped != 0 || netA.TxDropped != 0 {
+			t.Errorf("backlog=%v: frame corrupted or dropped (rxdrop=%d txdrop=%d)", backlog, netB.RxDropped, netA.TxDropped)
+		}
 	}
 }
 

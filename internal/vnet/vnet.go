@@ -2,16 +2,24 @@
 // devices. Frames carry 6-byte destination and source MAC addresses in their
 // first 12 bytes (Ethernet-style); the switch learns source addresses and
 // forwards unicast frames to the learned port, flooding unknown and
-// broadcast destinations. Delivery is synchronous and deterministic, which
-// keeps the networking experiments reproducible.
+// broadcast destinations. Delivery is deterministic in both of its modes,
+// which keeps the networking experiments reproducible: synchronous (the
+// default — Send forwards before it returns) and epoch-deferred (parallel
+// host execution — Send queues on the sending port, Flush delivers at the
+// epoch barrier).
 //
-// Two properties make the switch fleet-scale:
+// Three properties make the switch fleet-scale:
 //
 //   - Deferred frames carry the sender's simulated-cycle timestamp, and
 //     Flush delivers in (timestamp, port id, send order). Arrival order
 //     reflects simulated time — not worker interleaving and not flat port
 //     order — so it is invariant across RunParallel worker counts and
 //     matches what a serial run observes at the same simulated instant.
+//   - A deferred frame is copied once, into the sending port's epoch arena,
+//     and handed to receivers as a slice of that arena. Each port keeps its
+//     queue stamp-ordered as it sends, so Flush is a k-way merge over the
+//     ports rather than a sort, and the arenas are truncated — not freed —
+//     after delivery: in steady state neither Send nor Flush allocates.
 //   - The forwarding database is sharded by MAC and the port list is an
 //     atomic snapshot, so forwards from thousands of ports never serialize
 //     on one switch-wide mutex.
@@ -19,7 +27,6 @@ package vnet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -40,11 +47,20 @@ func MACForVM(id uint32) MAC {
 	return MAC{0x02, 0x67, 0x76, byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// pendingFrame is one deferred frame plus the simulated cycle at which its
-// owner sent it.
-type pendingFrame struct {
-	data  []byte
-	stamp uint64
+// frameRef locates one deferred frame in its queue's arena and carries the
+// simulated cycle at which its owner sent it. Refs are offsets, not slices,
+// so arena growth never invalidates them.
+type frameRef struct {
+	off, len int
+	stamp    uint64
+}
+
+// epochQueue holds one epoch's deferred frames of one port: the bytes back
+// to back in arena, and refs in delivery order — stamp-ascending, send order
+// among equal stamps.
+type epochQueue struct {
+	arena []byte
+	refs  []frameRef
 }
 
 // Port is one switch attachment point. It satisfies dev.NetBackend.
@@ -52,27 +68,47 @@ type Port struct {
 	sw       *Switch
 	id       int
 	receiver func(frame []byte)
-	clock    func() uint64  // sender's simulated-cycle source; nil stamps 0
-	pending  []pendingFrame // frames queued while the switch defers delivery
+	clock    func() uint64 // sender's simulated-cycle source; nil stamps 0
+
+	// Deferred frames. Send fills queues[active]; Flush flips active before
+	// it delivers out of the filled queue, so a Send made from inside a
+	// delivery lands in the other queue and waits for the next Flush. Both
+	// keep their capacity across epochs.
+	queues [2]epochQueue
+	active int
 
 	TxFrames, RxFrames uint64
 }
 
-// Send transmits a frame from this port into the switch. With the switch in
-// deferred mode the frame is queued on the sending port instead (owner-only
-// state, so concurrent VM workers never contend), stamped with the sender's
-// simulated cycle, and delivered by the next Flush in timestamp order.
+// Send transmits a frame from this port into the switch. The frame is the
+// caller's to reuse once Send returns: in synchronous mode every receiver
+// has run by then, and with the switch in deferred mode the bytes have been
+// copied into the sending port's epoch arena (owner-only state, so
+// concurrent VM workers never contend), stamped with the sender's simulated
+// cycle, to be delivered by the next Flush in timestamp order.
 func (p *Port) Send(frame []byte) {
 	p.TxFrames++
-	if p.sw.deferred.Load() {
-		var stamp uint64
-		if p.clock != nil {
-			stamp = p.clock()
-		}
-		p.pending = append(p.pending, pendingFrame{data: append([]byte(nil), frame...), stamp: stamp})
+	if !p.sw.deferred.Load() {
+		p.sw.forward(p, frame)
 		return
 	}
-	p.sw.forward(p, frame)
+	var stamp uint64
+	if p.clock != nil {
+		stamp = p.clock()
+	}
+	q := &p.queues[p.active]
+	ref := frameRef{off: len(q.arena), len: len(frame), stamp: stamp}
+	q.arena = append(q.arena, frame...)
+	// Place the ref after the last one stamped no later than it, which is
+	// (stamp, send order) within the port. A simulated clock only moves
+	// forward, so this is one compare against the tail; a clock that steps
+	// back costs an insertion, not a different path.
+	i := len(q.refs)
+	q.refs = append(q.refs, ref)
+	for ; i > 0 && q.refs[i-1].stamp > stamp; i-- {
+		q.refs[i] = q.refs[i-1]
+	}
+	q.refs[i] = ref
 }
 
 // SetClock registers the simulated-cycle source used to stamp deferred
@@ -81,7 +117,10 @@ func (p *Port) Send(frame []byte) {
 // order among themselves.
 func (p *Port) SetClock(fn func() uint64) { p.clock = fn }
 
-// SetReceiver registers the frame sink for this port.
+// SetReceiver registers the frame sink for this port. The frame passed to fn
+// is valid only for the duration of the call — it is the sender's buffer in
+// synchronous mode and a slice of an epoch arena under Flush, and both are
+// reused — so a receiver copies what it keeps.
 func (p *Port) SetReceiver(fn func(frame []byte)) { p.receiver = fn }
 
 // Switch returns the switch this port attaches to.
@@ -120,6 +159,7 @@ type Switch struct {
 	ports    atomic.Pointer[[]*Port]
 	shards   [fdbShards]fdbShard
 	deferred atomic.Bool
+	merge    []mergeCursor // Flush's heap, reused across epochs
 
 	// Stats, atomically updated: forwards from different ports touch
 	// disjoint FDB shards concurrently in synchronous mode.
@@ -237,43 +277,91 @@ func (s *Switch) SetDeferred(on bool) { s.deferred.Store(on) }
 // Deferred reports the current delivery mode.
 func (s *Switch) Deferred() bool { return s.deferred.Load() }
 
-// flushEntry pairs a queued frame with its delivery-order key.
-type flushEntry struct {
+// mergeCursor is one port's position in a Flush: the queue being drained,
+// the next ref to deliver and that ref's stamp (cached as the heap key).
+type mergeCursor struct {
+	stamp uint64
 	port  *Port
-	frame pendingFrame
-	seq   int // send order within the owning port
+	q     *epochQueue
+	next  int
+}
+
+// before orders cursors by (stamp, port id): the delivery order between
+// ports. Order within a port is the queue's own.
+func (c *mergeCursor) before(d *mergeCursor) bool {
+	if c.stamp != d.stamp {
+		return c.stamp < d.stamp
+	}
+	return c.port.id < d.port.id
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []mergeCursor, i int) {
+	for {
+		first := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[first]) {
+			first = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(&h[first]) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
 }
 
 // Flush forwards every queued frame in (timestamp, port id, send order):
 // arrival order reflects the simulated instant each frame was sent, with the
-// port id and per-port send order as deterministic tie-breaks. It must be
-// called from the epoch barrier (or any other single-threaded context) and
-// returns the number of frames delivered to the switch.
+// port id and per-port send order as deterministic tie-breaks. Every port's
+// queue is already in (timestamp, send order), so Flush merges the queues
+// through a binary heap keyed on each one's next frame: O(F log P) compares,
+// no sort and — the heap and the arenas being reused — no allocation.
+//
+// Each port with frames queued is flipped to its spare queue before the
+// first delivery, so a receiver that Sends from inside a delivery queues for
+// the next Flush, never this one. Frames are delivered as slices of the
+// sender's arena, which is truncated once the port is drained (see
+// SetReceiver for what that asks of receivers).
+//
+// Flush must be called from the epoch barrier (or any other single-threaded
+// context), never from a receiver, and returns the number of frames
+// delivered to the switch.
 //
 //govisor:serialonly(delivers into every attached VM's RX ring; barrier-only)
 func (s *Switch) Flush() int {
-	var entries []flushEntry
+	h := s.merge[:0]
 	for _, p := range *s.ports.Load() {
-		pending := p.pending
-		p.pending = nil
-		for i, f := range pending {
-			entries = append(entries, flushEntry{port: p, frame: f, seq: i})
+		q := &p.queues[p.active]
+		if len(q.refs) == 0 {
+			continue
 		}
+		p.active ^= 1
+		h = append(h, mergeCursor{stamp: q.refs[0].stamp, port: p, q: q})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.frame.stamp != b.frame.stamp {
-			return a.frame.stamp < b.frame.stamp
-		}
-		if a.port.id != b.port.id {
-			return a.port.id < b.port.id
-		}
-		return a.seq < b.seq
-	})
-	for _, e := range entries {
-		s.forward(e.port, e.frame.data)
+	s.merge = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	return len(entries)
+	delivered := 0
+	for len(h) > 0 {
+		c := &h[0]
+		r := c.q.refs[c.next]
+		end := r.off + r.len
+		s.forward(c.port, c.q.arena[r.off:end:end])
+		delivered++
+		if c.next++; c.next < len(c.q.refs) {
+			c.stamp = c.q.refs[c.next].stamp
+		} else {
+			c.q.arena, c.q.refs = c.q.arena[:0], c.q.refs[:0]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return delivered
 }
 
 // BuildFrame assembles dst|src|payload.

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -21,8 +22,9 @@ func TestFloodThenLearnedForward(t *testing.T) {
 	sw := NewSwitch()
 	a, b, c := sw.NewPort(), sw.NewPort(), sw.NewPort()
 	var gotB, gotC [][]byte
-	b.SetReceiver(func(f []byte) { gotB = append(gotB, f) })
-	c.SetReceiver(func(f []byte) { gotC = append(gotC, f) })
+	// A receiver owns the frame only for the call: keep a copy.
+	b.SetReceiver(func(f []byte) { gotB = append(gotB, bytes.Clone(f)) })
+	c.SetReceiver(func(f []byte) { gotC = append(gotC, bytes.Clone(f)) })
 
 	macA, macB := MACForVM(1), MACForVM(2)
 
@@ -287,5 +289,170 @@ func TestLearnStaticEntry(t *testing.T) {
 	fwd, fl, dr := sw.Stats()
 	if fwd != 1 || fl != 0 || dr != 0 {
 		t.Fatalf("Stats() = %d/%d/%d", fwd, fl, dr)
+	}
+}
+
+// TestSendFlushAllocatesNothing: the deferred path copies each frame into
+// its port's epoch arena and merges the ports' queues in place, and both the
+// arenas and the merge heap keep their capacity, so once an epoch of this
+// size has been through each of a port's two queues neither Send nor Flush
+// touches the heap.
+func TestSendFlushAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sw := NewSwitch()
+	a, b, c := sw.NewPort(), sw.NewPort(), sw.NewPort()
+	macA, macB, macC := MACForVM(1), MACForVM(2), MACForVM(3)
+	sw.Learn(macC, c)
+	var cycA, cycB, rxBytes uint64
+	a.SetClock(func() uint64 { return cycA })
+	b.SetClock(func() uint64 { return cycB })
+	c.SetReceiver(func(f []byte) { rxBytes += uint64(len(f)) })
+	fromA := BuildFrame(macC, macA, make([]byte, 244))
+	fromB := BuildFrame(macC, macB, make([]byte, 52))
+	sw.SetDeferred(true)
+	epochs := 0
+	epoch := func() {
+		epochs++
+		for i := 0; i < 256; i++ {
+			cycA += 7
+			a.Send(fromA)
+			cycB += 5
+			b.Send(fromB)
+		}
+		if n := sw.Flush(); n != 512 {
+			t.Fatalf("flushed %d frames, want 512", n)
+		}
+	}
+	epoch() // AllocsPerRun's own warm-up run fills the ports' other queues
+	if n := testing.AllocsPerRun(20, epoch); n != 0 {
+		t.Fatalf("512 Sends + Flush allocate %v times per epoch, want 0", n)
+	}
+	if want := uint64(epochs * 256 * (len(fromA) + len(fromB))); rxBytes != want {
+		t.Fatalf("received %d bytes, want %d", rxBytes, want)
+	}
+}
+
+// TestSendDuringFlushWaitsForNextFlush: a receiver that transmits from
+// inside a delivery queues on the port's other queue. The reply is never
+// delivered by the Flush in progress, survives that Flush truncating the
+// arenas it drained, and arrives intact with the next one — whether the
+// replying port had frames of its own in this epoch (b: its queues were
+// flipped) or not (c: they were not).
+func TestSendDuringFlushWaitsForNextFlush(t *testing.T) {
+	sw := NewSwitch()
+	a, b, c := sw.NewPort(), sw.NewPort(), sw.NewPort()
+	macA, macB, macC := MACForVM(1), MACForVM(2), MACForVM(3)
+	sw.Learn(macA, a)
+	sw.Learn(macB, b)
+	sw.Learn(macC, c)
+	var gotA []string
+	a.SetReceiver(func(f []byte) { gotA = append(gotA, string(f[12:])) })
+	reply := func(p *Port, src MAC) func([]byte) {
+		return func(f []byte) {
+			p.Send(BuildFrame(macA, src, append([]byte("re:"), f[12:]...)))
+		}
+	}
+	b.SetReceiver(reply(b, macB))
+	c.SetReceiver(reply(c, macC))
+
+	sw.SetDeferred(true)
+	a.Send(BuildFrame(macB, macA, []byte("to-b-1")))
+	a.Send(BuildFrame(macC, macA, []byte("to-c")))
+	a.Send(BuildFrame(macB, macA, []byte("to-b-2")))
+	b.Send(BuildFrame(macA, macB, []byte("from-b")))
+	if n := sw.Flush(); n != 4 {
+		t.Fatalf("first flush delivered %d frames, want 4", n)
+	}
+	if len(gotA) != 1 || gotA[0] != "from-b" {
+		t.Fatalf("a saw %q during the first flush, want only from-b", gotA)
+	}
+	// A fresh epoch's worth of sends lands in the queues the first flush
+	// drained and truncated; the replies sit in the other ones.
+	a.Send(BuildFrame(macB, macA, []byte("next-epoch")))
+	if n := sw.Flush(); n != 4 {
+		t.Fatalf("second flush delivered %d frames, want 4", n)
+	}
+	want := []string{"from-b", "re:to-b-1", "re:to-b-2", "re:to-c"} // stamp 0: port order, then send order
+	if !slices.Equal(gotA, want) {
+		t.Fatalf("a received %q, want %q", gotA, want)
+	}
+	if n := sw.Flush(); n != 1 { // b's reply to next-epoch
+		t.Fatalf("third flush delivered %d frames, want 1", n)
+	}
+	if n := sw.Flush(); n != 0 {
+		t.Fatalf("idle flush delivered %d frames", n)
+	}
+}
+
+// TestFlushOrderWithBackwardsClock: simulated clocks only move forward, but
+// the order must not depend on it — a port whose clock steps back still
+// flushes in (stamp, port id, send order).
+func TestFlushOrderWithBackwardsClock(t *testing.T) {
+	sw := NewSwitch()
+	a, b, c := sw.NewPort(), sw.NewPort(), sw.NewPort()
+	macA, macB, macC := MACForVM(1), MACForVM(2), MACForVM(3)
+	sw.Learn(macC, c)
+	var got []string
+	c.SetReceiver(func(f []byte) { got = append(got, string(f[12:])) })
+	var cycA, cycB uint64
+	a.SetClock(func() uint64 { return cycA })
+	b.SetClock(func() uint64 { return cycB })
+
+	sw.SetDeferred(true)
+	for _, s := range []struct {
+		port  *Port
+		clock *uint64
+		src   MAC
+		stamp uint64
+		name  string
+	}{
+		{a, &cycA, macA, 300, "a@300"}, {a, &cycA, macA, 100, "a@100"}, {a, &cycA, macA, 200, "a@200"},
+		{a, &cycA, macA, 100, "a@100'"}, {a, &cycA, macA, 300, "a@300'"},
+		{b, &cycB, macB, 200, "b@200"}, {b, &cycB, macB, 50, "b@50"}, {b, &cycB, macB, 300, "b@300"},
+	} {
+		*s.clock = s.stamp
+		s.port.Send(BuildFrame(macC, s.src, []byte(s.name)))
+	}
+	if n := sw.Flush(); n != 8 {
+		t.Fatalf("flushed %d frames, want 8", n)
+	}
+	want := []string{"b@50", "a@100", "a@100'", "a@200", "b@200", "a@300", "a@300'", "b@300"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %q\nwant      %q", got, want)
+	}
+}
+
+// TestDeferredFloodIdenticalBytes: a flooded frame is delivered out of the
+// sender's arena to every other port — N−1 deliveries, each seeing exactly
+// the bytes that were sent, none of them to the sender.
+func TestDeferredFloodIdenticalBytes(t *testing.T) {
+	const n = 6
+	sw := NewSwitch()
+	ports := make([]*Port, n)
+	got := make([][][]byte, n)
+	for i := range ports {
+		ports[i] = sw.NewPort()
+		ports[i].SetReceiver(func(f []byte) { got[i] = append(got[i], bytes.Clone(f)) })
+	}
+	sw.SetDeferred(true)
+	frame := BuildFrame(Broadcast, MACForVM(3), []byte("to everyone but me"))
+	ports[3].Send(frame)
+	sent := bytes.Clone(frame)
+	clear(frame) // the caller's buffer is the caller's again
+	if n := sw.Flush(); n != 1 {
+		t.Fatalf("flushed %d frames, want 1", n)
+	}
+	for i := range ports {
+		switch {
+		case i == 3 && len(got[i]) != 0:
+			t.Fatalf("the sender received its own flood")
+		case i != 3 && (len(got[i]) != 1 || !bytes.Equal(got[i][0], sent)):
+			t.Fatalf("port %d received %q, want one copy of %q", i, got[i], sent)
+		}
+	}
+	if _, flooded, _ := sw.Stats(); flooded != 1 {
+		t.Fatalf("flooded = %d, want 1", flooded)
 	}
 }
