@@ -8,10 +8,11 @@ import (
 
 // CounterDiscipline enforces counter ownership: a metrics/stat counter —
 // an exported integer field of another package's struct — may only be
-// bumped (++, --, +=, -=, |=, &=, ^=) by its owning package or through
-// metrics.CounterSet. Cross-package bumps bypass the owner's accounting
-// discipline (epoch batching, atomic publication, histogram mirroring) and
-// are how counters silently desynchronize from the state they describe.
+// bumped (++, --, +=, -=, |=, &=, ^=) by its owning package, directly or
+// through the owner's methods. Cross-package bumps bypass the owner's
+// accounting discipline (epoch batching, atomic publication, histogram
+// mirroring) and are how counters silently desynchronize from the state
+// they describe.
 //
 // Plain assignment (`=`) from another package is allowed: snapshot
 // restoration and test setup legitimately overwrite counters wholesale;
@@ -20,7 +21,7 @@ import (
 // Suppression: `//govisor:counterok(reason)` on the bump line.
 var CounterDiscipline = &Analyzer{
 	Name: "counterdiscipline",
-	Doc:  "stat counters are bumped only by their owning package or metrics.CounterSet",
+	Doc:  "stat counters are bumped only by their owning package",
 	Run:  runCounterDiscipline,
 }
 
@@ -65,7 +66,7 @@ func runCounterDiscipline(pass *Pass) error {
 					return true
 				}
 				pass.Reportf(n.Pos(),
-					"counter %s.%s is owned by package %s but bumped here in %s; route the bump through the owner (or metrics.CounterSet), or annotate //govisor:counterok(reason)",
+					"counter %s.%s is owned by package %s but bumped here in %s; route the bump through the owner, or annotate //govisor:counterok(reason)",
 					field.Pkg().Name(), field.Name(), field.Pkg().Name(), pkg.Name)
 				return true
 			})

@@ -22,6 +22,14 @@ import (
 // filtered to integer-typed fields, including integer arrays (register
 // files) — struct- and slice-typed fields are bookkeeping whose equality is
 // the differential tests' job, not a counter contract.
+//
+// Publication slots are left out too: a field that every access in the
+// program stores with atomic.Store* or loads with atomic.Load* — a memo
+// entry's tag, epoch and armed flag, published for observers on other
+// goroutines — records where a cached verdict lives, not how much work was
+// done, so a fast arm that fills a memo its reference arm never touches has
+// not drifted. One atomic Add, Swap or CompareAndSwap, or one plain access,
+// anywhere makes the field a counter again.
 var PairParity = &Analyzer{
 	Name: "pairparity",
 	Doc:  "//govisor:pair fast-path/reference arms must mutate the same integer state fields",
@@ -29,6 +37,7 @@ var PairParity = &Analyzer{
 }
 
 func runPairParity(pass *Pass) error {
+	published := publicationSlots(pass)
 	for _, pkg := range pass.Pkgs {
 		decls := map[string]*ast.FuncDecl{}
 		var names []string
@@ -56,8 +65,8 @@ func runPairParity(pass *Pass) error {
 				pass.Reportf(fd.Pos(), "pair reference %q for %s not found in package %s", refName, name, pkg.Name)
 				continue
 			}
-			fastW := writeSet(pkg, fd, decls, memo, nil)
-			refW := writeSet(pkg, ref, decls, memo, nil)
+			fastW := writeSet(pkg, fd, decls, published, memo, nil)
+			refW := writeSet(pkg, ref, decls, published, memo, nil)
 			var missing, extra []string
 			for v := range refW {
 				if !fastW[v] {
@@ -128,11 +137,51 @@ func findPairTarget(decls map[string]*ast.FuncDecl, from *ast.FuncDecl, refName 
 	return found
 }
 
+// publicationSlots returns the fields every access of which, program-wide,
+// is the &x.f operand of an atomic Load* or Store* call. One pre-order walk
+// suffices: a call is visited before the selector inside its argument.
+func publicationSlots(pass *Pass) map[*types.Var]bool {
+	sanctioned := map[*ast.SelectorExpr]bool{}
+	slot, plain := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if !isAtomicCall(pkg.Info, n) || len(n.Args) == 0 {
+						break
+					}
+					name := funcObj(pkg.Info, n).Name()
+					u, ok := ast.Unparen(n.Args[0]).(*ast.UnaryExpr)
+					if ok && u.Op == token.AND && (strings.HasPrefix(name, "Load") || strings.HasPrefix(name, "Store")) {
+						if sel, indexed := baseSelector(u.X); sel != nil && !indexed {
+							sanctioned[sel] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if v := fieldOf(pkg.Info, n); v != nil {
+						if sanctioned[n] {
+							slot[v] = true
+						} else {
+							plain[v] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for v := range plain {
+		delete(slot, v)
+	}
+	return slot
+}
+
 // writeSet computes the set of integer-typed struct fields a function
-// mutates, transitively through same-package static callees. memo caches
-// completed sets; path guards against recursion (a cycle contributes the
-// fields found so far).
-func writeSet(pkg *Package, fd *ast.FuncDecl, decls map[string]*ast.FuncDecl, memo map[*ast.FuncDecl]map[*types.Var]bool, path map[*ast.FuncDecl]bool) map[*types.Var]bool {
+// mutates, transitively through same-package static callees, leaving out
+// the publication slots. memo caches completed sets; path guards against
+// recursion (a cycle contributes the fields found so far).
+func writeSet(pkg *Package, fd *ast.FuncDecl, decls map[string]*ast.FuncDecl, published map[*types.Var]bool, memo map[*ast.FuncDecl]map[*types.Var]bool, path map[*ast.FuncDecl]bool) map[*types.Var]bool {
 	if set, ok := memo[fd]; ok {
 		return set
 	}
@@ -151,7 +200,7 @@ func writeSet(pkg *Package, fd *ast.FuncDecl, decls map[string]*ast.FuncDecl, me
 		if sel == nil {
 			return
 		}
-		if v := fieldOf(pkg.Info, sel); v != nil && isCounterLike(v.Type()) {
+		if v := fieldOf(pkg.Info, sel); v != nil && isCounterLike(v.Type()) && !published[v] {
 			set[v] = true
 		}
 	}
@@ -178,7 +227,7 @@ func writeSet(pkg *Package, fd *ast.FuncDecl, decls map[string]*ast.FuncDecl, me
 			// Same-package static callee: fold in its write-set.
 			if callee := funcObj(pkg.Info, st); callee != nil && callee.Pkg() == pkg.Types {
 				if calleeDecl := declOf(decls, callee); calleeDecl != nil && calleeDecl != fd {
-					for v := range writeSet(pkg, calleeDecl, decls, memo, path) {
+					for v := range writeSet(pkg, calleeDecl, decls, published, memo, path) {
 						set[v] = true
 					}
 				}

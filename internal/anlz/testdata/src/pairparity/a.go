@@ -163,3 +163,53 @@ func (c *C) fastAtomicAdd() { // want "reference arm slowAtomicAdd does not"
 }
 
 func (c *C) slowAtomicAdd() { c.Cycles++ }
+
+// Negative: publication slots. A memo entry's tag and armed flag are only
+// ever stored and loaded atomically — where a cached verdict lives, not a
+// count of work — so a fast arm that fills a memo its reference arm never
+// touches has not drifted.
+type memoSlot struct {
+	tag   uint64
+	armed uint32
+}
+
+//govisor:pair slowFill
+func (c *C) fastFill(m *memoSlot, tag uint64) {
+	if atomic.LoadUint64(&m.tag) != tag {
+		atomic.StoreUint64(&m.tag, tag)
+	}
+	if atomic.LoadUint32(&m.armed) == 0 {
+		atomic.StoreUint32(&m.armed, 1)
+	}
+	c.Cycles++
+}
+
+func (c *C) slowFill() { c.Cycles++ }
+
+// Positive: an atomic Add makes a field a counter even when every access is
+// atomic — the rule exempts publication (Load/Store), not atomicity.
+type hitStats struct{ hits uint64 }
+
+//govisor:pair slowCount
+func (c *C) fastCount(s *hitStats) uint64 { // want "reference arm slowCount does not"
+	atomic.AddUint64(&s.hits, 1)
+	c.Cycles++
+	return atomic.LoadUint64(&s.hits)
+}
+
+func (c *C) slowCount() { c.Cycles++ }
+
+// Positive: one plain access anywhere makes an atomically stored field a
+// counter again.
+type seqSlot struct{ seq uint64 }
+
+//govisor:pair slowSeq
+func (c *C) fastSeq(s *seqSlot) { // want "reference arm slowSeq does not"
+	atomic.StoreUint64(&s.seq, 1)
+	c.Cycles++
+}
+
+func (c *C) slowSeq(s *seqSlot) uint64 {
+	c.Cycles++
+	return s.seq
+}

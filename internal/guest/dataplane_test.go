@@ -12,13 +12,13 @@ import (
 )
 
 // The dataplane differential suite is the equivalence proof for PR 10's two
-// fast paths: timestamp-ordered epoch-barrier frame delivery and the
-// span-resolution DMA memo. A fleet of unicast sender→receiver pairs over
-// one shared switch must end in byte-identical guest state — cycles,
+// fast paths: timestamp-ordered epoch-barrier frame delivery and memoized
+// DMA (span reads and writes through the read/write memos). A fleet of
+// unicast sender→receiver pairs over one shared switch must end in byte-identical guest state — cycles,
 // registers, CSRs, UART, RAM hashes (which cover the receivers' RX buffers,
 // i.e. the delivered frames and their order), VMM/MMU/TLB stats and switch
 // counters — no matter whether it ran serially, under RunParallel with any
-// worker count, or with the span memo disabled.
+// worker count, or with the DMA memos disabled.
 
 // dataplanePair describes one sender→receiver flow.
 type dataplanePair struct {

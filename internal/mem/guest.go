@@ -104,17 +104,21 @@ type GuestPhys struct {
 	// dirty bits, write-protect flips, COW creation (dedup merges, clone
 	// sharing) and breaks, map/unmap/populate remaps, migration restores —
 	// bumps the epoch and thereby invalidates every entry at once. See
-	// WriteUintMemo for the per-store version-bump coalescing the memo
-	// layers on top.
+	// writeHit for the per-store version-bump coalescing the memo layers on
+	// top.
+	//
+	// Both memos serve the CPU's loads and stores and the device DMA of the
+	// same VM (ReadSpan, WriteSpan, ReadRaw), which share slots. That needs
+	// no more than the single-owner discipline below: DMA runs on the VM's
+	// own worker (an MMIO exit into a device model) or at an epoch barrier
+	// (switch delivery, migration, KSM), never concurrently with the VM's
+	// CPU, so the atomic gfn/epoch/armed publication that lets PageVersion
+	// observers on other goroutines probe a slot still suffices.
 	wmemo  [wmemoSlots]writeMemo
 	wepoch uint64 // write-epoch counter (atomic)
 
-	// smemo is the DMA fast path: a direct-mapped cache of resolved span
-	// pages shared by ReadSpan, WriteSpan and ReadRaw. Like the write memo
-	// it validates against wepoch, so one epoch bump invalidates every
-	// entry; see span.go for the verdict argument. refDMA selects the
-	// page-by-page reference arm (SetReferenceDMA).
-	smemo  [spanSlots]spanEntry
+	// refDMA selects the page-by-page reference arm of DMA
+	// (SetReferenceDMA).
 	refDMA bool
 
 	// Stats visible to experiments.
@@ -146,20 +150,20 @@ type readMemo struct {
 const wmemoSlots = 8
 
 // writeMemo caches one resolved writable page. gfn is NoFrame while the slot
-// is empty and is accessed atomically: a concurrent version observer
-// (PageVersion on another goroutine) reads it to find the slot's page, while
-// only the owning VM's goroutine fills it. epoch is the space's write epoch
-// at fill time — the entry is valid only while they still match. armed is
-// the version-coalescing state (atomic): 1 means a version bump covering
-// every memoized store since the last observation of the page's version is
-// already in place, so further memoized stores need not bump again;
-// PageVersion clears it, forcing the next store to bump (and thereby keeps
-// the "same version ⇒ unchanged content between the two observations"
-// contract exact). data is the materialized writable backing array — never
-// nil, because the fill path materializes the frame.
+// is empty. gfn, epoch and armed are published atomically: a concurrent
+// version observer (PageVersion on another goroutine) reads gfn and armed to
+// find the slot's page, while only the owning VM's goroutine fills it. epoch
+// is the space's write epoch at fill time — the entry is valid only while
+// they still match. armed is the version-coalescing state: 1 means a version
+// bump covering every memoized store since the last observation of the
+// page's version is already in place, so further memoized stores need not
+// bump again; PageVersion clears it, forcing the next store to bump (and
+// thereby keeps the "same version ⇒ unchanged content between the two
+// observations" contract exact). data is the materialized writable backing
+// array — never nil, because the fill path materializes the frame.
 type writeMemo struct {
 	gfn   uint64 // atomic
-	epoch uint64
+	epoch uint64 // atomic
 	armed uint32 // atomic
 	data  []byte
 }
@@ -184,9 +188,6 @@ func NewGuestPhys(pool *Pool, size uint64) *GuestPhys {
 	}
 	for i := range g.rmemo {
 		g.rmemo[i].gfn = NoFrame
-	}
-	for i := range g.smemo {
-		g.smemo[i].gfn = NoFrame
 	}
 	for i := range g.wmemo {
 		// Published atomically like every other wmemo.gfn store: a memo
@@ -528,36 +529,51 @@ func (g *GuestPhys) Write(gpa uint64, buf []byte) *Fault {
 	return nil
 }
 
-// ReadUint reads a naturally aligned size-byte little-endian value
-// (size ∈ {1,2,4,8}). This is the interpreter's hot load path: the version-
-// validated read memo serves repeat reads of stable pages without the
-// frame-resolution walk (m.gfn is only ever a valid gfn, so a match proves
-// the version index is in range before it is touched).
-func (g *GuestPhys) ReadUint(gpa uint64, size int) (uint64, *Fault) {
-	gfn := gpa >> isa.PageShift
+// readHit is the read memo's hit rule: it returns gfn's slot and whether
+// the slot still holds the page — same gfn, content version unchanged since
+// the fill. Every event that could change what a read returns (stores,
+// unmap, remap, demand fill, COW break, migration copies) bumps the version,
+// so a hit proves the cached slice still is what resolveRead + Pool.Data
+// would produce. m.gfn is only ever a valid gfn or NoFrame, so a gfn match
+// proves the version index in range before it is touched.
+func (g *GuestPhys) readHit(gfn uint64) (*readMemo, bool) {
 	m := &g.rmemo[gfn&(rmemoSlots-1)]
-	if m.gfn == gfn && atomic.LoadUint64(&g.ver[gfn]) == m.ver {
+	return m, m.gfn == gfn && atomic.LoadUint64(&g.ver[gfn]) == m.ver
+}
+
+// readFill is the read memo's fill: after a miss in m (readHit's slot for
+// gfn), the caller resolves the page (resolveRead) and readFill installs
+// the frame hfn it reached, returning the page's slice — nil for a
+// logically-zero frame.
+func (g *GuestPhys) readFill(m *readMemo, gfn, hfn uint64) []byte {
+	data := g.pool.Data(hfn)
+	*m = readMemo{gfn: gfn, ver: atomic.LoadUint64(&g.ver[gfn]), data: data}
+	return data
+}
+
+// ReadUint reads a naturally aligned size-byte little-endian value
+// (size ∈ {1,2,4,8}) through the read memo.
+func (g *GuestPhys) ReadUint(gpa uint64, size int) (uint64, *Fault) {
+	m, ok := g.readHit(gpa >> isa.PageShift)
+	if ok {
 		return readUintFrom(m.data, gpa&isa.PageMask, size), nil
 	}
 	hfn, f := g.resolveRead(gpa, isa.AccRead)
 	if f != nil {
 		return 0, f
 	}
-	data := g.pool.Data(hfn)
-	*m = readMemo{gfn: gfn, ver: atomic.LoadUint64(&g.ver[gfn]), data: data}
-	return readUintFrom(data, gpa&isa.PageMask, size), nil
+	return readUintFrom(g.readFill(m, gpa>>isa.PageShift, hfn), gpa&isa.PageMask, size), nil
 }
 
 // ReadUintFast is ReadUint's hit-only probe: it serves the value when the
 // read memo covers the page (which also proves the address is inside guest
 // RAM — only successful in-RAM resolutions fill the memo, so callers may
 // skip their Contains/MMIO range checks on a hit) and reports false
-// otherwise, performing nothing. Same exactness argument as the hit path of
-// ReadUint; the caller falls back to the full path on a miss.
+// otherwise, performing nothing. Reads have no guest-visible side effects,
+// so nothing needs replaying on a hit; the caller falls back to the full
+// path on a miss.
 func (g *GuestPhys) ReadUintFast(gpa uint64, size int) (uint64, bool) {
-	gfn := gpa >> isa.PageShift
-	m := &g.rmemo[gfn&(rmemoSlots-1)]
-	if m.gfn == gfn && atomic.LoadUint64(&g.ver[gfn]) == m.ver {
+	if m, ok := g.readHit(gpa >> isa.PageShift); ok {
 		return readUintFrom(m.data, gpa&isa.PageMask, size), true
 	}
 	return 0, false
@@ -593,29 +609,57 @@ func (g *GuestPhys) WriteUint(gpa uint64, size int, v uint64) *Fault {
 	return nil
 }
 
-// WriteUintFast attempts the memoized store fast path: if the write memo
-// proves the resolveWrite verdict for gpa's page is unchanged (entry valid
-// at the current write epoch), the value is written directly to the cached
-// backing array and the per-store bitmap tests, dirty accounting and MMIO
-// range checks are all skipped — a valid entry implies the page is inside
-// guest RAM, present, writable, private and already dirty, so the slow path
-// would have reached the same byte with no guest-visible side effects
-// beyond the write itself. The per-store version bump is coalesced: the
-// first memoized store after an observation of the page's version bumps it
-// (keeping derived caches exactly coherent), later stores in the same
-// unobserved burst share that bump. Returns false on a miss; the caller
-// falls back to the full path (and WriteUintMemo to refill).
-func (g *GuestPhys) WriteUintFast(gpa uint64, size int, v uint64) bool {
-	gfn := gpa >> isa.PageShift
+// writeHit is the write memo's hit rule: it returns the cached backing
+// array of gfn when the slot still proves the resolveWrite verdict (same
+// gfn, fill-time write epoch still current), or nil on a miss, performing
+// nothing. A valid entry implies the page is inside guest RAM, present,
+// writable, private and already dirty, so the slow path would have reached
+// the same bytes with no guest-visible side effect beyond the write itself —
+// except the version bump, which a hit coalesces: the first memoized write
+// after an observation of the page's version (PageVersion disarms the slot)
+// bumps it, keeping derived caches exactly coherent, and later writes in the
+// same unobserved burst share that bump.
+func (g *GuestPhys) writeHit(gfn uint64) []byte {
 	m := &g.wmemo[gfn&(wmemoSlots-1)]
-	if atomic.LoadUint64(&m.gfn) != gfn || m.epoch != atomic.LoadUint64(&g.wepoch) {
-		return false
+	if atomic.LoadUint64(&m.gfn) != gfn || atomic.LoadUint64(&m.epoch) != atomic.LoadUint64(&g.wepoch) {
+		return nil
 	}
 	if atomic.LoadUint32(&m.armed) == 0 {
 		g.bumpVersion(gfn)
 		atomic.StoreUint32(&m.armed, 1)
 	}
-	writeUintTo(m.data, gpa&isa.PageMask, size, v)
+	return m.data
+}
+
+// writeFill is the write memo's fill: after a miss, the caller runs
+// resolveWrite in full (COW breaks, dirty accounting, the version bump,
+// fault surfacing) and writeFill installs the verdict it reached — data,
+// the materialized writable array of the frame now at gfn.
+func (g *GuestPhys) writeFill(gfn uint64, data []byte) {
+	m := &g.wmemo[gfn&(wmemoSlots-1)]
+	atomic.StoreUint64(&m.gfn, gfn)
+	// Epoch read after resolveWrite: a COW break in the resolve bumps it,
+	// and the entry must be valid for the frame the break installed.
+	atomic.StoreUint64(&m.epoch, atomic.LoadUint64(&g.wepoch))
+	m.data = data
+	// resolveWrite just bumped the version for this write; that bump covers
+	// the burst until the next observation.
+	if atomic.LoadUint32(&m.armed) == 0 {
+		atomic.StoreUint32(&m.armed, 1)
+	}
+}
+
+// WriteUintFast is the memoized store fast path: on a write-memo hit the
+// value goes straight into the cached backing array, skipping the per-store
+// bitmap tests, dirty accounting and MMIO range checks (see writeHit).
+// Returns false on a miss; the caller falls back to the full path
+// (WriteUintFill).
+func (g *GuestPhys) WriteUintFast(gpa uint64, size int, v uint64) bool {
+	data := g.writeHit(gpa >> isa.PageShift)
+	if data == nil {
+		return false
+	}
+	writeUintTo(data, gpa&isa.PageMask, size, v)
 	g.WMemoHits++
 	return true
 }
@@ -632,25 +676,16 @@ func (g *GuestPhys) WriteUintMemo(gpa uint64, size int, v uint64) *Fault {
 
 // WriteUintFill is WriteUint installing a write-memo entry for the page, so
 // subsequent stores to it hit WriteUintFast. Behaviour and guest-visible
-// side effects are identical to WriteUint — resolveWrite runs in full,
-// including COW breaks, dirty accounting and the version bump; only the
-// memo bookkeeping is added. This is the interpreter's store slow path when
-// the write memo is enabled: the caller has already probed WriteUintFast,
-// so the fill does not re-probe.
+// side effects are identical to WriteUint; only the memo bookkeeping is
+// added. This is the interpreter's store slow path: the caller has already
+// probed WriteUintFast, so the fill does not re-probe.
 func (g *GuestPhys) WriteUintFill(gpa uint64, size int, v uint64) *Fault {
-	gfn := gpa >> isa.PageShift
 	hfn, f := g.resolveWrite(gpa)
 	if f != nil {
 		return f
 	}
 	data := g.pool.writable(hfn)
-	m := &g.wmemo[gfn&(wmemoSlots-1)]
-	atomic.StoreUint64(&m.gfn, gfn)
-	m.epoch = atomic.LoadUint64(&g.wepoch)
-	m.data = data
-	// resolveWrite just bumped the version for this store; that bump covers
-	// the burst until the next observation.
-	atomic.StoreUint32(&m.armed, 1)
+	g.writeFill(gpa>>isa.PageShift, data)
 	g.WMemoFills++
 	writeUintTo(data, gpa&isa.PageMask, size, v)
 	return nil
@@ -693,33 +728,14 @@ func (g *GuestPhys) WriteUintPriv(gpa uint64, size int, v uint64) *Fault {
 	return f
 }
 
-// ReadRaw is Read without fault handling for VMM-internal use (migration,
-// snapshots) where pages are known present; unmapped pages read as zero. It
-// probes the span memo first — the migration page copier streams every page
-// of a round through here, and a valid entry serves the page as one memcpy —
-// installing on miss so the next round's copy of a stable page hits.
+// ReadRaw is Read of one page (len(buf) ≤ isa.PageSize) without fault
+// handling, for VMM-internal use (migration, snapshots, the icache's page
+// capture) where pages are known present; unmapped pages read as zero. It
+// is a ReadSpan, so a stable page streamed every pre-copy round hits the
+// read memo.
 func (g *GuestPhys) ReadRaw(gfn uint64, buf []byte) {
-	e := &g.smemo[gfn&(spanSlots-1)]
-	if e.gfn == gfn && e.epoch == atomic.LoadUint64(&g.wepoch) {
-		copy(buf, e.data)
-		return
-	}
-	hfn := g.Frame(gfn)
-	if hfn == NoFrame {
-		for i := range buf {
-			buf[i] = 0
-		}
-		return
-	}
-	if data := g.pool.Data(hfn); data != nil {
-		copy(buf, data)
-		if !g.refDMA {
-			*e = spanEntry{gfn: gfn, epoch: atomic.LoadUint64(&g.wepoch), data: data}
-		}
-		return
-	}
-	for i := range buf {
-		buf[i] = 0
+	if g.Frame(gfn) == NoFrame || g.ReadSpan(gfn<<isa.PageShift, buf) != nil {
+		clear(buf)
 	}
 }
 

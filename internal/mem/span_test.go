@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"govisor/internal/isa"
@@ -19,12 +20,17 @@ func newSpanSpace(t *testing.T, pages uint64) (*Pool, *GuestPhys) {
 	return p, g
 }
 
-// spanHot reports whether the span memo currently holds a valid entry for
-// gfn (white-box: the invalidation matrix asserts exactly which events kill
-// entries).
-func (g *GuestPhys) spanHot(gfn uint64) bool {
-	e := &g.smemo[gfn&(spanSlots-1)]
-	return e.gfn == gfn && e.epoch == g.WriteEpoch()
+// readHot and writeHot report whether the read / write memo currently holds
+// a valid entry for gfn, without writeHit's arming side effect (white-box:
+// the invalidation matrix asserts exactly which events kill which entries).
+func (g *GuestPhys) readHot(gfn uint64) bool {
+	_, ok := g.readHit(gfn)
+	return ok
+}
+
+func (g *GuestPhys) writeHot(gfn uint64) bool {
+	m := &g.wmemo[gfn&(wmemoSlots-1)]
+	return atomic.LoadUint64(&m.gfn) == gfn && atomic.LoadUint64(&m.epoch) == g.WriteEpoch()
 }
 
 func TestSpanReadWriteRoundTrip(t *testing.T) {
@@ -53,8 +59,10 @@ func TestSpanReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(ref, msg) {
 		t.Fatal("reference read disagrees with span write")
 	}
-	if !g.spanHot(0) || !g.spanHot(1) || !g.spanHot(2) {
-		t.Fatal("written pages should be memoized")
+	for gfn := uint64(0); gfn <= 2; gfn++ {
+		if !g.writeHot(gfn) || !g.readHot(gfn) {
+			t.Fatalf("page %d: write memo %v, read memo %v; want both memoized", gfn, g.writeHot(gfn), g.readHot(gfn))
+		}
 	}
 }
 
@@ -76,36 +84,41 @@ func TestSpanFaultsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSpanMemoInvalidationMatrix walks every event that must kill a span
-// entry: each bumps the write epoch, and the next span access re-resolves.
+// TestSpanMemoInvalidationMatrix walks every event that must kill a DMA
+// entry. Span writes go through the write memo, whose entries die on every
+// write-epoch bump; span reads go through the read memo, whose entries die
+// exactly when the page's content version moves — so an event that changes
+// a write verdict but not the content (a protection flip, CollectDirty, a
+// COW marking, a fill elsewhere) must leave the read entry alive.
 func TestSpanMemoInvalidationMatrix(t *testing.T) {
 	events := []struct {
-		name string
-		prep func(t *testing.T, p *Pool, g *GuestPhys)
-		act  func(t *testing.T, p *Pool, g *GuestPhys)
+		name     string
+		prep     func(t *testing.T, p *Pool, g *GuestPhys)
+		act      func(t *testing.T, p *Pool, g *GuestPhys)
+		readDies bool
 	}{
-		{"WriteProtect", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, true) }},
-		{"Unprotect", func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, true); g.WriteProtect(1, false) }, func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, false) }},
-		{"Unmap", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.Unmap(1) }},
+		{"WriteProtect", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, true) }, false},
+		{"Unprotect", func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, true); g.WriteProtect(1, false) }, func(t *testing.T, p *Pool, g *GuestPhys) { g.WriteProtect(1, false) }, false},
+		{"Unmap", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.Unmap(1) }, true},
 		{"Remap", nil, func(t *testing.T, p *Pool, g *GuestPhys) {
 			hfn, err := p.Alloc()
 			if err != nil {
 				t.Fatal(err)
 			}
 			g.Map(1, hfn)
-		}},
-		{"CollectDirty", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.CollectDirty(nil) }},
-		{"MarkCOWIfMapped", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.MarkCOWIfMapped(1, g.Frame(1)) }},
+		}, true},
+		{"CollectDirty", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.CollectDirty(nil) }, false},
+		{"MarkCOWIfMapped", nil, func(t *testing.T, p *Pool, g *GuestPhys) { g.MarkCOWIfMapped(1, g.Frame(1)) }, false},
 		{"WriteRaw", nil, func(t *testing.T, p *Pool, g *GuestPhys) {
 			if err := g.WriteRaw(1, make([]byte, isa.PageSize)); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, true},
 		{"PopulateElsewhere", func(t *testing.T, p *Pool, g *GuestPhys) { g.Unmap(3) }, func(t *testing.T, p *Pool, g *GuestPhys) {
 			if err := g.Populate(3); err != nil {
 				t.Fatal(err)
 			}
-		}},
+		}, false},
 	}
 	for _, ev := range events {
 		t.Run(ev.name, func(t *testing.T) {
@@ -120,19 +133,25 @@ func TestSpanMemoInvalidationMatrix(t *testing.T) {
 			if f := g.WriteSpan(1<<isa.PageShift, seed); f != nil {
 				t.Fatal(f)
 			}
-			if !g.spanHot(1) {
-				t.Fatal("entry not installed")
+			if f := g.ReadSpan(1<<isa.PageShift, make([]byte, len(seed))); f != nil {
+				t.Fatal(f)
+			}
+			if !g.writeHot(1) || !g.readHot(1) {
+				t.Fatal("entries not installed")
 			}
 			ev.act(t, p, g)
-			if g.spanHot(1) {
-				t.Fatalf("%s left the span entry valid", ev.name)
+			if g.writeHot(1) {
+				t.Fatalf("%s left the write-memo entry valid", ev.name)
+			}
+			if got := !g.readHot(1); got != ev.readDies {
+				t.Fatalf("%s: read-memo entry died = %v, want %v", ev.name, got, ev.readDies)
 			}
 		})
 	}
 }
 
-// TestSpanCOWWriteBreaks: a ReadSpan entry over a page that later turns COW
-// must not serve a write hit — the write re-resolves, breaks COW and redirects
+// TestSpanCOWWriteBreaks: a memoized page that later turns COW must not
+// serve a write hit — the write re-resolves, breaks COW and redirects
 // to the private copy, leaving the shared frame untouched.
 func TestSpanCOWWriteBreaks(t *testing.T) {
 	p := NewPool(16)
@@ -151,7 +170,7 @@ func TestSpanCOWWriteBreaks(t *testing.T) {
 	b.MapShared(1, hfn)
 	a.MarkCOWIfMapped(1, hfn)
 
-	// a's writable span entry must be dead (epoch moved), and a write must
+	// a's write-memo entry must be dead (epoch moved), and a write must
 	// break COW instead of scribbling the shared frame.
 	if f := a.WriteSpan(1<<isa.PageShift, bytes.Repeat([]byte{0x11}, 64)); f != nil {
 		t.Fatal(f)
@@ -164,16 +183,17 @@ func TestSpanCOWWriteBreaks(t *testing.T) {
 		t.Fatal(f)
 	}
 	if !bytes.Equal(got, content[:64]) {
-		t.Fatal("shared frame corrupted through stale span entry")
+		t.Fatal("shared frame corrupted through a stale memo entry")
 	}
 	if a.COWBreaks != 1 {
 		t.Fatalf("COWBreaks = %d, want 1", a.COWBreaks)
 	}
 }
 
-// TestSpanReadRawMemoized: ReadRaw shares the span memo; a migration-style
-// page stream installs entries, and a guest store between reads is still
-// visible through the hit (the entry aliases the live backing array).
+// TestSpanReadRawMemoized: ReadRaw shares the read memo; a migration-style
+// page stream installs entries, a repeat read of a stable page hits, and a
+// guest store between reads moves the page version, so the next read
+// re-resolves and sees it.
 func TestSpanReadRawMemoized(t *testing.T) {
 	_, g := newSpanSpace(t, 4)
 	if f := g.Write(2<<isa.PageShift, []byte("round-one")); f != nil {
@@ -184,12 +204,18 @@ func TestSpanReadRawMemoized(t *testing.T) {
 	if string(buf[:9]) != "round-one" {
 		t.Fatalf("ReadRaw = %q", buf[:9])
 	}
-	if !g.spanHot(2) {
-		t.Fatal("ReadRaw should install a span entry")
+	if !g.readHot(2) {
+		t.Fatal("ReadRaw should install a read-memo entry")
 	}
-	// In-place store (no remap): entry stays valid, content stays current.
+	g.ReadRaw(2, buf)
+	if !g.readHot(2) || string(buf[:9]) != "round-one" {
+		t.Fatalf("stable page: hot=%v content=%q", g.readHot(2), buf[:9])
+	}
 	if f := g.Write(2<<isa.PageShift, []byte("round-two")); f != nil {
 		t.Fatal(f)
+	}
+	if g.readHot(2) {
+		t.Fatal("a store must invalidate the page's read-memo entry")
 	}
 	g.ReadRaw(2, buf)
 	if string(buf[:9]) != "round-two" {
@@ -276,5 +302,51 @@ func TestSpanDifferentialVsReferenceDMA(t *testing.T) {
 	}
 	if fast.DirtySets != ref.DirtySets {
 		t.Fatalf("DirtySets %d vs %d", fast.DirtySets, ref.DirtySets)
+	}
+}
+
+// TestSpanDMAAllocatesNothing: DMA through the shared memos stays off the Go
+// heap on memo hits and misses alike. A miss is forced every call by
+// alternating between two pages that share a direct-mapped slot.
+func TestSpanDMAAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	_, g := newSpanSpace(t, 16)
+	const a, b = 1, 1 + rmemoSlots // same read-memo and write-memo slot
+	if rmemoSlots != wmemoSlots {
+		t.Fatal("the slot-collision pages assume equal memo sizes")
+	}
+	span := make([]byte, isa.PageSize+64) // crosses into the next page
+	page := make([]byte, isa.PageSize)
+	at := func(gfn uint64) uint64 { return gfn<<isa.PageShift + 32 }
+	for _, tc := range []struct {
+		name string
+		op   func(gfn uint64)
+		hot  func(gfn uint64) bool // the memo the op goes through
+	}{
+		{"WriteSpan", func(gfn uint64) {
+			if f := g.WriteSpan(at(gfn), span); f != nil {
+				t.Fatal(f)
+			}
+		}, g.writeHot},
+		{"ReadSpan", func(gfn uint64) {
+			if f := g.ReadSpan(at(gfn), span); f != nil {
+				t.Fatal(f)
+			}
+		}, g.readHot},
+		{"ReadRaw", func(gfn uint64) { g.ReadRaw(gfn, page) }, g.readHot},
+	} {
+		tc.op(a) // warm: the page is memoized and materialized
+		if got := testing.AllocsPerRun(100, func() { tc.op(a) }); got != 0 {
+			t.Errorf("%s hit: %v allocations per call", tc.name, got)
+		}
+		tc.op(b)
+		if !tc.hot(b) || tc.hot(a) {
+			t.Fatalf("%s: pages %d and %d do not evict each other", tc.name, a, b)
+		}
+		if got := testing.AllocsPerRun(100, func() { tc.op(a); tc.op(b) }); got != 0 {
+			t.Errorf("%s miss: %v allocations per call", tc.name, got)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package metrics provides the lightweight counters and histograms the
+// Package metrics provides the histograms, fairness index and tables the
 // experiments report. Everything is plain in-process state — benchmarks
 // snapshot values between phases.
 package metrics
@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Histogram accumulates samples and reports order statistics. It stores raw
@@ -88,74 +87,6 @@ func (h *Histogram) Reset() { h.samples = h.samples[:0]; h.sum = 0; h.sorted = f
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p99=%.1f max=%.1f",
 		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
-
-// Counter is one named monotonic count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// CounterSet is an ordered collection of named counters — the conventional
-// way subsystems surface hit/miss-style statistics to the benchmark tables.
-// It is goroutine-safe, so concurrent VM workers under the parallel host
-// engine can aggregate into one shared set.
-type CounterSet struct {
-	mu       sync.Mutex
-	counters []Counter
-}
-
-// Add appends (or accumulates into) the named counter.
-func (s *CounterSet) Add(name string, v uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.counters {
-		if s.counters[i].Name == name {
-			s.counters[i].Value += v
-			return
-		}
-	}
-	s.counters = append(s.counters, Counter{Name: name, Value: v})
-}
-
-// Get returns the named counter's value, or 0 if absent.
-func (s *CounterSet) Get(name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// All returns a snapshot of the counters in insertion order.
-func (s *CounterSet) All() []Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Counter(nil), s.counters...)
-}
-
-// Table renders the set as a two-column table.
-func (s *CounterSet) Table() *Table {
-	t := &Table{Header: []string{"counter", "value"}}
-	for _, c := range s.All() {
-		t.AddRow(c.Name, fmt.Sprint(c.Value))
-	}
-	return t
-}
-
-// String renders the set compactly: "a=1 b=2".
-func (s *CounterSet) String() string {
-	var b strings.Builder
-	for i, c := range s.All() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", c.Name, c.Value)
-	}
-	return b.String()
 }
 
 // JainIndex computes Jain's fairness index over per-party allocations:

@@ -107,19 +107,30 @@ type Context struct {
 	Satp  uint64
 	Stats Stats
 
-	fetch fetchMemo
-	data  [dataMemoSlots]dataMemo
-	write [dataMemoSlots]dataMemo
+	// The translation memos: the last instruction fetch, and small
+	// direct-mapped caches of recent load and store translations.
+	fetch FetchSnap
+	data  [dataMemoSlots]FetchSnap
+	write [dataMemoSlots]FetchSnap
 }
 
-// fetchMemo caches the last successful instruction-fetch translation. It is
-// usable only while nothing that could change the outcome has happened: same
-// SATP (same address space and paging mode), same privilege, same virtual
-// page, and no TLB insert or flush since (checked against the TLB generation
-// counter). On a hit TranslateFetch replays exactly the bookkeeping the full
-// path would perform — translation count, LRU stamp, TLB hit count — so the
-// memo is invisible to both the cycle model and the statistics.
-type fetchMemo struct {
+// dataMemoSlots is the size of the per-context data and write memos,
+// direct-mapped caches indexed by low VPN bits. Small on purpose: they only
+// need to cover the handful of pages a straight-line loop streams through
+// (source, destination, stack); the TLB proper covers the rest.
+const dataMemoSlots = 8
+
+// FetchSnap is one memoized translation: the fetch memo, each data and write
+// memo slot, and — exported — the validation token the vCPU's block-chain
+// cache keeps per link (SnapFetch). It holds only while nothing that could
+// change the outcome has happened: same SATP (same address space and paging
+// mode), same privilege, same virtual page, and, when paging is on, no TLB
+// insert or flush since (checked against the TLB generation counter, so the
+// entry, its permissions and the fill-time permission check all still
+// stand). Unpaged fills store ppn = vpn, so a hit's address is ppn<<12|offset
+// either way. Validity is proven on every use, never assumed, so a snapshot
+// is safe to hold indefinitely.
+type FetchSnap struct {
 	valid bool
 	paged bool
 	user  bool
@@ -129,23 +140,6 @@ type fetchMemo struct {
 	entry *tlb.Entry
 	ppn   uint64
 }
-
-// dataMemoSlots is the size of the per-context data-translation memo, a
-// direct-mapped cache indexed by low VPN bits. Small on purpose: the memo
-// only needs to cover the handful of pages a straight-line loop streams
-// through (source, destination, stack); the TLB proper covers the rest.
-const dataMemoSlots = 8
-
-// dataMemo caches one successful load/store translation, the data-side
-// sibling of fetchMemo — same fields, same validity discipline (same SATP,
-// same privilege, same virtual page, no TLB insert or flush since). On a
-// hit TranslateData replays exactly the bookkeeping the full path would
-// perform — translation count, LRU stamp, TLB hit count — plus a
-// permission check against the live entry, which the fetch memo's hit path
-// can skip (fetch access is always AccExec, so the fill-time check stands
-// while the entry is unchanged) but the data memo cannot (the access kind
-// varies per call).
-type dataMemo = fetchMemo
 
 // NewContext builds a context with the default TLB geometry.
 func NewContext(m *mem.GuestPhys, style Style) *Context {
@@ -227,121 +221,93 @@ func (c *Context) Translate(va uint64, acc isa.Access, userMode bool) (gpa uint6
 	}
 }
 
-// TranslateFetch is Translate specialized for instruction fetch (AccExec).
-// Behaviour, cycle charging and every statistic are identical to calling
-// Translate(va, isa.AccExec, userMode); consecutive fetches from the same
-// page skip the TLB set scan through a one-entry memo that is revalidated
-// against SATP, the privilege level and the TLB generation on every call.
-func (c *Context) TranslateFetch(va uint64, userMode bool) (gpa uint64, refs int, fault *Fault) {
-	m := &c.fetch
-	if m.valid && c.Satp == m.satp && userMode == m.user && va>>isa.PageShift == m.vpn {
-		if !m.paged {
-			c.Stats.Translations++
-			return va, 0, nil
-		}
-		if c.TLB.Gen() == m.gen {
-			c.Stats.Translations++
-			c.TLB.Touch(m.entry)
-			return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
-		}
+// CheckFetchSnap is the one validity rule of a memoized translation: it
+// reports whether s still provably describes what a fresh translation of va
+// from this privilege would do. It performs no bookkeeping, so it may be
+// called any number of times without perturbing the statistics the
+// differential suites compare — the trace engine uses it to pre-validate
+// every constituent page of a hot trace at entry.
+func (c *Context) CheckFetchSnap(s *FetchSnap, va uint64, userMode bool) bool {
+	return s.valid && s.satp == c.Satp && s.user == userMode && s.vpn == va>>isa.PageShift &&
+		(!s.paged || s.gen == c.TLB.Gen())
+}
+
+// hit is the memo hit rule shared by every memoized translation: when s
+// still holds for va (CheckFetchSnap) it performs exactly the bookkeeping a
+// full translation that hits the TLB performs — translation count and, when
+// paged, the entry's LRU stamp and the TLB hit count — and reports true;
+// otherwise it performs nothing.
+func (c *Context) hit(s *FetchSnap, va uint64, userMode bool) bool {
+	if !c.CheckFetchSnap(s, va, userMode) {
+		return false
 	}
+	c.Stats.Translations++
+	if s.paged {
+		c.TLB.Touch(s.entry)
+	}
+	return true
+}
+
+// fill is the memo miss path shared by every memoized translation: the full
+// translation of va for access acc, installing the result in m when it came
+// from the TLB or paging is off (a walk or a shadow fill inserts into the
+// TLB, so the next call fills from there). Behaviour, cycle charging and
+// every statistic are identical to Translate.
+func (c *Context) fill(m *FetchSnap, va uint64, acc isa.Access, userMode bool) (gpa uint64, refs int, fault *Fault) {
 	m.valid = false
 	c.Stats.Translations++
+	vpn := va >> isa.PageShift
 	if !c.Enabled() {
-		*m = fetchMemo{valid: true, satp: c.Satp, user: userMode, vpn: va >> isa.PageShift}
+		*m = FetchSnap{valid: true, satp: c.Satp, user: userMode, vpn: vpn, ppn: vpn}
 		return va, 0, nil
 	}
 	asid := c.asid()
 	if e, ok := c.TLB.LookupRef(asid, va); ok {
-		if f := c.checkTLBPerms(e.Perms, isa.AccExec, userMode, va); f != nil {
+		if f := c.checkTLBPerms(e.Perms, acc, userMode, va); f != nil {
 			return 0, 0, f
 		}
-		*m = fetchMemo{valid: true, paged: true, satp: c.Satp, user: userMode,
-			vpn: va >> isa.PageShift, gen: c.TLB.Gen(), entry: e, ppn: e.PPN}
+		*m = FetchSnap{valid: true, paged: true, satp: c.Satp, user: userMode,
+			vpn: vpn, gen: c.TLB.Gen(), entry: e, ppn: e.PPN}
 		return e.PPN<<isa.PageShift | va&isa.PageMask, 0, nil
 	}
 	switch c.Style {
 	case StyleShadow:
-		return c.translateShadow(va, isa.AccExec, userMode, asid)
+		return c.translateShadow(va, acc, userMode, asid)
 	default:
-		return c.translateWalk(va, isa.AccExec, userMode, asid)
+		return c.translateWalk(va, acc, userMode, asid)
 	}
 }
 
-// FetchSnap is an exported snapshot of the fetch memo, the validation token
-// of the vCPU's block-chain cache: taken (SnapFetch) right after a successful
-// TranslateFetch of a block's first instruction, and later replayed
-// (ChainFetch) to re-enter that block without the map lookup and TLB set
-// scan. The fields mirror fetchMemo exactly; validity is proven per replay,
-// never assumed.
-type FetchSnap struct {
-	valid bool
-	paged bool
-	user  bool
-	satp  uint64
-	vpn   uint64
-	gen   uint64
-	entry *tlb.Entry
-	ppn   uint64
+// TranslateFetch is Translate specialized for instruction fetch (AccExec).
+// Behaviour, cycle charging and every statistic are identical to calling
+// Translate(va, isa.AccExec, userMode); consecutive fetches from the same
+// page skip the TLB set scan through the fetch memo. The access kind is
+// fixed, so the fill-time execute-permission check stands while the memo
+// holds.
+func (c *Context) TranslateFetch(va uint64, userMode bool) (gpa uint64, refs int, fault *Fault) {
+	m := &c.fetch
+	if c.hit(m, va, userMode) {
+		return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
+	}
+	return c.fill(m, va, isa.AccExec, userMode)
 }
 
 // SnapFetch captures the current fetch memo. Meaningful immediately after a
-// successful TranslateFetch, when the memo covers that fetch's page; the
-// snapshot stays safe to hold indefinitely because ChainFetch revalidates
-// every field before replaying it.
-func (c *Context) SnapFetch() FetchSnap { return FetchSnap(c.fetch) }
+// successful TranslateFetch, when the memo covers that fetch's page.
+func (c *Context) SnapFetch() FetchSnap { return c.fetch }
 
 // ChainFetch replays the accounting of an instruction fetch of va from a
-// previously snapshotted translation: the block-chain sibling of
-// ReplayFetch. It succeeds only when the snapshot provably still describes
-// what a fresh TranslateFetch(va) would do — same SATP (same address space
-// and paging mode), same privilege, same virtual page, and no TLB insert or
-// flush since the snapshot (TLB generation unchanged, so the entry, its
-// permissions and the fill-time permission check all still stand). On
-// success it performs exactly the bookkeeping of a fetch-memo miss that hits
-// the TLB — translation count, LRU stamp, TLB hit count — and installs the
-// snapshot as the live fetch memo, so in-block ReplayFetch continues on the
-// chained page. On failure it performs nothing and the caller must take the
-// full fetch path.
-//
-//govisor:pair ReplayFetch
+// previously snapshotted translation: the memo hit rule applied to the
+// snapshot. On success it performs exactly the bookkeeping of a fetch-memo
+// hit and installs the snapshot as the live fetch memo, so in-block
+// ReplayFetch continues on the chained page. On failure it performs nothing
+// and the caller must take the full fetch path.
 func (c *Context) ChainFetch(s *FetchSnap, va uint64, userMode bool) bool {
-	if !s.valid || c.Satp != s.satp || userMode != s.user || va>>isa.PageShift != s.vpn {
+	if !c.hit(s, va, userMode) {
 		return false
 	}
-	if !s.paged {
-		c.Stats.Translations++
-		c.fetch = fetchMemo(*s)
-		return true
-	}
-	if c.TLB.Gen() != s.gen {
-		return false
-	}
-	c.Stats.Translations++
-	c.TLB.Touch(s.entry)
-	c.fetch = fetchMemo(*s)
+	c.fetch = *s
 	return true
-}
-
-// CheckFetchSnap reports whether a snapshot still provably describes what a
-// fresh TranslateFetch(va) would do — the read-only half of ChainFetch: same
-// SATP (same address space and paging mode), same privilege, same virtual
-// page, and no TLB insert or flush since the snapshot. It performs no
-// bookkeeping and installs nothing, so it may be called any number of times
-// without perturbing the statistics the differential suites compare.
-//
-// The vCPU's trace engine uses it to pre-validate every constituent page of
-// a hot trace at entry (multi-page revalidation with one check per page);
-// the exact stat replay still happens per hop boundary via ChainFetch, so a
-// traced run's translation counters and TLB LRU evolution are byte-identical
-// to the block path's. The validation conditions must stay in lockstep with
-// ChainFetch: a condition ChainFetch gains that this check lacks only costs
-// a failed boundary replay (the trace demotes), never a stale translation.
-func (c *Context) CheckFetchSnap(s *FetchSnap, va uint64, userMode bool) bool {
-	if !s.valid || c.Satp != s.satp || userMode != s.user || va>>isa.PageShift != s.vpn {
-		return false
-	}
-	return !s.paged || c.TLB.Gen() == s.gen
 }
 
 // ReplayFetch replays the accounting of one more instruction fetch from the
@@ -352,7 +318,9 @@ func (c *Context) CheckFetchSnap(s *FetchSnap, va uint64, userMode bool) bool {
 // since the memo was filled — and the caller must fall back to the full
 // fetch path. Callers guarantee SATP and the privilege level are unchanged
 // since the memo was filled (inside a superblock neither can change: CSR
-// writes and traps both end the block before the next fetch).
+// writes and traps both end the block before the next fetch), which is why
+// this is the hit rule minus those two compares — spelled out rather than
+// shared, because it runs once per retired instruction.
 func (c *Context) ReplayFetch(va uint64) bool {
 	m := &c.fetch
 	if !m.valid || va>>isa.PageShift != m.vpn {
@@ -398,96 +366,37 @@ func (c *Context) ReplayFetchSpan(va, n uint64) bool {
 // TranslateData is Translate specialized for loads and stores. Behaviour,
 // cycle charging and every statistic are identical to calling Translate with
 // the same arguments; repeated accesses to recently used data pages skip the
-// TLB set scan through a small direct-mapped memo revalidated against SATP,
-// the privilege level and the TLB generation on every call. Permissions are
-// rechecked per access from the live TLB entry, so a page readable but not
-// writable faults on stores exactly as the full path does.
+// TLB set scan through the data memo. The access kind varies per call, so
+// unlike the fetch and write memos a hit rechecks permissions against the
+// live TLB entry: a page readable but not writable faults on stores exactly
+// as the full path does.
 func (c *Context) TranslateData(va uint64, acc isa.Access, userMode bool) (gpa uint64, refs int, fault *Fault) {
-	vpn := va >> isa.PageShift
-	m := &c.data[vpn&(dataMemoSlots-1)]
-	if m.valid && m.satp == c.Satp && m.user == userMode && m.vpn == vpn {
-		if !m.paged {
-			c.Stats.Translations++
-			return va, 0, nil
-		}
-		if c.TLB.Gen() == m.gen {
-			c.Stats.Translations++
-			c.TLB.Touch(m.entry)
-			if f := c.checkTLBPerms(m.entry.Perms, acc, userMode, va); f != nil {
-				return 0, 0, f
-			}
-			return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
-		}
+	m := &c.data[va>>isa.PageShift&(dataMemoSlots-1)]
+	if !c.hit(m, va, userMode) {
+		return c.fill(m, va, acc, userMode)
 	}
-	m.valid = false
-	c.Stats.Translations++
-	if !c.Enabled() {
-		*m = dataMemo{valid: true, satp: c.Satp, user: userMode, vpn: vpn}
-		return va, 0, nil
-	}
-	asid := c.asid()
-	if e, ok := c.TLB.LookupRef(asid, va); ok {
-		if f := c.checkTLBPerms(e.Perms, acc, userMode, va); f != nil {
+	if m.paged {
+		if f := c.checkTLBPerms(m.entry.Perms, acc, userMode, va); f != nil {
 			return 0, 0, f
 		}
-		*m = dataMemo{valid: true, paged: true, satp: c.Satp, user: userMode,
-			vpn: vpn, gen: c.TLB.Gen(), entry: e, ppn: e.PPN}
-		return e.PPN<<isa.PageShift | va&isa.PageMask, 0, nil
 	}
-	switch c.Style {
-	case StyleShadow:
-		return c.translateShadow(va, acc, userMode, asid)
-	default:
-		return c.translateWalk(va, acc, userMode, asid)
-	}
+	return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
 }
 
 // TranslateWrite is Translate specialized for stores (AccWrite). Behaviour,
 // cycle charging and every statistic are identical to calling Translate(va,
 // isa.AccWrite, userMode); repeated stores to recently used pages skip the
-// TLB set scan through a direct-mapped memo revalidated against SATP, the
-// privilege level and the TLB generation on every call. Because the access
-// kind is fixed, the fill-time write-permission check stands while the TLB
-// generation is unchanged (an entry cannot change perms without an insert
-// or flush), so — like the fetch memo, and unlike TranslateData — the hit
-// path skips the per-access permission recheck entirely. Write-denied pages
-// never fill the memo; stores to them take the full path and fault with
-// identical statistics.
+// TLB set scan through the write memo. Because the access kind is fixed, the
+// fill-time write-permission check stands while the memo holds, so — like
+// the fetch memo, and unlike TranslateData — a hit skips the per-access
+// permission recheck. Write-denied pages never fill the memo; stores to them
+// take the full path and fault with identical statistics.
 func (c *Context) TranslateWrite(va uint64, userMode bool) (gpa uint64, refs int, fault *Fault) {
-	vpn := va >> isa.PageShift
-	m := &c.write[vpn&(dataMemoSlots-1)]
-	if m.valid && m.satp == c.Satp && m.user == userMode && m.vpn == vpn {
-		if !m.paged {
-			c.Stats.Translations++
-			return va, 0, nil
-		}
-		if c.TLB.Gen() == m.gen {
-			c.Stats.Translations++
-			c.TLB.Touch(m.entry)
-			return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
-		}
+	m := &c.write[va>>isa.PageShift&(dataMemoSlots-1)]
+	if c.hit(m, va, userMode) {
+		return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
 	}
-	m.valid = false
-	c.Stats.Translations++
-	if !c.Enabled() {
-		*m = dataMemo{valid: true, satp: c.Satp, user: userMode, vpn: vpn}
-		return va, 0, nil
-	}
-	asid := c.asid()
-	if e, ok := c.TLB.LookupRef(asid, va); ok {
-		if f := c.checkTLBPerms(e.Perms, isa.AccWrite, userMode, va); f != nil {
-			return 0, 0, f
-		}
-		*m = dataMemo{valid: true, paged: true, satp: c.Satp, user: userMode,
-			vpn: vpn, gen: c.TLB.Gen(), entry: e, ppn: e.PPN}
-		return e.PPN<<isa.PageShift | va&isa.PageMask, 0, nil
-	}
-	switch c.Style {
-	case StyleShadow:
-		return c.translateShadow(va, isa.AccWrite, userMode, asid)
-	default:
-		return c.translateWalk(va, isa.AccWrite, userMode, asid)
-	}
+	return c.fill(m, va, isa.AccWrite, userMode)
 }
 
 // MaxWalkRefs returns an upper bound on the page-table references a single

@@ -250,18 +250,12 @@ func (c *CPU) Run(budget uint64) Exit {
 			src, slot := c.chainPage, c.chainSlot
 			c.chainArmed = false
 			// Chain consume: a link recorded for the slot that just
-			// redirected control proves this fetch's outcome — the observed
-			// successor PC recurs, the target page's content version is
-			// unchanged, and the translation snapshot revalidates (SATP,
-			// privilege, TLB generation) via ChainFetch, which replays
-			// exactly the bookkeeping the real TranslateFetch below would
-			// perform — so the map lookup and full translation are skipped.
-			if l := src.chainAt(slot); l != nil && l.pc == c.PC &&
-				c.Mem.PageVersion(l.gfn) == l.page.ver &&
-				c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
+			// redirected control proves this fetch's outcome (followLink
+			// replays exactly the bookkeeping of the real TranslateFetch
+			// and icache lookup below), so both are skipped.
+			if l := src.chainAt(slot); c.followLink(l) {
 				p, i, gfn = l.page, uint64(l.tslot), l.gfn
 				hitLink = l
-				ic.noteChainHit(gfn, p)
 			} else {
 				ic.Stats.ChainMisses++
 				recSrc, recSlot = src, slot

@@ -55,11 +55,12 @@ const chainSlots = 32
 // chainLink caches the resolved successor of one chain source: the slot of
 // a control-transfer terminator, or the page-boundary pseudo-terminator
 // (slot instPerPage-1 of a page whose last instruction is straight-line).
-// A link is a pure host-side hint. Consumption proves it exact first: the
-// observed successor PC must recur, the target page's content version must
-// match, and the translation snapshot must revalidate (SATP, privilege, TLB
-// generation) via mmu.Context.ChainFetch — the same counters that guard the
-// fetch memo and the icache itself. Stale links are overwritten latest-wins.
+// A link is a pure host-side hint. Every use proves it exact first, through
+// linkValid or followLink: the observed successor PC must recur, the target
+// page's content version must match, and the translation snapshot must
+// revalidate (SATP, privilege, TLB generation) — the same counters that
+// guard the fetch memo and the icache itself. Stale links are overwritten
+// latest-wins.
 type chainLink struct {
 	valid bool
 	slot  uint16 // source slot (direct-mapped tag)
@@ -160,6 +161,31 @@ func (p *decodedPage) chainAt(slot uint16) *chainLink {
 		return nil
 	}
 	return l
+}
+
+// linkValid is the read-only half of the link proof: l is a recorded link
+// whose observed successor is pc, whose target page's content version is
+// unchanged, and whose translation snapshot still describes a fresh fetch
+// of pc (mmu.CheckFetchSnap). It changes no statistic, so trace formation
+// and trace entry may run it over every constituent link.
+func (c *CPU) linkValid(l *chainLink, pc uint64) bool {
+	return l != nil && l.pc == pc && c.Mem.PageVersion(l.gfn) == l.page.ver &&
+		c.MMU.CheckFetchSnap(&l.snap, pc, c.Priv == PrivU)
+}
+
+// followLink is the consuming half: when l proves the fetch at the current
+// PC — same conditions as linkValid, with mmu.ChainFetch replaying exactly
+// the bookkeeping the real TranslateFetch would perform — it disarms the
+// chain source, replays the icache lookup hit (noteChainHit) and reports
+// true. Otherwise it changes nothing and the caller takes the full path.
+func (c *CPU) followLink(l *chainLink) bool {
+	if l == nil || l.pc != c.PC || c.Mem.PageVersion(l.gfn) != l.page.ver ||
+		!c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
+		return false
+	}
+	c.chainArmed = false
+	c.ICache.noteChainHit(l.gfn, l.page)
+	return true
 }
 
 // setChain records (or overwrites, latest-wins) the resolved successor of

@@ -73,6 +73,54 @@ func TestICacheSelfModifyingCode(t *testing.T) {
 	}
 }
 
+// TestDMAIntoObservedCodePage: device DMA shares the write memo with the
+// CPU, so its coalesced version bump must still fire when the icache has
+// observed the page since the last write. A guest store into its own code
+// page installs the page's write-memo entry, the fetches that follow
+// observe the page version (disarming the entry), and a WriteSpan into the
+// page must then move the version and the fast engine must execute the new
+// bytes — exactly as the reference interpreter does.
+func TestDMAIntoObservedCodePage(t *testing.T) {
+	img := words(
+		isa.Inst{Op: isa.OpADDI, Rd: isa.RegT1, Rs1: isa.RegZero, Imm: 7},     // 0x1000
+		isa.Inst{Op: isa.OpSW, Rs2: isa.RegT1, Rs1: isa.RegZero, Imm: 0x1800}, // 0x1004: store into the code page
+		isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegZero, Imm: 1},     // 0x1008: DMA target
+		isa.Inst{Op: isa.OpHALT}, // 0x100C
+	)
+	patch := words(isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegZero, Imm: 42})
+	fast, ref := newCPUPair(t, img, nil)
+	for _, c := range []*CPU{fast, ref} {
+		if ex := c.Run(1_000_000); ex.Reason != ExitHalt || c.X[isa.RegA0] != 1 {
+			t.Fatalf("first run: exit %v a0=%d", ex, c.X[isa.RegA0])
+		}
+	}
+	if fast.Mem.WMemoFills != 1 {
+		t.Fatalf("the guest store should have filled one write-memo entry, got %d fills", fast.Mem.WMemoFills)
+	}
+	if p := fast.ICache.pages[1]; p == nil || p.ver != fast.Mem.PageVersion(1) {
+		t.Fatal("the fetches after the store should have observed the code page's version")
+	}
+	for _, c := range []*CPU{fast, ref} {
+		before := c.Mem.PageVersion(1)
+		if f := c.Mem.WriteSpan(0x1008, patch); f != nil {
+			t.Fatal(f)
+		}
+		if c.Mem.PageVersion(1) == before {
+			t.Fatal("DMA into an observed page left its version unchanged")
+		}
+		c.PC = 0x1008
+		if ex := c.Run(1_000_000); ex.Reason != ExitHalt {
+			t.Fatalf("second run: exit %v", ex)
+		}
+	}
+	if got := fast.X[isa.RegA0]; got != 42 {
+		t.Fatalf("fast engine a0 = %d, want 42 (executed the stale decode?)", got)
+	}
+	if fast.X != ref.X || fast.Cycles != ref.Cycles || fast.Instret != ref.Instret {
+		t.Fatal("fast and reference engines diverged")
+	}
+}
+
 // TestICacheStreamsHotLoop: a tight loop must be served almost entirely from
 // the decoded cache, with identical architectural outcome.
 func TestICacheStreamsHotLoop(t *testing.T) {

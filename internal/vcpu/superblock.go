@@ -75,10 +75,9 @@ func (c *CPU) blockAdmissible(n, memOps, deadline uint64) bool {
 //
 // Cross-page continuation: a run cut by the page boundary rather than a
 // terminator may continue into the successor page when the boundary's chain
-// link proves the successor still exact — observed PC recurs, target page
-// version unchanged, translation snapshot revalidated by mmu.ChainFetch
-// (which replays precisely the fetch bookkeeping the outer loop's real
-// TranslateFetch would perform) — and the successor run passes its own
+// link proves the successor still exact (linkValid, then followLink, which
+// replays precisely the fetch bookkeeping the outer loop's real
+// TranslateFetch would perform) and the successor run passes its own
 // admission check against the advanced clock. That check is the same
 // decision a fresh block entry at the successor's first instruction would
 // make, and the entry admission proves no loop-top event (quantum, timer
@@ -113,20 +112,15 @@ func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done
 		// in place instead.
 		c.chainPage, c.chainSlot, c.chainArmed = p, instPerPage-1, true
 		l := p.chainAt(instPerPage - 1)
-		if l == nil || l.pc != c.PC || c.Mem.PageVersion(l.gfn) != l.page.ver {
+		if !c.linkValid(l, c.PC) {
 			break
 		}
 		tn := uint64(l.page.blkLen[l.tslot])
 		tm := uint64(l.page.blkMem[l.tslot])
-		if tn == 0 || !c.blockAdmissible(tn, tm, deadline) {
+		if tn == 0 || !c.blockAdmissible(tn, tm, deadline) || !c.followLink(l) {
 			break
 		}
-		if !c.MMU.ChainFetch(&l.snap, c.PC, c.Priv == PrivU) {
-			break
-		}
-		c.chainArmed = false
 		p, gfn, idx, n, memOps = l.page, l.gfn, uint64(l.tslot), tn, tm
-		c.ICache.noteChainHit(gfn, p)
 		c.ICache.Stats.Crossings++
 		c.codeGfn = gfn
 	}

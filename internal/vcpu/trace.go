@@ -10,7 +10,7 @@ import (
 // been consumed hot — traceHotThreshold consecutive validated consumes — the
 // engine follows the links forward and lowers the stable multi-block
 // straight-line run into a trace: one entry check over every constituent
-// page (content version + read-only mmu.CheckFetchSnap revalidation), one
+// link (the read-only linkValid), one
 // wrap-safe horizon admission over the whole run's worst-case cycle span,
 // and then block bodies, inline terminators and page-boundary crossings
 // retire back to back with batched cycle/instret accounting. A trace whose
@@ -21,12 +21,12 @@ import (
 // Invisibility is inherited from the layers below and re-proven at each
 // boundary:
 //
-//   - The entry check is pure reads (CheckFetchSnap does no bookkeeping);
-//     a rejected entry falls back to the block path having changed nothing.
+//   - The entry check is pure reads (linkValid changes no statistic); a
+//     rejected entry falls back to the block path having changed nothing.
 //   - Execution replays exactly what the block path would have done: hop
 //     bodies run through the same retireRun body the superblock engine
 //     uses, hop transitions replay the chain-consume / crossing bookkeeping
-//     (page version + mmu.ChainFetch + noteChainHit) per boundary per pass,
+//     (followLink) per boundary per pass,
 //     and inline terminators replay the per-instruction path's fetch
 //     (ReplayFetch) and icache-hit accounting before executing through the
 //     same executors.
@@ -144,8 +144,7 @@ func (ic *ICache) invalidateTraces() {
 // validated its traceHotThreshold-th consecutive consume. It walks the
 // chain forward from l's target, accepting each continuation only while it
 // is provable right now — the terminator is a pure control transfer with a
-// recorded link whose target page version matches and whose translation
-// snapshot revalidates (read-only CheckFetchSnap; formation must not
+// recorded link that passes the read-only linkValid (formation must not
 // perturb MMU bookkeeping). The walk closes into a loop when it returns to
 // l itself — the entry link is the back edge — which marks the trace
 // tailTerm. A walk that yields fewer than two hops and no closed loop has
@@ -165,7 +164,6 @@ func (c *CPU) formTrace(l *chainLink) {
 	nh := 1
 	var tailLink *chainLink
 	p, slot := headP, headSlot
-	user := c.Priv == PrivU
 	for nh < maxTraceHops {
 		n := uint64(p.blkLen[slot])
 		if n == 0 {
@@ -184,8 +182,7 @@ func (c *CPU) formTrace(l *chainLink) {
 			src = uint16(ts)
 		}
 		nl := p.chainAt(src)
-		if nl == nil || c.Mem.PageVersion(nl.gfn) != nl.page.ver ||
-			!c.MMU.CheckFetchSnap(&nl.snap, nl.pc, user) {
+		if nl == nil || !c.linkValid(nl, nl.pc) {
 			break
 		}
 		if nl == l {
@@ -270,16 +267,13 @@ func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64) int {
 // Run must return ex; otherwise the outer loop resumes at the current PC.
 func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bool) {
 	ic := c.ICache
-	user := c.Priv == PrivU
 	nh := len(tr.hops)
 
 	// Entry check: one read-only validation pass over every constituent
 	// page. Hop 0 needs no revalidation — the outer loop's chain consume
-	// just proved it (PC recurred, version matched, ChainFetch replayed the
-	// fetch bookkeeping). Each later hop is re-derived from the live link
-	// its predecessor's terminator recorded, and must still resolve to the
-	// formation-time successor with an unchanged page version and a
-	// translation snapshot CheckFetchSnap can prove current.
+	// just proved it (followLink). Each later hop is re-derived from the
+	// live link its predecessor's terminator recorded, and must still
+	// resolve to the formation-time successor and pass linkValid.
 	hl := tr.headLink
 	hp, slot := hl.page, uint64(hl.tslot)
 	var totalN, totalMem uint64
@@ -295,9 +289,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 			}
 			l := prev.p.chainAt(src)
 			h := &tr.hops[k]
-			if l == nil || l.pc != h.pc || l.gfn != h.gfn ||
-				c.Mem.PageVersion(l.gfn) != l.page.ver ||
-				!c.MMU.CheckFetchSnap(&l.snap, l.pc, user) {
+			if l == nil || l.gfn != h.gfn || !c.linkValid(l, h.pc) {
 				return c.traceReject(tr)
 			}
 			hp, slot = l.page, uint64(l.tslot)
@@ -318,8 +310,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		last := &tr.rt[nh-1]
 		tl := tr.tailLink
 		if last.term == instPerPage || last.p.chainAt(uint16(last.term)) != tl ||
-			tl.pc != tr.headPC || c.Mem.PageVersion(tl.gfn) != tl.page.ver ||
-			!c.MMU.CheckFetchSnap(&tl.snap, tl.pc, user) {
+			!c.linkValid(tl, tr.headPC) {
 			return c.traceReject(tr)
 		}
 	}
@@ -376,14 +367,11 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				// arm the pseudo-terminator, then prove the recorded link
 				// still exact before following it.
 				c.chainPage, c.chainSlot, c.chainArmed = rt.p, instPerPage-1, true
-				if c.Mem.PageVersion(next.link.gfn) != next.link.page.ver ||
-					!c.MMU.ChainFetch(&next.link.snap, c.PC, user) {
+				if !c.followLink(next.link) {
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
 					return Exit{}, false, true
 				}
-				c.chainArmed = false
-				ic.noteChainHit(next.link.gfn, next.link.page)
 				ic.Stats.Crossings++
 			} else {
 				switch c.traceTerm(rt.p, rt.term, next.link.pc) {
@@ -410,14 +398,11 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				// Terminator transition: replay the chain consume the
 				// outer loop would perform for this armed source.
 				c.chainPage, c.chainSlot, c.chainArmed = rt.p, uint16(rt.term), true
-				if c.Mem.PageVersion(next.link.gfn) != next.link.page.ver ||
-					!c.MMU.ChainFetch(&next.link.snap, c.PC, user) {
+				if !c.followLink(next.link) {
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
 					return Exit{}, false, true
 				}
-				c.chainArmed = false
-				ic.noteChainHit(next.link.gfn, next.link.page)
 			}
 		}
 		last := &tr.rt[nh-1]
@@ -458,18 +443,13 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		c.Instret += retired
 		retired = 0
 		c.chainPage, c.chainSlot, c.chainArmed = last.p, uint16(last.term), true
-		tl := tr.tailLink
-		if !c.blockAdmissible(totalN, totalMem, deadline) ||
-			c.Mem.PageVersion(tl.gfn) != tl.page.ver ||
-			!c.MMU.ChainFetch(&tl.snap, c.PC, user) {
+		if !c.blockAdmissible(totalN, totalMem, deadline) || !c.followLink(tr.tailLink) {
 			// Horizon reached or the back edge went stale: exit armed at
 			// the head boundary; the outer loop's event checks and chain
 			// consume take over at the same instruction.
 			c.codeGfn = mem.NoFrame
 			return Exit{}, false, true
 		}
-		c.chainArmed = false
-		ic.noteChainHit(tl.gfn, tl.page)
 		tr.lastUse = ic.tick
 		ic.Stats.TraceEntries++
 	}

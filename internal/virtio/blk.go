@@ -82,9 +82,9 @@ func (b *Blk) Process(q *Queue, qi int) {
 }
 
 // handle executes one request chain and returns the device-written byte
-// count (data read + status byte). Data moves a sector at a time, so a
-// request that fails part-way has transferred the sectors before the
-// failure; written counts whole descriptors only.
+// count (data read + the status byte, when it lands). Data moves a sector
+// at a time, so a request that fails part-way has transferred the sectors
+// before the failure; written counts whole descriptors only.
 func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 	b.Requests++
 	if len(ch.Buf) < 2 || ch.Buf[0].Device || ch.Buf[0].Len < BlkHeaderSize {
@@ -154,15 +154,22 @@ func (b *Blk) handle(q *Queue, ch Chain) uint32 {
 	case BlkTFlush:
 		// In-memory images are always durable.
 	default:
-		q.WriteTo(status, []byte{BlkSUnsupp})
-		return written + 1
+		return finish(q, status, written, BlkSUnsupp)
 	}
 	code := byte(BlkSOK)
 	if !ok {
 		code = BlkSIOErr
 		b.Errors++
 	}
-	q.WriteTo(status, []byte{code})
+	return finish(q, status, written, code)
+}
+
+// finish writes a request's status byte and returns the chain's
+// device-written count: written, plus the status byte if it landed.
+func finish(q *Queue, status DescBuf, written uint32, code byte) uint32 {
+	if q.WriteTo(status, []byte{code}) != nil {
+		return written
+	}
 	return written + 1
 }
 
@@ -176,8 +183,7 @@ func (b *Blk) fail(q *Queue, ch Chain) uint32 {
 	if len(ch.Buf) > 0 {
 		last := ch.Buf[len(ch.Buf)-1]
 		if last.Device && last.Len >= 1 {
-			q.WriteTo(last, []byte{BlkSIOErr})
-			return 1
+			return finish(q, last, 0, BlkSIOErr)
 		}
 	}
 	return 0

@@ -15,7 +15,12 @@ type Console struct {
 	out bytes.Buffer
 	in  []byte
 
-	// TxDropped counts TX descriptors refused for their length.
+	// txBuf stages one TX descriptor between guest memory and out. It grows
+	// to the longest descriptor served, at most maxDescRead.
+	txBuf []byte
+
+	// TxDropped counts TX descriptors refused for their length or lost to a
+	// DMA fault.
 	TxBytes, RxBytes, TxDropped uint64
 }
 
@@ -52,8 +57,14 @@ func (c *Console) Process(q *Queue, qi int) {
 					c.TxDropped++
 					continue
 				}
-				buf := make([]byte, d.Len)
-				q.ReadFrom(d, buf)
+				if int(d.Len) > len(c.txBuf) {
+					c.txBuf = make([]byte, d.Len)
+				}
+				buf := c.txBuf[:d.Len]
+				if q.ReadFrom(d, buf) != nil {
+					c.TxDropped++
+					continue
+				}
 				c.out.Write(buf)
 				c.TxBytes += uint64(d.Len)
 			}
@@ -93,11 +104,12 @@ func (c *Console) flushInput() {
 			if !d.Device || len(c.in) == 0 {
 				continue
 			}
-			n := int(d.Len)
-			if n > len(c.in) {
-				n = len(c.in)
+			n := min(int(d.Len), len(c.in))
+			if q.WriteTo(d, c.in[:n]) != nil {
+				// The bytes did not land: they stay queued for the next
+				// buffer, and this chain completes with what did.
+				break
 			}
-			q.WriteTo(d, c.in[:n])
 			c.in = c.in[n:]
 			written += uint32(n)
 			c.RxBytes += uint64(n)

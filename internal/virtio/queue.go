@@ -220,8 +220,9 @@ func (q *Queue) ensure(gpa uint64, n int) {
 	}
 }
 
-// ReadFrom copies a descriptor buffer out of guest memory through the span
-// memo: each page resolves once per epoch instead of once per access.
+// ReadFrom copies a descriptor buffer out of guest memory through the read
+// memo (mem.GuestPhys.ReadSpan): a stable page resolves once, not once per
+// access.
 func (q *Queue) ReadFrom(b DescBuf, buf []byte) error {
 	n := int(b.Len)
 	if n > len(buf) {
@@ -234,7 +235,8 @@ func (q *Queue) ReadFrom(b DescBuf, buf []byte) error {
 	return nil
 }
 
-// WriteTo copies data into a device-writable buffer through the span memo.
+// WriteTo copies data into a device-writable buffer through the write memo
+// (mem.GuestPhys.WriteSpan).
 func (q *Queue) WriteTo(b DescBuf, data []byte) error {
 	n := len(data)
 	if n > int(b.Len) {

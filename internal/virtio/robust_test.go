@@ -497,3 +497,92 @@ func TestBalloonGuestSizedDescriptor(t *testing.T) {
 		t.Fatalf("dropped=%d actual=%d reclaimed=%v", bal.Dropped, bal.Actual(), ops.reclaimed)
 	}
 }
+
+// TestConsoleTxFaultDropped: a TX descriptor aimed outside guest RAM is lost
+// to a DMA fault. It is counted in TxDropped and adds nothing to the output;
+// it used to reach Output and TxBytes as the unread buffer's zeros.
+func TestConsoleTxFaultDropped(t *testing.T) {
+	g := newGuest(t, 64)
+	con := NewConsole()
+	d := NewMMIODev("vcon", con, g, nil)
+	con.Bind(d)
+	drv, buf, err := NewDriver(g, d, ConsoleTXQueue, 0x8000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Write(buf, []byte("ok"))
+	if _, err := drv.Submit([]DescBuf{{Addr: g.Size() + 0x1000, Len: 16}, {Addr: buf, Len: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("the chain must complete")
+	}
+	if con.Output() != "ok" || con.TxDropped != 1 || con.TxBytes != 2 {
+		t.Fatalf("output=%q dropped=%d bytes=%d, want \"ok\"/1/2", con.Output(), con.TxDropped, con.TxBytes)
+	}
+}
+
+// TestConsoleRxFaultKeepsInput: input offered to an RX buffer outside guest
+// RAM did not land, so it is neither consumed nor counted: the faulting
+// chain completes empty and the next good buffer receives the input whole.
+// It used to be dropped while written and RxBytes reported it delivered.
+func TestConsoleRxFaultKeepsInput(t *testing.T) {
+	g := newGuest(t, 64)
+	con := NewConsole()
+	d := NewMMIODev("vcon", con, g, nil)
+	con.Bind(d)
+	drv, buf, err := NewDriver(g, d, ConsoleRXQueue, 0xC000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drv.Submit([]DescBuf{{Addr: g.Size() + 0x1000, Len: 64, Device: true}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	con.Feed([]byte("hello"))
+	if _, written, ok := drv.PollUsed(); !ok || written != 0 || con.RxBytes != 0 {
+		t.Fatalf("faulting buffer: ok=%v written=%d rxbytes=%d, want true/0/0", ok, written, con.RxBytes)
+	}
+	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: 64, Device: true}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	if _, written, ok := drv.PollUsed(); !ok || written != 5 || con.RxBytes != 5 {
+		t.Fatalf("good buffer: ok=%v written=%d rxbytes=%d, want true/5/5", ok, written, con.RxBytes)
+	}
+	got := make([]byte, 5)
+	g.Read(buf, got)
+	if string(got) != "hello" {
+		t.Fatalf("rx = %q", got)
+	}
+}
+
+// TestBlkStatusFaultNotCounted: a status descriptor outside guest RAM cannot
+// take the status byte, so the completion must not count it — for a served
+// request and for one failed on its header alike. Both used to report 1.
+func TestBlkStatusFaultNotCounted(t *testing.T) {
+	g, blk, _, drv, bufBase := blkSetup(t, storage.NewRaw(8))
+	var hdr [BlkHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], BlkTFlush)
+	g.Write(bufBase, hdr[:])
+	status := DescBuf{Addr: g.Size() + 0x1000, Len: 1, Device: true}
+	for _, tc := range []struct {
+		name  string
+		chain []DescBuf
+	}{
+		{"flush", []DescBuf{{Addr: bufBase, Len: BlkHeaderSize}, status}},
+		{"device-writable header", []DescBuf{{Addr: bufBase, Len: BlkHeaderSize, Device: true}, status}},
+	} {
+		if _, err := drv.Submit(tc.chain); err != nil {
+			t.Fatal(err)
+		}
+		drv.Kick()
+		if _, written, ok := drv.PollUsed(); !ok || written != 0 {
+			t.Errorf("%s: completion ok=%v written=%d, want true/0", tc.name, ok, written)
+		}
+	}
+	if blk.Requests != 2 {
+		t.Fatalf("Requests = %d, want 2", blk.Requests)
+	}
+}
