@@ -277,7 +277,7 @@ func (vm *VM) fetchCurrent() (isa.Inst, error) {
 	if fault != nil {
 		if fault.Kind == mmu.FaultShadowMiss && vm.MMUCtx.Shadow != nil {
 			root := isa.SatpPPN(cpu.CSR.Satp)
-			if _, ff := vm.MMUCtx.Shadow.Fill(root, cpu.PC, isa.AccExec, cpu.Priv == vcpu.PrivU); ff == nil {
+			if _, fault = vm.MMUCtx.Shadow.Fill(root, cpu.PC, isa.AccExec, cpu.Priv == vcpu.PrivU); fault == nil {
 				gpa, _, fault = vm.MMUCtx.Translate(cpu.PC, isa.AccExec, cpu.Priv == vcpu.PrivU)
 			}
 		}

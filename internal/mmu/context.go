@@ -72,7 +72,7 @@ func (f *Fault) Error() string {
 	case FaultGuest:
 		return fmt.Sprintf("mmu: guest page fault %s at va %#x", isa.CauseName(f.Cause), f.VA)
 	case FaultShadowMiss:
-		return fmt.Sprintf("mmu: shadow miss at va %#x", f.VA)
+		return "mmu: shadow miss" // one shared value: its VA is not the miss's
 	default:
 		return fmt.Sprintf("mmu: host fault at va %#x: %v", f.VA, f.Mem)
 	}
@@ -152,6 +152,7 @@ func NewContext(m *mem.GuestPhys, style Style) *Context {
 	}
 	if style == StyleShadow {
 		c.Shadow = NewEngine(m)
+		c.Shadow.tlb = c.TLB
 	}
 	return c
 }
@@ -466,12 +467,17 @@ func (c *Context) translateWalk(va uint64, acc isa.Access, userMode bool, asid u
 	return gpa, refs, nil
 }
 
+// shadowMiss is the fault every shadow miss returns: one shared value that
+// nothing modifies, so a miss allocates nothing. Its VA is zero; the caller
+// knows the address it translated.
+var shadowMiss = &Fault{Kind: FaultShadowMiss}
+
 func (c *Context) translateShadow(va uint64, acc isa.Access, userMode bool, asid uint16) (uint64, int, *Fault) {
 	root := isa.SatpPPN(c.Satp)
 	e, ok := c.Shadow.Lookup(root, va)
 	if !ok {
 		c.Stats.ShadowMisses++
-		return 0, 0, &Fault{Kind: FaultShadowMiss, VA: va}
+		return 0, 0, shadowMiss
 	}
 	// Walking the shadow tables costs the same as a 1-D walk: that is the
 	// architectural benefit of shadow paging over nested paging.

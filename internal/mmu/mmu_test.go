@@ -316,14 +316,14 @@ func TestShadowInvalidateOnPTWrite(t *testing.T) {
 	e := NewEngine(g)
 	e.Fill(root, 0x5000, isa.AccRead, false)
 	e.Fill(root, 0x6000, isa.AccRead, false)
-	if e.EntryCount(root) != 2 {
-		t.Fatalf("entries = %d", e.EntryCount(root))
+	if entryCount(e, root) != 2 {
+		t.Fatalf("entries = %d", entryCount(e, root))
 	}
 	flush := e.InvalidatePTWrite(root)
 	if len(flush) != 2 {
 		t.Fatalf("flush list = %v", flush)
 	}
-	if e.EntryCount(root) != 0 {
+	if entryCount(e, root) != 0 {
 		t.Fatal("entries should be dropped")
 	}
 	if g.WriteProtected(root) {
