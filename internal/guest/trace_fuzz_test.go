@@ -29,9 +29,10 @@ func (c *fuzzCursor) next() byte {
 
 // buildTraceFuzzImg decodes fuzz bytes into a bounded hot-loop guest: the
 // iteration count, segment layout, per-segment instruction mix, terminator
-// kinds, SMC patch placement and SFENCE cadence all come from the input, so
-// the fuzzer explores chain/SMC/SFENCE interleavings the fixed seeds of the
-// differential suite never pin down. Every decode yields a valid image — the
+// kinds (counted inner loops and alternating branches among them, which
+// keep both ways of a chain set live), SMC patch placement and SFENCE
+// cadence all come from the input, so the fuzzer explores chain/SMC/SFENCE
+// interleavings the fixed seeds of the differential suite never pin down. Every decode yields a valid image — the
 // instruction vocabulary is closed and labels always resolve.
 func buildTraceFuzzImg(data []byte) ([]byte, error) {
 	c := &fuzzCursor{data: data}
@@ -88,7 +89,7 @@ func buildTraceFuzzImg(data []byte) ([]byte, error) {
 			b.Label("patch_slot")
 			b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 1)
 		}
-		switch c.next() % 4 {
+		switch c.next() % 6 {
 		case 0: // fallthrough
 		case 1:
 			b.Branch(isa.OpBNE, isa.RegS0, isa.RegZero, seg(i+1))
@@ -96,6 +97,25 @@ func buildTraceFuzzImg(data []byte) ([]byte, error) {
 			b.Branch(isa.OpBEQ, isa.RegS0, isa.RegZero, seg(i+1))
 		case 3:
 			b.J(seg(i + 1))
+		case 4:
+			// Counted inner loop of 2–40 trips: its back edge exits on
+			// every outer pass, so both of the branch's ways stay live.
+			inner := fmt.Sprintf("inner%d", i)
+			b.Li(isa.RegT4, uint64(2+int(c.next())%39))
+			b.Label(inner)
+			b.I(isa.OpADDI, isa.RegA5, isa.RegA5, 1)
+			b.R(isa.OpXOR, isa.RegA1, isa.RegA1, isa.RegA5)
+			b.I(isa.OpADDI, isa.RegT4, isa.RegT4, -1)
+			b.Branch(isa.OpBNE, isa.RegT4, isa.RegZero, inner)
+		case 5:
+			// A branch whose direction flips every 1, 2, 4 or 8 outer
+			// passes: both ways are recorded, and other sources sharing
+			// the set compete with them for way replacement.
+			alt := fmt.Sprintf("alt%d", i)
+			b.I(isa.OpANDI, isa.RegT5, isa.RegS2, int64(1)<<(c.next()%4))
+			b.Branch(isa.OpBEQ, isa.RegT5, isa.RegZero, alt)
+			b.I(isa.OpADDI, isa.RegA6, isa.RegA6, 1)
+			b.Label(alt)
 		}
 	}
 	b.Label(seg(nseg))
@@ -131,12 +151,24 @@ func buildTraceFuzzImg(data []byte) ([]byte, error) {
 // interleavings.
 func FuzzTraceFormation(f *testing.F) {
 	// Seeds: a calm hot loop (pure formation), SMC mid-run, dense fences,
-	// fences plus SMC, and a branchy multi-segment layout.
+	// fences plus SMC, a branchy multi-segment layout, two counted inner
+	// loops, an inner loop between two alternating branches with a page
+	// straddle, SMC and fences, and two alternating branches with SMC.
 	f.Add([]byte{96, 0, 0, 1, 0, 0, 4, 8, 0, 1, 2, 3, 4, 5, 6, 7, 0})
 	f.Add([]byte{72, 1, 0, 0, 0, 1, 6, 12, 5, 4, 3, 2, 1, 0, 3})
 	f.Add([]byte{60, 0, 0, 1, 1, 0, 2, 16, 7, 7, 7, 7, 1})
 	f.Add([]byte{88, 1, 1, 0, 2, 0, 0, 20, 6, 5, 4, 3, 2, 1, 0, 2})
 	f.Add([]byte{48, 3, 2, 0, 3, 1, 2, 9, 1, 3, 1, 0, 1, 2, 0, 9, 2, 3, 1, 7, 3, 0, 1, 9, 3})
+	f.Add([]byte{60, 0, 0, 1, 0,
+		1, 0, 6, 6, 6, 6, 6, 6, 6, 6, 4, 14,
+		1, 0, 6, 6, 6, 6, 6, 6, 6, 6, 4, 3})
+	f.Add([]byte{40, 1, 1, 0, 1,
+		0, 3, 4, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 5, 1,
+		1, 0, 6, 6, 6, 6, 6, 6, 6, 6, 4, 38,
+		1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 5, 0})
+	f.Add([]byte{20, 0, 0, 0, 0,
+		1, 2, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 5, 3,
+		1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 5, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {

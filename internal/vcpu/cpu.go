@@ -78,8 +78,8 @@ type CPU struct {
 	// armed state — left over from a trap, interrupt or VM exit landing
 	// between arm and fetch — is harmless: consumption proves the link
 	// exact (successor PC, page version, translation snapshot) before use,
-	// and a mismatched record just parks a latest-wins link that will not
-	// validate until the observed successor recurs.
+	// and a mismatched record just parks a link that will not validate
+	// until the observed successor recurs.
 	chainPage  *decodedPage
 	chainSlot  uint16
 	chainArmed bool
@@ -250,10 +250,10 @@ func (c *CPU) Run(budget uint64) Exit {
 			src, slot := c.chainPage, c.chainSlot
 			c.chainArmed = false
 			// Chain consume: a link recorded for the slot that just
-			// redirected control proves this fetch's outcome (followLink
-			// replays exactly the bookkeeping of the real TranslateFetch
-			// and icache lookup below), so both are skipped.
-			if l := src.chainAt(slot); c.followLink(l) {
+			// redirected control to this PC proves this fetch's outcome
+			// (followLink replays exactly the bookkeeping of the real
+			// TranslateFetch and icache lookup below), so both are skipped.
+			if l := src.chainAt(slot, c.PC); c.followLink(l) {
 				p, i, gfn = l.page, uint64(l.tslot), l.gfn
 				hitLink = l
 			} else {
@@ -276,8 +276,7 @@ func (c *CPU) Run(budget uint64) Exit {
 			p = ic.lookup(c.Mem, gfn)
 			if p != nil && recSrc != nil {
 				// Chain record: the real fetch just resolved the armed
-				// slot's successor; park it with the translation snapshot,
-				// latest-wins.
+				// slot's successor; park it with the translation snapshot.
 				ic.setChain(recSrc, recSlot, c.PC, p, gfn, uint16(i), c.MMU.SnapFetch())
 			}
 		}

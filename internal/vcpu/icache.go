@@ -43,27 +43,36 @@ type decodedPage struct {
 	raw     [instPerPage]uint32
 	blkLen  [instPerPage]uint16
 	blkMem  [instPerPage]uint16
-	chain   [chainSlots]chainLink
+	chain   [chainSets][chainWays]chainLink
 }
 
-// chainSlots sizes the per-page block-chain table, direct-mapped on the low
-// bits of the source slot. Chain sources are sparse — one back-edge per loop
-// plus the page-boundary fallthrough — so a small table covers the hot
-// successors while bounding the per-page footprint.
-const chainSlots = 32
+// The per-page block-chain table is set-associative: chainSets sets, chosen
+// by the low bits of the source slot, of chainWays ways each. Chain sources
+// are sparse — a few branches per loop plus the page-boundary fallthrough —
+// so 32 links cover the hot successors while bounding the per-page
+// footprint. Two ways let a conditional branch keep its taken and its
+// fall-through successor side by side (QEMU's two jump slots per
+// translation block): a loop's exit edge no longer evicts its back edge, or
+// the trace hanging off it.
+const (
+	chainSets = 16
+	chainWays = 2
+)
 
-// chainLink caches the resolved successor of one chain source: the slot of
-// a control-transfer terminator, or the page-boundary pseudo-terminator
-// (slot instPerPage-1 of a page whose last instruction is straight-line).
-// A link is a pure host-side hint. Every use proves it exact first, through
-// linkValid or followLink: the observed successor PC must recur, the target
-// page's content version must match, and the translation snapshot must
-// revalidate (SATP, privilege, TLB generation) — the same counters that
-// guard the fetch memo and the icache itself. Stale links are overwritten
-// latest-wins.
+// chainLink caches one resolved successor of a chain source: the slot of a
+// control-transfer terminator, or the page-boundary pseudo-terminator (slot
+// instPerPage-1 of a page whose last instruction is straight-line). A
+// source may hold a link per way, told apart by successor PC. A link is a
+// pure host-side hint. Every use proves it exact first, through linkValid
+// or followLink: the observed successor PC must recur, the target page's
+// content version must match, and the translation snapshot must revalidate
+// (SATP, privilege, TLB generation) — the same counters that guard the
+// fetch memo and the icache itself. A stale link is re-recorded in place;
+// a new successor replaces the set's least recently recorded way.
 type chainLink struct {
 	valid bool
-	slot  uint16 // source slot (direct-mapped tag)
+	mru   bool   // the most recently recorded way of its set
+	slot  uint16 // source slot (set tag)
 	tslot uint16 // target slot within the successor page
 	heat  uint16 // consecutive validated consumes; trace forms at threshold
 	pc    uint64 // successor virtual PC observed at record time
@@ -140,6 +149,7 @@ func (ic *ICache) lookup(g *mem.GuestPhys, gfn uint64) *decodedPage {
 	}
 	if p.ver != g.PageVersion(gfn) {
 		ic.Stats.Invalidations++
+		ic.releasePage(p)
 		delete(ic.pages, gfn)
 		ic.curGfn, ic.cur = mem.NoFrame, nil
 		return nil
@@ -154,13 +164,40 @@ func (ic *ICache) lookup(g *mem.GuestPhys, gfn uint64) *decodedPage {
 	return p
 }
 
-// chainAt returns the live chain link recorded for source slot, or nil.
-func (p *decodedPage) chainAt(slot uint16) *chainLink {
-	l := &p.chain[slot&(chainSlots-1)]
-	if !l.valid || l.slot != slot {
-		return nil
+// chainAt returns the link recorded for source slot with successor pc, or
+// nil. It runs on every armed terminator, so the two-way probe is unrolled
+// to stay within the inliner's budget.
+func (p *decodedPage) chainAt(slot uint16, pc uint64) *chainLink {
+	s := &p.chain[slot&(chainSets-1)]
+	if l := &s[0]; l.valid && l.slot == slot && l.pc == pc {
+		return l
 	}
-	return l
+	if l := &s[1]; l.valid && l.slot == slot && l.pc == pc {
+		return l
+	}
+	return nil
+}
+
+// chainWalk returns the link trace formation follows from source slot,
+// whose successor it cannot know in advance: entry itself when it is one of
+// the slot's ways (the walk closed a loop), else the slot's most recently
+// recorded way, or nil.
+func (p *decodedPage) chainWalk(slot uint16, entry *chainLink) *chainLink {
+	s := &p.chain[slot&(chainSets-1)]
+	var pick *chainLink
+	for w := range s {
+		l := &s[w]
+		if !l.valid || l.slot != slot {
+			continue
+		}
+		if l == entry {
+			return l
+		}
+		if pick == nil || l.mru {
+			pick = l
+		}
+	}
+	return pick
 }
 
 // linkValid is the read-only half of the link proof: l is a recorded link
@@ -188,14 +225,41 @@ func (c *CPU) followLink(l *chainLink) bool {
 	return true
 }
 
-// setChain records (or overwrites, latest-wins) the resolved successor of
-// source slot: the successor's predecoded page, slot, observed PC and the
-// fetch-translation snapshot ChainFetch will revalidate on consumption.
+// setChain records the resolved successor of source slot: the successor's
+// predecoded page, slot, observed PC and the fetch-translation snapshot
+// ChainFetch will revalidate on consumption. It overwrites the way already
+// holding this (slot, pc) successor, else the set's least recently recorded
+// way. The overwritten link's heat starts over, and a trace hanging off it
+// leaves the store with it, so the store never holds a trace no link enters.
 func (ic *ICache) setChain(p *decodedPage, slot uint16, pc uint64, target *decodedPage, gfn uint64, tslot uint16, snap mmu.FetchSnap) {
-	p.chain[slot&(chainSlots-1)] = chainLink{
-		valid: true, slot: slot, tslot: tslot, pc: pc, gfn: gfn, page: target, snap: snap,
+	s := &p.chain[slot&(chainSets-1)]
+	l := p.chainAt(slot, pc)
+	if l == nil {
+		l = &s[0]
+		if l.mru {
+			l = &s[1]
+		}
+	}
+	if l.tr != nil {
+		ic.dropTrace(l.tr)
+	}
+	s[0].mru, s[1].mru = false, false
+	*l = chainLink{
+		valid: true, mru: true, slot: slot, tslot: tslot, pc: pc, gfn: gfn, page: target, snap: snap,
 	}
 	ic.Stats.ChainResolves++
+}
+
+// releasePage drops the traces entered through p's links: p is leaving the
+// cache, and its links with it.
+func (ic *ICache) releasePage(p *decodedPage) {
+	for s := range p.chain {
+		for w := range p.chain[s] {
+			if tr := p.chain[s][w].tr; tr != nil {
+				ic.dropTrace(tr)
+			}
+		}
+	}
 }
 
 // noteChainHit replays the icache bookkeeping of a lookup hit for a block
@@ -265,6 +329,7 @@ func (ic *ICache) evictOne() {
 	if vp == nil {
 		return
 	}
+	ic.releasePage(vp)
 	delete(ic.pages, victim)
 	if victim == ic.curGfn {
 		ic.curGfn, ic.cur = mem.NoFrame, nil

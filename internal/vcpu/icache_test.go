@@ -3,6 +3,7 @@ package vcpu
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"govisor/internal/isa"
 	"govisor/internal/mem"
@@ -302,5 +303,16 @@ func TestICacheQuantumAndTraps(t *testing.T) {
 	}
 	if cached.X[isa.RegA0] != 200*7 {
 		t.Fatalf("a0 = %d", cached.X[isa.RegA0])
+	}
+}
+
+// TestDecodedPageSize: the chain table's geometry is paid for in every
+// cached page. Two ways of 16 sets hold 32 links, and the MRU bit sits in
+// chainLink's padding, so a page stays in the runtime's 28,672 B size
+// class; 32 two-way sets would push it into the next one and show in
+// alloc_mib on every workload.
+func TestDecodedPageSize(t *testing.T) {
+	if n := unsafe.Sizeof(decodedPage{}); n > 28672 {
+		t.Fatalf("decodedPage is %d B, past the 28,672 B size class", n)
 	}
 }

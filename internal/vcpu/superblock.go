@@ -111,7 +111,7 @@ func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done
 		// link that validates and admits right now lets the block continue
 		// in place instead.
 		c.chainPage, c.chainSlot, c.chainArmed = p, instPerPage-1, true
-		l := p.chainAt(instPerPage - 1)
+		l := p.chainAt(instPerPage-1, c.PC)
 		if !c.linkValid(l, c.PC) {
 			break
 		}

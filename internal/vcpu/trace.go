@@ -6,17 +6,21 @@ import (
 )
 
 // Hot-trace execution: the layer above block chaining. The chain cache
-// (icache.go) records each terminator's validated successor; once a link has
-// been consumed hot — traceHotThreshold consecutive validated consumes — the
-// engine follows the links forward and lowers the stable multi-block
-// straight-line run into a trace: one entry check over every constituent
-// link (the read-only linkValid), one
-// wrap-safe horizon admission over the whole run's worst-case cycle span,
-// and then block bodies, inline terminators and page-boundary crossings
-// retire back to back with batched cycle/instret accounting. A trace whose
-// tail terminator re-enters its own head (a hot loop) keeps iterating inside
-// the trace, paying the outer fetch loop once per pass instead of once per
-// block.
+// (icache.go) records up to two validated successors per terminator, one
+// per way; once a link has been consumed hot — traceHotThreshold validated
+// consumes — the engine follows the links forward and lowers the stable
+// multi-block straight-line run into a trace: one entry check over every
+// constituent link (the read-only linkValid), one wrap-safe horizon
+// admission over the whole run's worst-case cycle span, and then block
+// bodies, inline terminators and page-boundary crossings retire back to
+// back with batched cycle/instret accounting. A trace whose tail terminator
+// re-enters its own head (a hot loop) keeps iterating inside the trace,
+// paying the outer fetch loop once per pass instead of once per block.
+//
+// A trace lives as long as its entry link: leaving the loop records the
+// exit edge in the branch's other way, so the back edge — and the trace
+// hanging off it — is still there when the loop runs again. A link that is
+// overwritten takes its trace out of the store (setChain).
 //
 // Invisibility is inherited from the layers below and re-proven at each
 // boundary:
@@ -55,8 +59,11 @@ const (
 	// maxTraces bounds the per-CPU trace store; registration past the bound
 	// evicts the least recently entered trace.
 	maxTraces = 64
-	// traceFailLimit is how many consecutive entry rejections a trace
-	// survives before it is dropped for re-formation from fresh links.
+	// traceFailLimit is how many failures — entry rejections, and passes
+	// that leave the trace at an inner hop — a trace survives between two
+	// completed passes before it is dropped. The entry link's heat stays
+	// pinned at the threshold, so the same shape is not re-formed until the
+	// link is re-recorded.
 	traceFailLimit = 4
 )
 
@@ -85,13 +92,13 @@ type rtHop struct {
 
 // trace is a lowered multi-block run, entered through headLink. tailTerm
 // marks a closed loop: the last hop's terminator was observed (at formation)
-// to re-enter the head through tailLink, so an admitted pass may iterate.
+// to re-enter the head through headLink itself, so an admitted pass may
+// iterate.
 type trace struct {
 	headPC   uint64
 	headGfn  uint64
 	tailTerm bool
 	headLink *chainLink
-	tailLink *chainLink
 	hops     []traceHop
 	rt       [maxTraceHops]rtHop
 	lastUse  uint64
@@ -115,10 +122,9 @@ func (ic *ICache) registerTrace(tr *trace) {
 	ic.Stats.TraceFormations++
 }
 
-// dropTrace removes a trace from the store and unhooks its entry link.
-// The headLink identity check matters: setChain overwrites link structs
-// wholesale (clearing tr and heat), so the slot may already belong to a
-// newer trace this one must not orphan.
+// dropTrace removes a trace from the store and unhooks its entry link. A
+// registered trace is always its head link's: every path that overwrites a
+// link or discards its page drops the link's trace first.
 func (ic *ICache) dropTrace(tr *trace) {
 	for i, t := range ic.traces {
 		if t == tr {
@@ -126,18 +132,8 @@ func (ic *ICache) dropTrace(tr *trace) {
 			break
 		}
 	}
-	if tr.headLink.tr == tr {
-		tr.headLink.tr = nil
-	}
+	tr.headLink.tr = nil
 	ic.Stats.TraceInvalidations++
-}
-
-// invalidateTraces drops every registered trace — the big hammer for
-// whole-cache resets; steady-state staleness is handled per entry check.
-func (ic *ICache) invalidateTraces() {
-	for len(ic.traces) > 0 {
-		ic.dropTrace(ic.traces[len(ic.traces)-1])
-	}
 }
 
 // formTrace attempts to lower a trace through l, a chain link that just
@@ -145,11 +141,12 @@ func (ic *ICache) invalidateTraces() {
 // chain forward from l's target, accepting each continuation only while it
 // is provable right now — the terminator is a pure control transfer with a
 // recorded link that passes the read-only linkValid (formation must not
-// perturb MMU bookkeeping). The walk closes into a loop when it returns to
-// l itself — the entry link is the back edge — which marks the trace
-// tailTerm. A walk that yields fewer than two hops and no closed loop has
-// nothing to amortize; the heat resets so formation retries after the
-// links warm further.
+// perturb MMU bookkeeping). At a terminator with two recorded ways the walk
+// closes into a loop when one of them is l itself — the entry link is the
+// back edge — which marks the trace tailTerm; otherwise it follows the way
+// recorded most recently. A walk that yields fewer than two hops and no
+// closed loop has nothing to amortize; the heat resets so formation retries
+// after the links warm further.
 func (c *CPU) formTrace(l *chainLink) {
 	headP, headSlot := l.page, uint64(l.tslot)
 	if uint64(headP.blkLen[headSlot]) < 2 {
@@ -162,7 +159,7 @@ func (c *CPU) formTrace(l *chainLink) {
 	var hops [maxTraceHops]traceHop
 	hops[0] = traceHop{pc: l.pc, gfn: l.gfn}
 	nh := 1
-	var tailLink *chainLink
+	closed := false
 	p, slot := headP, headSlot
 	for nh < maxTraceHops {
 		n := uint64(p.blkLen[slot])
@@ -181,14 +178,14 @@ func (c *CPU) formTrace(l *chainLink) {
 			}
 			src = uint16(ts)
 		}
-		nl := p.chainAt(src)
+		nl := p.chainWalk(src, l)
 		if nl == nil || !c.linkValid(nl, nl.pc) {
 			break
 		}
 		if nl == l {
 			// The walk consumed its own entry link: a closed loop whose
 			// tail re-enters the head every pass.
-			tailLink = nl
+			closed = true
 			break
 		}
 		if nl.page.blkLen[nl.tslot] == 0 {
@@ -198,26 +195,28 @@ func (c *CPU) formTrace(l *chainLink) {
 		nh++
 		p, slot = nl.page, uint64(nl.tslot)
 	}
-	if tailLink == nil && nh < 2 {
+	if !closed && nh < 2 {
 		l.heat = 0
 		return
 	}
-	tr := &trace{headPC: l.pc, headGfn: l.gfn, headLink: l, tailTerm: tailLink != nil, tailLink: tailLink}
+	tr := &trace{headPC: l.pc, headGfn: l.gfn, headLink: l, tailTerm: closed}
 	tr.hops = append(tr.hops, hops[:nh]...)
 	c.ICache.registerTrace(tr)
 	l.tr = tr
 }
 
-// traceReject records an entry-check failure: the trace demotes to the
-// block path for this dispatch, and traceFailLimit consecutive rejections
-// drop it entirely so formation can restart from fresh links.
-func (c *CPU) traceReject(tr *trace) (Exit, bool, bool) {
+// traceFail records a demotion that is the trace's own failure: an entry
+// check that no longer validates (dispatched false — the block path runs
+// this dispatch, nothing perturbed), or a pass that left the trace at an
+// inner hop (dispatched true). traceFailLimit failures without a completed
+// pass in between drop the trace.
+func (c *CPU) traceFail(tr *trace, dispatched bool) (Exit, bool, bool) {
 	c.ICache.Stats.TraceDemotions++
 	tr.fails++
 	if tr.fails >= traceFailLimit {
 		c.ICache.dropTrace(tr)
 	}
-	return Exit{}, false, false
+	return Exit{}, false, dispatched
 }
 
 // traceTerm statuses.
@@ -287,17 +286,17 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 			if prev.term == instPerPage {
 				src = instPerPage - 1
 			}
-			l := prev.p.chainAt(src)
 			h := &tr.hops[k]
+			l := prev.p.chainAt(src, h.pc)
 			if l == nil || l.gfn != h.gfn || !c.linkValid(l, h.pc) {
-				return c.traceReject(tr)
+				return c.traceFail(tr, false)
 			}
 			hp, slot = l.page, uint64(l.tslot)
 			rt.link, rt.gfn = l, l.gfn
 		}
 		n := uint64(hp.blkLen[slot])
 		if n == 0 {
-			return c.traceReject(tr)
+			return c.traceFail(tr, false)
 		}
 		rt.p, rt.slot, rt.n, rt.term = hp, slot, n, slot+n
 		totalN += n
@@ -308,10 +307,9 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 	}
 	if tr.tailTerm {
 		last := &tr.rt[nh-1]
-		tl := tr.tailLink
-		if last.term == instPerPage || last.p.chainAt(uint16(last.term)) != tl ||
-			!c.linkValid(tl, tr.headPC) {
-			return c.traceReject(tr)
+		if last.term == instPerPage || last.p.chainAt(uint16(last.term), tr.headPC) != hl ||
+			!c.linkValid(hl, tr.headPC) {
+			return c.traceFail(tr, false)
 		}
 	}
 
@@ -328,7 +326,6 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		// boundaries land exactly where the untraced run puts them.
 		return Exit{}, false, false
 	}
-	tr.fails = 0
 	tr.lastUse = ic.tick
 	ic.Stats.TraceEntries++
 
@@ -387,12 +384,12 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 					// Control left the trace mid-pass (a branch changed
 					// polarity). Arm the source so the outer loop records
 					// or consumes the new edge, exactly as the
-					// per-instruction path would have.
+					// per-instruction path would have. A trace that leaves
+					// this way on every entry is dropped (traceFailLimit).
 					retired++
 					c.chainPage, c.chainSlot, c.chainArmed = rt.p, uint16(rt.term), true
 					flushExit(retired)
-					ic.Stats.TraceDemotions++
-					return Exit{}, false, true
+					return c.traceFail(tr, true)
 				}
 				retired++
 				// Terminator transition: replay the chain consume the
@@ -405,6 +402,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				}
 			}
 		}
+		tr.fails = 0 // every hop retired: a completed pass
 		last := &tr.rt[nh-1]
 		if !tr.tailTerm {
 			if last.term == instPerPage {
@@ -443,7 +441,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		c.Instret += retired
 		retired = 0
 		c.chainPage, c.chainSlot, c.chainArmed = last.p, uint16(last.term), true
-		if !c.blockAdmissible(totalN, totalMem, deadline) || !c.followLink(tr.tailLink) {
+		if !c.blockAdmissible(totalN, totalMem, deadline) || !c.followLink(tr.headLink) {
 			// Horizon reached or the back edge went stale: exit armed at
 			// the head boundary; the outer loop's event checks and chain
 			// consume take over at the same instruction.

@@ -23,6 +23,125 @@ func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
 	}
 }
 
+// checkTraceStore asserts the trace store holds exactly the traces hanging
+// off the cached pages' chain links: each registered trace once, each still
+// carried by its head link (no orphan waiting for LRU eviction), and no link
+// carrying a trace the store does not hold.
+func checkTraceStore(t *testing.T, ic *ICache) {
+	t.Helper()
+	registered := make(map[*trace]bool, len(ic.traces))
+	for _, tr := range ic.traces {
+		if registered[tr] {
+			t.Fatalf("trace at %#x registered twice", tr.headPC)
+		}
+		registered[tr] = true
+		if tr.headLink.tr != tr {
+			t.Fatalf("orphan trace at %#x: its head link no longer carries it", tr.headPC)
+		}
+	}
+	carried := 0
+	for gfn, p := range ic.pages {
+		for s := range p.chain {
+			for w := range p.chain[s] {
+				l := &p.chain[s][w]
+				if l.tr == nil {
+					continue
+				}
+				if !registered[l.tr] {
+					t.Fatalf("page %#x: link to %#x carries an unregistered trace", gfn, l.pc)
+				}
+				carried++
+			}
+		}
+	}
+	if carried != len(ic.traces) {
+		t.Fatalf("%d traces registered, %d carried by cached links", len(ic.traces), carried)
+	}
+}
+
+// nestedLoopImg is an outer loop of outer passes around a counted inner
+// loop of 16 iterations. The outer block runs straight into the inner body,
+// so the inner branch is taken on the first hop of every outer pass and
+// falls through once per pass.
+func nestedLoopImg(t *testing.T, outer uint64) (img []byte, outerBack, outerTop uint64) {
+	t.Helper()
+	b := asm.NewBuilder(0x1000)
+	b.Li(isa.RegS0, outer)
+	b.Label("outer")
+	b.Li(isa.RegT0, 16)
+	b.Label("inner")
+	b.I(isa.OpADDI, isa.RegA0, isa.RegA0, 1)
+	b.I(isa.OpADDI, isa.RegA1, isa.RegA1, 1)
+	b.I(isa.OpADDI, isa.RegT0, isa.RegT0, -1)
+	b.Branch(isa.OpBNE, isa.RegT0, isa.RegZero, "inner")
+	b.I(isa.OpADDI, isa.RegS0, isa.RegS0, -1)
+	b.Label("outer_back")
+	b.Branch(isa.OpBNE, isa.RegS0, isa.RegZero, "outer")
+	b.Halt(0)
+	img, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outerBack, _ = b.LabelAddr("outer_back")
+	outerTop, _ = b.LabelAddr("outer")
+	return img, outerBack, outerTop
+}
+
+// TestTraceSurvivesLoopExit: the inner loop's exit edge takes its branch's
+// second way, so the back edge keeps its link and its trace across outer
+// passes. Formations must not grow with the outer count; with one link per
+// branch the exit evicted the trace and every pass re-formed it.
+func TestTraceSurvivesLoopExit(t *testing.T) {
+	formations := map[uint64]uint64{}
+	for _, n := range []uint64{100, 1000} {
+		img, _, _ := nestedLoopImg(t, n)
+		traced, plain := newCPUPair(t, img, nil)
+		runPairToHalt(t, fmt.Sprintf("loop-exit-%d", n), traced, plain)
+		st := traced.ICache.Stats
+		if st.TraceEntries < 12*n {
+			t.Errorf("outer %d: %d trace entries, want ≥ %d: %+v", n, st.TraceEntries, 12*n, st)
+		}
+		checkTraceStore(t, traced.ICache)
+		formations[n] = st.TraceFormations
+	}
+	if formations[100] != formations[1000] {
+		t.Fatalf("trace formations grow with the outer count: %v", formations)
+	}
+}
+
+// TestTraceMidPassDivergenceDrops: the outer loop's trace is formed through
+// the inner branch's fall-through way, but on every entry the branch is
+// taken into the inner loop — the pass leaves the trace at an inner hop.
+// Those divergences count toward traceFailLimit, so the trace is dropped
+// after traceFailLimit entries and its entry link stays pinned; before,
+// each admission reset the count and the trace demoted once per outer pass
+// forever.
+func TestTraceMidPassDivergenceDrops(t *testing.T) {
+	demotions := map[uint64]uint64{}
+	for _, n := range []uint64{100, 1000} {
+		img, back, top := nestedLoopImg(t, n)
+		traced, plain := newCPUPair(t, img, nil)
+		runPairToHalt(t, fmt.Sprintf("diverge-%d", n), traced, plain)
+		st := traced.ICache.Stats
+		page := traced.ICache.pages[back>>isa.PageShift]
+		l := page.chainAt(uint16(back&isa.PageMask/4), top)
+		if l == nil {
+			t.Fatalf("outer %d: no link through the outer back edge", n)
+		}
+		if l.tr != nil || l.heat != traceHotThreshold || st.TraceInvalidations == 0 {
+			t.Fatalf("outer %d: outer trace not dropped and pinned: tr=%v heat=%d %+v", n, l.tr, l.heat, st)
+		}
+		if st.TraceDemotions != traceFailLimit {
+			t.Errorf("outer %d: %d demotions, want the outer trace's %d failed entries: %+v",
+				n, st.TraceDemotions, traceFailLimit, st)
+		}
+		demotions[n] = st.TraceDemotions
+	}
+	if demotions[100] != demotions[1000] {
+		t.Fatalf("demotions grow with the outer count: %v", demotions)
+	}
+}
+
 // TestTraceFormationAndLoop: the boundary-straddling hot loop must promote
 // to a closed-loop trace (one formation, one entry per iteration) and stay
 // byte-identical to the reference interpreter.
@@ -145,6 +264,9 @@ func TestTraceSMCMidTraceConstituent(t *testing.T) {
 	if st.TraceDemotions == 0 {
 		t.Fatalf("SMC into a constituent page never demoted: %+v", st)
 	}
+	// The patched page holds the loop's back edge, so its refill discarded
+	// the head link of the trace formed before the patch.
+	checkTraceStore(t, traced.ICache)
 }
 
 // TestTraceSfenceBetweenFormationAndEntry: SFENCE.VMA between formation and
@@ -309,6 +431,7 @@ func TestTraceStoreEviction(t *testing.T) {
 	if len(traced.ICache.traces) > maxTraces {
 		t.Fatalf("trace store over bound: %d", len(traced.ICache.traces))
 	}
+	checkTraceStore(t, traced.ICache)
 }
 
 // TestTraceFailedFormationAllocatesNothing: a hot back edge into a block that
@@ -333,7 +456,9 @@ func TestTraceFailedFormationAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	back, _ := b.LabelAddr("back")
-	// Stop mid-loop: the exit edge would overwrite the back edge's link.
+	loop, _ := b.LabelAddr("loop")
+	// Stop mid-loop with the back edge hot. (Its link would outlive the
+	// loop's exit too: the exit edge is recorded in the branch's other way.)
 	c := newCPU(t, New, img, 0x1000)
 	if ex := c.Run(2000); ex.Reason != ExitQuantum {
 		t.Fatalf("exit = %v (pc=%#x)", ex, c.PC)
@@ -342,7 +467,7 @@ func TestTraceFailedFormationAllocatesNothing(t *testing.T) {
 	if page == nil {
 		t.Fatal("code page not in the icache")
 	}
-	l := page.chainAt(uint16(back & isa.PageMask / 4))
+	l := page.chainAt(uint16(back&isa.PageMask/4), loop)
 	if l == nil || l.page.blkLen[l.tslot] < 2 {
 		t.Fatalf("no chain link through the loop's back edge: %+v", l)
 	}
