@@ -171,7 +171,10 @@ type VM struct {
 
 	// PageSource, when set, resolves not-present pages from a remote host
 	// (post-copy live migration). It returns the page content and true, or
-	// false to fall back to demand-zero allocation.
+	// false to fall back to demand-zero allocation. The returned slice is
+	// only read, and only until the hook is called again: it may alias the
+	// migration wire's receive buffer, so handleHostFault copies it into
+	// guest RAM at once.
 	PageSource func(gfn uint64) ([]byte, bool)
 
 	// ReclaimHook, when set, is invoked when the host pool is exhausted;

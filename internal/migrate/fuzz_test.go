@@ -3,7 +3,6 @@ package migrate
 import (
 	"bytes"
 	"io"
-	"reflect"
 	"testing"
 
 	"govisor/internal/core"
@@ -54,7 +53,7 @@ func seedFrames() []byte {
 	bitmapSet(present, 511)
 	add(ftHello, encodeHello(helloMsg{NPages: fuzzNPages, Mode: PreCopy}))
 	add(ftWelcome, encodeWelcome(welcomeMsg{AckedRounds: 3, Committed: false}))
-	add(ftPages, encodeRuns([]pageRun{
+	add(ftPages, refEncodeRuns([]refRun{
 		{Start: 0, Count: 4, Zero: true},
 		{Start: 4, Count: 1, Data: page},
 	}))
@@ -64,7 +63,7 @@ func seedFrames() []byte {
 	add(ftCommit, encodeCommit(commitMsg{Downtime: 819, Mode: PostCopy, Present: present}))
 	add(ftCommitAck, nil)
 	add(ftPull, encodeU64(17))
-	add(ftPage, encodePage(pageMsg{GFN: 17, Have: true, Data: page}))
+	add(ftPage, appendPage(nil, pageMsg{GFN: 17, Have: true, Data: page}))
 	add(ftPullChunk, encodeU64(8))
 	add(ftChunkDone, encodeChunkDone(chunkDoneMsg{Pushed: 8, Done: true}))
 	return out
@@ -85,6 +84,8 @@ func FuzzMigrationStream(f *testing.F) {
 	f.Add(flipped)
 	f.Add(seed[:len(seed)-5]) // truncated mid-frame
 	f.Add(seed[7:])           // desynchronized start
+	// Flags set under a valid CRC: only the header check rejects it.
+	f.Add(withHeaderByte(seed, 5, 0x80))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
@@ -122,13 +123,12 @@ func checkPayload(t *testing.T, ft frameType, p []byte) {
 			reject(encodeWelcome(m), nil)
 		}
 	case ftPages:
-		runs, err := decodeRuns(p)
-		if err != nil {
-			return
-		}
-		again, err := decodeRuns(encodeRuns(runs))
-		if err != nil || !reflect.DeepEqual(runs, again) {
-			t.Fatalf("pages round trip diverged (err %v)", err)
+		var runs []refRun
+		if forRuns(p, func(start uint64, count uint32, data []byte) error {
+			runs = append(runs, refRun{Start: start, Count: count, Zero: data == nil, Data: data})
+			return nil
+		}) == nil {
+			reject(refEncodeRuns(runs), nil)
 		}
 	case ftRoundEnd:
 		if m, err := decodeRoundEnd(p); err == nil {
@@ -155,7 +155,7 @@ func checkPayload(t *testing.T, ft frameType, p []byte) {
 		// No payload; nothing to decode.
 	case ftPage:
 		if m, err := decodePage(p); err == nil {
-			reject(encodePage(m), nil)
+			reject(appendPage(nil, m), nil)
 		}
 	case ftChunkDone:
 		if m, err := decodeChunkDone(p); err == nil {

@@ -11,3 +11,8 @@ package migrate
 // differential comparison uses the same budget on both arms, so determinism
 // assertions are unaffected.
 const raceScale = 1
+
+// raceEnabled gates the testing.AllocsPerRun assertions: the race detector's
+// instrumentation allocates on its own account, so a zero-allocation claim
+// is only checkable without it.
+const raceEnabled = false

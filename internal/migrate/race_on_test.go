@@ -2,5 +2,8 @@
 
 package migrate
 
-// raceScale under the race detector: see race_off_test.go.
-const raceScale = 8
+// raceScale and raceEnabled under the race detector: see race_off_test.go.
+const (
+	raceScale   = 8
+	raceEnabled = true
+)

@@ -236,27 +236,33 @@ func (s *session) coveredLocked() bool {
 	return true
 }
 
-// applyRuns lands streamed page runs in the destination's RAM, in gfn
+// applyRuns lands an ftPages payload in the destination's RAM, in gfn
 // order, through the same WriteRaw path the in-process engine uses — so
-// dirty/COW accounting on the destination is identical.
-func (s *session) applyRuns(runs []pageRun) error {
-	for _, r := range runs {
-		if r.Start+uint64(r.Count) > s.npages {
-			return fmt.Errorf("migrate: page run [%d,+%d) outside %d pages", r.Start, r.Count, s.npages)
+// dirty/COW accounting on the destination is identical. The whole payload
+// is checked before any page lands: a malformed frame applies nothing.
+func (s *session) applyRuns(p []byte) error {
+	if err := forRuns(p, func(start uint64, count uint32, _ []byte) error {
+		if start+uint64(count) > s.npages {
+			return fmt.Errorf("migrate: page run [%d,+%d) outside %d pages", start, count, s.npages)
 		}
-		for i := uint64(0); i < uint64(r.Count); i++ {
-			gfn := r.Start + i
-			data := s.zeroPage
-			if !r.Zero {
-				data = r.Data[i*isa.PageSize : (i+1)*isa.PageSize]
+		return nil
+	}); err != nil {
+		return err
+	}
+	return forRuns(p, func(start uint64, count uint32, data []byte) error {
+		for i := uint64(0); i < uint64(count); i++ {
+			gfn := start + i
+			page := s.zeroPage
+			if data != nil {
+				page = data[i*isa.PageSize : (i+1)*isa.PageSize]
 			}
-			if err := s.dst.Mem.WriteRaw(gfn, data); err != nil {
+			if err := s.dst.Mem.WriteRaw(gfn, page); err != nil {
 				return fmt.Errorf("migrate: applying gfn %d: %w", gfn, err)
 			}
 			s.markApplied(gfn)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // serve reacts to one source-driven connection: apply pages, ack rounds,
@@ -277,11 +283,7 @@ func (s *session) serve(conn *wireConn) (keepConn bool) {
 				return false
 			}
 		case ftPages:
-			runs, err := decodeRuns(p)
-			if err != nil {
-				return false
-			}
-			if s.applyRuns(runs) != nil {
+			if s.applyRuns(p) != nil {
 				return false
 			}
 		case ftArch:
@@ -427,14 +429,13 @@ func (s *session) tryPull(gfn uint64) ([]byte, bool, error) {
 	if m.GFN != gfn {
 		return nil, false, fmt.Errorf("migrate: pulled gfn %d, asked for %d", m.GFN, gfn)
 	}
-	if !m.Have {
+	switch {
+	case !m.Have:
 		return nil, false, nil
+	case m.Zero:
+		return s.zeroPage, true, nil
 	}
-	page := make([]byte, isa.PageSize)
-	if !m.Zero {
-		copy(page, m.Data)
-	}
-	return page, true, nil
+	return m.Data, true, nil
 }
 
 // chargeDst puts overhead cycles (backoff, injected delay) on the
@@ -545,11 +546,7 @@ func (s *session) pushChunkOnce() (done bool, err error) {
 		}
 		switch t {
 		case ftPages:
-			runs, err := decodeRuns(p)
-			if err != nil {
-				return false, err
-			}
-			if err := s.applyRuns(runs); err != nil {
+			if err := s.applyRuns(p); err != nil {
 				return false, err
 			}
 		case ftChunkDone:
@@ -647,7 +644,7 @@ func (s *session) servePage(conn *wireConn, gfn uint64, buf []byte) error {
 			s.sentCount++
 		}
 	}
-	return conn.writeFrame(ftPage, encodePage(m))
+	return conn.sendFrame(ftPage, appendPage(conn.frame(), m))
 }
 
 // serveChunk advances the push schedule by one in-process-equivalent
@@ -666,11 +663,8 @@ func (s *session) serveChunk(conn *wireConn, buf []byte) (exhausted bool, err er
 			push = append(push, gfn)
 		}
 	}
-	if len(push) > 0 {
-		runs := buildRuns(push, func(gfn uint64, b []byte) { s.src.Mem.ReadRaw(gfn, b) })
-		if err := writeRunFrames(conn, runs); err != nil {
-			return false, err
-		}
+	if err := writePages(conn, push, s.src.Mem.ReadRaw); err != nil {
+		return false, err
 	}
 	exhausted = s.cursor+chunk >= len(s.remaining)
 	if err := conn.writeFrame(ftChunkDone, encodeChunkDone(chunkDoneMsg{Pushed: uint32(len(push)), Done: exhausted})); err != nil {
@@ -684,30 +678,6 @@ func (s *session) serveChunk(conn *wireConn, buf []byte) (exhausted bool, err er
 		}
 	}
 	return exhausted, nil
-}
-
-// writeRunFrames sends runs across as many ftPages frames as the payload
-// cap requires.
-func writeRunFrames(conn *wireConn, runs []pageRun) error {
-	start := 0
-	dataPages := 0
-	for i, r := range runs {
-		pages := 0
-		if !r.Zero {
-			pages = int(r.Count)
-		}
-		if i > start && (dataPages+pages > framePageCap || i-start >= 1024) {
-			if err := conn.writeFrame(ftPages, encodeRuns(runs[start:i])); err != nil {
-				return err
-			}
-			start, dataPages = i, 0
-		}
-		dataPages += pages
-	}
-	if start < len(runs) {
-		return conn.writeFrame(ftPages, encodeRuns(runs[start:]))
-	}
-	return nil
 }
 
 // ---- source-side engine --------------------------------------------------
@@ -881,14 +851,10 @@ func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (ui
 // does (source executes through an interleaved round; a paused source's
 // clock still advances), then block on the ack.
 func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) (uint64, error) {
-	var c uint64
-	if len(gfns) > 0 {
-		runs := buildRuns(gfns, func(gfn uint64, b []byte) { e.src.Mem.ReadRaw(gfn, b) })
-		if err := writeRunFrames(e.conn, runs); err != nil {
-			return 0, err
-		}
-		c = uint64(len(gfns)) * e.opt.Link.TxCycles(pageWireSize)
+	if err := writePages(e.conn, gfns, e.src.Mem.ReadRaw); err != nil {
+		return 0, err
 	}
+	c := uint64(len(gfns)) * e.opt.Link.TxCycles(pageWireSize)
 	if err := e.conn.writeFrame(ftRoundEnd, encodeRoundEnd(roundEndMsg{Round: idx, Pages: uint64(len(gfns))})); err != nil {
 		return 0, err
 	}

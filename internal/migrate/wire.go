@@ -6,13 +6,29 @@ package migrate
 //	payload…
 //	u32 CRC32-IEEE over header+payload
 //
-// Sequence numbers are per-connection per-direction and must increase by
-// exactly one; the CRC catches in-flight corruption (faultnet's bit flips
-// land here). Page content travels as runs — contiguous gfn ranges sharing
-// zero-ness — so all-zero pages cost 13 bytes instead of a page on the
-// physical wire while the simulated cost model still charges the logical
-// pageWireSize per page, keeping streamed reports byte-identical to the
-// in-process engine's.
+// Flags and reserved are zero; anything else there is a malformed frame,
+// whatever its CRC says. Sequence numbers are per-connection per-direction
+// and must increase by exactly one; the CRC catches in-flight corruption
+// (faultnet's bit flips land here).
+//
+// Page content travels in ftPages frames as runs — u64 start gfn | u32
+// count | u8 zero, then count pages of data unless zero — so all-zero
+// pages cost 13 bytes instead of a page on the physical wire while the
+// simulated cost model still charges the logical pageWireSize per page,
+// keeping streamed reports byte-identical to the in-process engine's.
+// writePages fixes the encoding: a run grows while the next gfn is
+// contiguous and of the same zero-ness, up to framePageCap data pages or
+// maxRunPages zero pages, and a frame is cut before a run that would take
+// it past framePageCap data pages or maxFrameRuns runs.
+//
+// Buffer ownership: each wireConn owns a write buffer and a read buffer
+// and keeps their capacity, so moving a page allocates nothing. A page is
+// read from guest RAM straight into the write buffer that goes out as its
+// frame. The payload readFrame returns aliases the read buffer and is valid
+// only until the next readFrame on that conn: a consumer that keeps any of
+// it copies it first (commit's present bitmap, decodeArch), applyRuns
+// writes it into guest RAM at once, and the page a post-copy pull returns
+// is read by the PageSource caller before the next pull.
 
 import (
 	"encoding/binary"
@@ -32,6 +48,8 @@ const (
 	maxPayload   = 2 << 20 // decode-side allocation cap
 	maxRunPages  = 1 << 20 // sanity cap on one run's page count
 	framePageCap = 128     // data pages per ftPages frame
+	maxFrameRuns = 1024    // runs per ftPages frame
+	runHdr       = 13      // u64 start | u32 count | u8 zero
 	archWireLen  = 32*8 + 8 + 8 + 8 + 8 + 10*8 + gabi.ParamSlots*8 + 8
 )
 
@@ -91,53 +109,77 @@ type wireConn struct {
 	rseq  uint64
 	wseq  uint64
 	moved uint64 // physical bytes in both directions
+	wbuf  []byte // the frame being built: see frame and sendFrame
+	rhdr  [headerSize]byte
+	rbuf  []byte // the last frame's payload and CRC
 }
 
-func newWireConn(rw io.ReadWriteCloser) *wireConn { return &wireConn{rw: rw} }
+func newWireConn(rw io.ReadWriteCloser) *wireConn {
+	return &wireConn{rw: rw, wbuf: make([]byte, headerSize, 64)}
+}
 
 func (w *wireConn) Close() error { return w.rw.Close() }
 
+// frame returns the write buffer cut to an unfilled header. Append a
+// payload to it and pass the result to sendFrame.
+func (w *wireConn) frame() []byte { return w.wbuf[:headerSize] }
+
 // writeFrame sends one frame.
 func (w *wireConn) writeFrame(t frameType, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("migrate: frame %v payload %d exceeds cap", t, len(payload))
+	return w.sendFrame(t, append(w.frame(), payload...))
+}
+
+// sendFrame fills in the header of b, a frame built on frame(), appends the
+// CRC and sends the frame in one Write. b becomes the write buffer, so
+// growth made while building it is kept.
+func (w *wireConn) sendFrame(t frameType, b []byte) error {
+	n := len(b) - headerSize
+	if n > maxPayload {
+		return fmt.Errorf("migrate: frame %v payload %d exceeds cap", t, n)
 	}
-	buf := make([]byte, headerSize+len(payload)+trailerSize)
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	buf[4] = byte(t)
-	binary.LittleEndian.PutUint64(buf[8:], w.wseq)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	crc := crc32.ChecksumIEEE(buf[:headerSize+len(payload)])
-	binary.LittleEndian.PutUint32(buf[headerSize+len(payload):], crc)
-	if _, err := w.rw.Write(buf); err != nil {
+	binary.LittleEndian.PutUint32(b[0:], frameMagic)
+	b[4], b[5], b[6], b[7] = byte(t), 0, 0, 0 // the buffer is reused: clear flags and reserved
+	binary.LittleEndian.PutUint64(b[8:], w.wseq)
+	binary.LittleEndian.PutUint32(b[16:], uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	w.wbuf = b
+	if _, err := w.rw.Write(b); err != nil {
 		return fmt.Errorf("migrate: writing %v frame: %w", t, err)
 	}
 	w.wseq++
-	w.moved += uint64(len(buf))
+	w.moved += uint64(len(b))
 	return nil
 }
 
-// readFrame receives and validates one frame.
+// readFrame receives and validates one frame. The payload it returns
+// aliases the conn's read buffer and is valid only until the next
+// readFrame on this conn.
 func (w *wireConn) readFrame() (frameType, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(w.rw, hdr[:]); err != nil {
+	hdr := w.rhdr[:]
+	if _, err := io.ReadFull(w.rw, hdr); err != nil {
 		return 0, nil, fmt.Errorf("migrate: reading frame header: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(hdr[0:]); got != frameMagic {
 		return 0, nil, fmt.Errorf("migrate: bad frame magic %#x", got)
 	}
 	t := frameType(hdr[4])
+	if hdr[5]|hdr[6]|hdr[7] != 0 {
+		return 0, nil, fmt.Errorf("migrate: frame %v flags/reserved bytes %#x", t, hdr[5:8])
+	}
 	seq := binary.LittleEndian.Uint64(hdr[8:])
 	plen := binary.LittleEndian.Uint32(hdr[16:])
 	if plen > maxPayload {
 		return 0, nil, fmt.Errorf("migrate: frame %v payload %d exceeds cap", t, plen)
 	}
-	rest := make([]byte, int(plen)+trailerSize)
+	n := int(plen) + trailerSize
+	if cap(w.rbuf) < n {
+		w.rbuf = make([]byte, min(max(n, 2*cap(w.rbuf)), maxPayload+trailerSize))
+	}
+	rest := w.rbuf[:n]
 	if _, err := io.ReadFull(w.rw, rest); err != nil {
 		return 0, nil, fmt.Errorf("migrate: reading %v payload: %w", t, err)
 	}
-	crc := crc32.ChecksumIEEE(hdr[:])
+	crc := crc32.ChecksumIEEE(hdr)
 	crc = crc32.Update(crc, crc32.IEEETable, rest[:plen])
 	if got := binary.LittleEndian.Uint32(rest[plen:]); got != crc {
 		return 0, nil, fmt.Errorf("migrate: frame %v CRC mismatch (seq %d)", t, seq)
@@ -146,7 +188,7 @@ func (w *wireConn) readFrame() (frameType, []byte, error) {
 		return 0, nil, fmt.Errorf("migrate: frame %v out of sequence: got %d want %d", t, seq, w.rseq)
 	}
 	w.rseq++
-	w.moved += uint64(headerSize + len(rest))
+	w.moved += uint64(headerSize + n)
 	return t, rest[:plen:plen], nil
 }
 
@@ -232,98 +274,128 @@ func decodeU64(p []byte, what string) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-// pageRun is one contiguous gfn range sharing zero-ness. Data holds
-// Count*PageSize bytes for non-zero runs and is empty for zero runs.
-type pageRun struct {
-	Start uint64
-	Count uint32
-	Zero  bool
-	Data  []byte
-}
-
-// encodeRuns packs runs into one ftPages payload.
-func encodeRuns(runs []pageRun) []byte {
-	size := 0
-	for _, r := range runs {
-		size += 13 + len(r.Data)
-	}
-	b := make([]byte, 0, size)
-	for _, r := range runs {
-		var hdr [13]byte
-		binary.LittleEndian.PutUint64(hdr[0:], r.Start)
-		binary.LittleEndian.PutUint32(hdr[8:], r.Count)
-		if r.Zero {
-			hdr[12] = 1
-		}
-		b = append(b, hdr[:]...)
-		b = append(b, r.Data...)
-	}
-	return b
-}
-
-// decodeRuns unpacks an ftPages payload. It validates structure only; gfn
-// bounds are the applier's job.
-func decodeRuns(p []byte) ([]pageRun, error) {
-	var runs []pageRun
+// forRuns walks an ftPages payload, calling fn for each run with its
+// start gfn, page count and data: count pages aliasing p, or nil for a zero
+// run. It checks structure only — gfn bounds are the applier's job — and
+// stops at the first malformed run or error from fn.
+func forRuns(p []byte, fn func(start uint64, count uint32, data []byte) error) error {
 	for len(p) > 0 {
-		if len(p) < 13 {
-			return nil, fmt.Errorf("migrate: truncated page-run header (%d bytes)", len(p))
+		if len(p) < runHdr {
+			return fmt.Errorf("migrate: truncated page-run header (%d bytes)", len(p))
 		}
-		r := pageRun{
-			Start: binary.LittleEndian.Uint64(p[0:]),
-			Count: binary.LittleEndian.Uint32(p[8:]),
-			Zero:  p[12] != 0,
+		start := binary.LittleEndian.Uint64(p[0:])
+		count := binary.LittleEndian.Uint32(p[8:])
+		zero := p[12]
+		if zero > 1 {
+			return fmt.Errorf("migrate: page-run flag byte %d", zero)
 		}
-		if p[12] > 1 {
-			return nil, fmt.Errorf("migrate: page-run flag byte %d", p[12])
+		if count == 0 || count > maxRunPages {
+			return fmt.Errorf("migrate: page-run count %d", count)
 		}
-		if r.Count == 0 || r.Count > maxRunPages {
-			return nil, fmt.Errorf("migrate: page-run count %d", r.Count)
+		if start+uint64(count) < start {
+			return fmt.Errorf("migrate: page-run wraps gfn space")
 		}
-		if r.Start+uint64(r.Count) < r.Start {
-			return nil, fmt.Errorf("migrate: page-run wraps gfn space")
-		}
-		p = p[13:]
-		if !r.Zero {
-			need := int(r.Count) * isa.PageSize
-			if need/isa.PageSize != int(r.Count) || len(p) < need {
-				return nil, fmt.Errorf("migrate: page-run data truncated (%d of %d·%d)", len(p), r.Count, isa.PageSize)
+		p = p[runHdr:]
+		var data []byte
+		if zero == 0 {
+			need := int(count) * isa.PageSize
+			if need/isa.PageSize != int(count) || len(p) < need {
+				return fmt.Errorf("migrate: page-run data truncated (%d of %d·%d)", len(p), count, isa.PageSize)
 			}
-			r.Data = p[:need:need]
-			p = p[need:]
+			data, p = p[:need:need], p[need:]
 		}
-		runs = append(runs, r)
+		if err := fn(start, count, data); err != nil {
+			return err
+		}
 	}
-	return runs, nil
+	return nil
 }
 
-// buildRuns groups a sorted gfn list into page runs, reading content from
-// read (which fills a PageSize buffer for a gfn). Zero pages batch into
-// data-less runs.
-func buildRuns(gfns []uint64, read func(gfn uint64, buf []byte)) []pageRun {
-	var runs []pageRun
-	buf := make([]byte, isa.PageSize)
+// writePages sends the pages of a sorted gfn list as ftPages frames,
+// reading each page with read straight into conn's write buffer. Whether a
+// run fits the frame is known only once the run closes; one that does not
+// is moved, with anything read after it, to the front of the next frame
+// once the frame before it is sent.
+func writePages(conn *wireConn, gfns []uint64, read func(gfn uint64, buf []byte)) error {
+	if len(gfns) == 0 {
+		return nil
+	}
+	// At most a full frame, the open run and the page just read: 257 pages
+	// and 1026 run headers.
+	need := headerSize + min(len(gfns), maxFrameRuns+2)*runHdr +
+		min(len(gfns), 2*framePageCap+1)*isa.PageSize + trailerSize
+	if cap(conn.wbuf) < need {
+		conn.wbuf = make([]byte, headerSize, need)
+	}
+	b := conn.frame()
+	run := -1 // the open run's header offset in b
+	var start uint64
+	var count uint32
+	var zero bool
+	runs, dataPages := 0, 0 // closed runs in the frame and their data pages
+	closeRun := func() error {
+		binary.LittleEndian.PutUint64(b[run:], start)
+		binary.LittleEndian.PutUint32(b[run+8:], count)
+		b[run+12] = 0
+		pages := int(count)
+		if zero {
+			b[run+12], pages = 1, 0
+		}
+		if runs > 0 && (dataPages+pages > framePageCap || runs >= maxFrameRuns) {
+			var hdr [trailerSize]byte // the CRC lands on the run's first bytes
+			copy(hdr[:], b[run:])
+			if err := conn.sendFrame(ftPages, b[:run]); err != nil {
+				return err
+			}
+			copy(b[run:], hdr[:])
+			b = b[:headerSize+copy(b[headerSize:], b[run:])]
+			runs, dataPages = 0, 0
+		}
+		runs++
+		dataPages += pages
+		return nil
+	}
 	for _, gfn := range gfns {
-		read(gfn, buf)
-		zero := isZeroPage(buf)
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			if last.Zero == zero && last.Start+uint64(last.Count) == gfn &&
-				(zero || last.Count < framePageCap) && last.Count < maxRunPages {
-				last.Count++
-				if !zero {
-					last.Data = append(last.Data, buf...)
-				}
+		contig := run >= 0 && start+uint64(count) == gfn
+		// A page that can extend the open data run is read right after it,
+		// any other after room for a new run header. A zero page is
+		// dropped, so the guess never has to be undone.
+		ext := contig && !zero && count < framePageCap
+		mark, at := len(b), len(b)
+		if !ext {
+			at += runHdr
+		}
+		page := b[at : at+isa.PageSize]
+		read(gfn, page)
+		isZero := isZeroPage(page)
+		if isZero {
+			if contig && zero && count < maxRunPages {
+				count++
+				continue
+			}
+			b = b[:mark+runHdr]
+		} else {
+			b = b[:at+isa.PageSize]
+			if ext {
+				count++
 				continue
 			}
 		}
-		r := pageRun{Start: gfn, Count: 1, Zero: zero}
-		if !zero {
-			r.Data = append([]byte(nil), buf...)
+		// gfn opens a new run whose header goes at mark. Closing the old
+		// run may move it, and everything after it, to a new frame.
+		if run >= 0 {
+			tail := len(b) - mark
+			if err := closeRun(); err != nil {
+				return err
+			}
+			mark = len(b) - tail
 		}
-		runs = append(runs, r)
+		run, start, count, zero = mark, gfn, 1, isZero
 	}
-	return runs
+	if err := closeRun(); err != nil {
+		return err
+	}
+	return conn.sendFrame(ftPages, b)
 }
 
 // isZeroPage reports whether a page buffer is all zero.
@@ -457,7 +529,8 @@ type pageMsg struct {
 	Data []byte
 }
 
-func encodePage(m pageMsg) []byte {
+// appendPage encodes an ftPage payload onto b.
+func appendPage(b []byte, m pageMsg) []byte {
 	var flags byte
 	if m.Zero {
 		flags |= 1
@@ -465,11 +538,8 @@ func encodePage(m pageMsg) []byte {
 	if m.Have {
 		flags |= 2
 	}
-	b := make([]byte, 9+len(m.Data))
-	binary.LittleEndian.PutUint64(b, m.GFN)
-	b[8] = flags
-	copy(b[9:], m.Data)
-	return b
+	b = binary.LittleEndian.AppendUint64(b, m.GFN)
+	return append(append(b, flags), m.Data...)
 }
 
 func decodePage(p []byte) (pageMsg, error) {
