@@ -195,18 +195,22 @@ const (
 )
 
 var (
-	// Migrate moves a running guest between VMs.
+	// Migrate moves a running guest between VMs: StreamMigrate over a
+	// clean in-memory pipe with the default retry policy, returning the
+	// Report. Demand-only post-copy leaves one goroutine serving the
+	// source's pages until every present page has been pulled.
 	Migrate = migrate.Migrate
 	// Gbps builds a migration link.
 	Gbps = migrate.Gbps
 	// DefaultMigrateOptions returns pre-copy over a 10 Gb link.
 	DefaultMigrateOptions = migrate.DefaultOptions
-	// StreamMigrate runs a migration over a real wire with retry,
-	// resume, and abort-with-rollback.
+	// StreamMigrate runs a migration over a chosen wire with retry,
+	// resume, and abort-with-rollback; every migration runs through it.
 	StreamMigrate = migrate.StreamMigrate
 	// DefaultStreamOptions returns streamed pre-copy over net.Pipe.
 	DefaultStreamOptions = migrate.DefaultStreamOptions
-	// PipeWire builds an in-process wire, optionally fault-wrapped.
+	// PipeWire builds an in-memory wire over net.Pipe, optionally
+	// fault-wrapped.
 	PipeWire = migrate.PipeWire
 	// NewFaultInjector builds a deterministic fault injector.
 	NewFaultInjector = faultnet.NewInjector

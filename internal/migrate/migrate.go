@@ -1,10 +1,12 @@
 // Package migrate implements live migration of govisor VMs: iterative
 // pre-copy with dirty-page tracking (the NSDI'05 design), stop-and-copy as
 // the baseline, and post-copy with demand paging over a simulated
-// rate-limited link. Experiments F7 (downtime vs dirty rate) and F8
-// (pre-copy convergence) run on top of it.
+// rate-limited link. Experiments F7, F8, A3 and M7 run on top of it. There
+// is one engine, StreamMigrate (stream.go, over the wire format of
+// wire.go); Migrate runs it over a clean net.Pipe.
 //
-// Time is simulated: transferring N bytes over the link costs
+// Time is simulated: N logical bytes over the link (pageWireSize a page,
+// cpuStateWireSize for the CPU state, however the wire encodes them) cost
 // N·CyclesPerSecond⁄BytesPerSec guest cycles, and during pre-copy rounds the
 // source guest keeps executing for exactly the cycles the transfer takes —
 // the interleaving that makes convergence a race between link rate and
@@ -113,24 +115,19 @@ type Report struct {
 	Converged      bool   // pre-copy reached the threshold before MaxRounds
 }
 
-// Migrate moves the running guest in src to dst. dst must be a freshly
-// created VM (same config and devices) that has not been booted. On return
-// dst is running and src is paused.
+// Migrate moves the running guest in src to dst by StreamMigrate over a
+// clean net.Pipe with the default retry policy. dst must be a freshly
+// created, unbooted VM (same config and devices). On return dst is running
+// and src is paused. Demand-only post-copy (PostCopyPushChunk 0) leaves one
+// goroutine serving the source's pages to dst.PageSource until every page
+// present at the switchover has been pulled; other modes leave none.
 //
 //govisor:serialonly(drives two VMs at once; migration rounds run outside worker context)
 func Migrate(src, dst *core.VM, opt Options) (Report, error) {
-	if err := validatePair(src, dst); err != nil {
-		return Report{}, err
-	}
-	switch opt.Mode {
-	case PreCopy:
-		return preCopy(src, dst, opt)
-	case StopAndCopy:
-		return stopAndCopy(src, dst, opt)
-	case PostCopy:
-		return postCopy(src, dst, opt)
-	}
-	return Report{}, fmt.Errorf("migrate: unknown mode %d", opt.Mode)
+	so := DefaultStreamOptions()
+	so.Options = opt
+	rep, err := StreamMigrate(src, dst, so)
+	return rep.Report, err
 }
 
 // validatePair vets a migration pair: a live source, an unbooted
@@ -155,32 +152,6 @@ func validatePair(src, dst *core.VM) error {
 	return nil
 }
 
-// sendPages transfers the given source pages into dst, running the source
-// guest concurrently when interleave is true. It returns the transfer
-// cycles.
-func sendPages(src, dst *core.VM, gfns []uint64, link Link, interleave bool, rep *Report) (uint64, error) {
-	if len(gfns) == 0 {
-		return 0, nil
-	}
-	buf := make([]byte, isa.PageSize)
-	var cycles uint64
-	for _, gfn := range gfns {
-		src.Mem.ReadRaw(gfn, buf)
-		if err := dst.Mem.WriteRaw(gfn, buf); err != nil {
-			return cycles, fmt.Errorf("migrate: writing gfn %d: %w", gfn, err)
-		}
-		cycles += link.TxCycles(pageWireSize)
-		rep.BytesSent += pageWireSize
-	}
-	if interleave && src.State == core.StateRunning {
-		src.Step(cycles)
-	} else {
-		// Guest paused: the time still elapses on the wall clock.
-		src.CPU.AddCycles(cycles)
-	}
-	return cycles, nil
-}
-
 func presentPages(vm *core.VM) []uint64 {
 	out := make([]uint64, 0, vm.Mem.Present())
 	for gfn := uint64(0); gfn < vm.Mem.Pages(); gfn++ {
@@ -189,149 +160,4 @@ func presentPages(vm *core.VM) []uint64 {
 		}
 	}
 	return out
-}
-
-//govisor:serialonly(migration round; touches source and destination VMs together)
-func preCopy(src, dst *core.VM, opt Options) (Report, error) {
-	rep := Report{Mode: PreCopy}
-	// Round 0: clear the dirty log and send every present page while the
-	// guest keeps running.
-	src.Mem.CollectDirty(nil)
-	all := presentPages(src)
-	c, err := sendPages(src, dst, all, opt.Link, true, &rep)
-	if err != nil {
-		return rep, err
-	}
-	rep.TotalCycles += c
-	rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(all)), Cycles: c})
-
-	// Iterative rounds: resend what got dirtied while we were sending.
-	// The convergence check peeks at the dirty count without clearing it,
-	// so the residue is still logged for the final brown-out transfer.
-	var dirty []uint64
-	for round := 1; round <= opt.MaxRounds; round++ {
-		if src.Mem.DirtyCount() <= opt.StopThresholdPages {
-			rep.Converged = true
-			break
-		}
-		dirty = src.Mem.CollectDirty(dirty[:0])
-		c, err := sendPages(src, dst, dirty, opt.Link, true, &rep)
-		if err != nil {
-			return rep, err
-		}
-		rep.TotalCycles += c
-		rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(dirty)), Cycles: c})
-	}
-
-	// Brown-out: pause, send the final dirty set + CPU state, switch over.
-	src.Pause()
-	dirty = src.Mem.CollectDirty(dirty[:0])
-	c, err = sendPages(src, dst, dirty, opt.Link, false, &rep)
-	if err != nil {
-		return rep, err
-	}
-	c += opt.Link.TxCycles(cpuStateWireSize)
-	rep.BytesSent += cpuStateWireSize
-	rep.DowntimeCycles = c
-	rep.TotalCycles += c
-	rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(dirty)), Cycles: c})
-
-	dst.AdoptState(src)
-	dst.CPU.AddCycles(c) // the destination clock absorbs the downtime
-	return rep, nil
-}
-
-//govisor:serialonly(migration round; touches source and destination VMs together)
-func stopAndCopy(src, dst *core.VM, opt Options) (Report, error) {
-	rep := Report{Mode: StopAndCopy, Converged: true}
-	src.Pause()
-	all := presentPages(src)
-	c, err := sendPages(src, dst, all, opt.Link, false, &rep)
-	if err != nil {
-		return rep, err
-	}
-	c += opt.Link.TxCycles(cpuStateWireSize)
-	rep.BytesSent += cpuStateWireSize
-	rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(all)), Cycles: c})
-	rep.DowntimeCycles = c
-	rep.TotalCycles = c
-	dst.AdoptState(src)
-	dst.CPU.AddCycles(c)
-	return rep, nil
-}
-
-//govisor:serialonly(migration round; touches source and destination VMs together)
-func postCopy(src, dst *core.VM, opt Options) (Report, error) {
-	rep := Report{Mode: PostCopy, Converged: true}
-	src.Pause()
-
-	// Switchover immediately: only the CPU state crosses during downtime.
-	c := opt.Link.TxCycles(cpuStateWireSize)
-	rep.BytesSent += cpuStateWireSize
-	rep.DowntimeCycles = c
-	rep.TotalCycles = c
-	dst.AdoptState(src)
-	dst.CPU.AddCycles(c)
-
-	// Demand path: every not-present fault on the destination pulls the
-	// page from the source, paying RTT + transfer. The source is paused, so
-	// its present set is frozen; once `sent` covers it the hook clears
-	// itself — otherwise demand-only mode would pin the source forever.
-	sent := make(map[uint64]bool)
-	presentTotal := src.Mem.Present()
-	buf := make([]byte, isa.PageSize)
-	dst.PageSource = func(gfn uint64) ([]byte, bool) {
-		if sent[gfn] {
-			return nil, false // already pushed: plain demand-zero fill
-		}
-		if src.Mem.Frame(gfn) == mem.NoFrame {
-			return nil, false
-		}
-		src.Mem.ReadRaw(gfn, buf)
-		sent[gfn] = true
-		if uint64(len(sent)) >= presentTotal {
-			dst.PageSource = nil
-		}
-		cost := opt.Link.RTTCycles + opt.Link.TxCycles(pageWireSize)
-		dst.CPU.AddCycles(cost)
-		rep.TotalCycles += cost
-		rep.BytesSent += pageWireSize
-		rep.RemoteFills++
-		page := make([]byte, isa.PageSize)
-		copy(page, buf)
-		return page, true
-	}
-
-	// Background push: interleave destination execution with proactive
-	// transfers until every source page has landed.
-	if opt.PostCopyPushChunk > 0 {
-		remaining := presentPages(src)
-		for len(remaining) > 0 {
-			chunk := opt.PostCopyPushChunk
-			if chunk > len(remaining) {
-				chunk = len(remaining)
-			}
-			var pushed uint64
-			for _, gfn := range remaining[:chunk] {
-				if sent[gfn] {
-					continue
-				}
-				src.Mem.ReadRaw(gfn, buf)
-				if err := dst.Mem.WriteRaw(gfn, buf); err != nil {
-					return rep, err
-				}
-				sent[gfn] = true
-				pushed += pageWireSize
-				rep.BytesSent += pageWireSize
-			}
-			remaining = remaining[chunk:]
-			cost := opt.Link.TxCycles(pushed)
-			rep.TotalCycles += cost
-			if dst.State == core.StateRunning {
-				dst.Step(cost)
-			}
-		}
-		dst.PageSource = nil
-	}
-	return rep, nil
 }

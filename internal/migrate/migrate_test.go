@@ -307,15 +307,6 @@ func TestPostCopyBackgroundPushCompletes(t *testing.T) {
 	verifyDestRuns(t, dst)
 }
 
-func TestMigrateRejectsBadStates(t *testing.T) {
-	src, dst := pair(t, 8, 1000)
-	src.Pause()
-	src.State = core.StateHalted
-	if _, err := Migrate(src, dst, DefaultOptions()); err == nil {
-		t.Fatal("halted source accepted")
-	}
-}
-
 func TestLinkMath(t *testing.T) {
 	l := Gbps(10, 50)
 	// 10 Gb/s = 1.25 GB/s; a 4 KiB page ≈ 3.3 µs ≈ 3300 cycles.

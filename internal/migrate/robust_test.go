@@ -22,19 +22,44 @@ func TestMigrateRejectsSelfMigration(t *testing.T) {
 	}
 }
 
-// TestMigrateRejectsSharedGuestPhys: two VM shells over one guest-physical
-// space would read and write the same frames; Migrate must refuse.
-func TestMigrateRejectsSharedGuestPhys(t *testing.T) {
-	src, dst := pair(t, 8, 2000)
-	alias := *dst
-	alias.Mem = src.Mem
-	if _, err := Migrate(src, &alias, DefaultOptions()); err == nil {
-		t.Fatalf("shared-memory migration accepted")
-	} else if !strings.Contains(err.Error(), "guest-physical") {
-		t.Fatalf("unexpected error: %v", err)
+// TestMigrateRejectsBadStates: an invalid pair is a clean error that
+// leaves both VMs as they were, not silent state corruption. Two VM shells
+// over one guest-physical space would read and write the same frames.
+func TestMigrateRejectsBadStates(t *testing.T) {
+	cases := []struct {
+		name    string
+		setup   func(src, dst *core.VM) (*core.VM, *core.VM)
+		wantErr string
+	}{
+		{"shared-guest-phys", func(src, dst *core.VM) (*core.VM, *core.VM) {
+			alias := *dst
+			alias.Mem = src.Mem
+			return src, &alias
+		}, "guest-physical"},
+		{"halted-source", func(src, dst *core.VM) (*core.VM, *core.VM) {
+			src.Pause()
+			src.State = core.StateHalted
+			return src, dst
+		}, "source is"},
+		{"booted-destination", func(src, dst *core.VM) (*core.VM, *core.VM) {
+			dst.State = core.StateRunning
+			return src, dst
+		}, "destination is"},
 	}
-	if src.State != core.StateRunning {
-		t.Fatalf("rejected migration changed source state to %v", src.State)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := tc.setup(pair(t, 8, 2000))
+			srcState, dstState := src.State, dst.State
+			if _, err := Migrate(src, dst, DefaultOptions()); err == nil {
+				t.Fatalf("invalid pair accepted")
+			} else if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if src.State != srcState || dst.State != dstState {
+				t.Fatalf("rejected migration changed states: source %v→%v, destination %v→%v",
+					srcState, src.State, dstState, dst.State)
+			}
+		})
 	}
 }
 

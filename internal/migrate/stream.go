@@ -1,28 +1,27 @@
 package migrate
 
-// Streamed live migration: the in-process engine's three algorithms run
-// over a real byte transport (net.Pipe, TCP, anything io.ReadWriteCloser)
-// with the wire codec in wire.go, and — the point of the exercise — an
+// Streamed live migration, the package's one engine: pre-copy,
+// stop-and-copy and post-copy run over a byte transport (net.Pipe, TCP,
+// anything io.ReadWriteCloser) with the wire codec in wire.go, under an
 // explicit failure model. Connections drop, frames corrupt, writes
 // truncate; the engine retries with backoff in simulated cycles, resumes
 // from the last destination-acked round re-sending only what was dirtied
 // since, and if the brown-out exceeds a hard DowntimeBudget it aborts and
 // rolls the source back so the guest never observes the attempt.
 //
-// Cost-model identity: the simulated clock charges the *logical* wire
-// sizes (pageWireSize per page, cpuStateWireSize for the CPU state) in the
-// exact sequence the in-process engine does, regardless of how frames are
-// physically encoded (zero-run batching shrinks WireBytes, never
-// BytesSent). A fault-free streamed migration is therefore byte-identical
-// to Migrate — same registers, RAM, dirty/COW accounting, and Report —
-// which stream_test.go proves differentially.
+// Cost model: the simulated clock charges the *logical* wire sizes
+// (pageWireSize per page, cpuStateWireSize for the CPU state) in round
+// order, however frames are physically encoded (zero-run batching shrinks
+// WireBytes, never BytesSent). Over a clean transport a migration thus
+// equals a plain page copy between the VMs in registers, RAM, dirty/COW
+// accounting and Report; stream_test.go checks it against oracle_test.go.
 //
 // Concurrency model: the protocol is strictly turn-based, so at any moment
 // each side has one goroutine touching its conn half. Pre-commit the
 // source drives and the destination reacts (session.serve); post-commit in
 // post-copy the roles invert — the destination drives pulls and chunk
 // requests, and redials on failure, handing the source a fresh half via
-// the session (the in-process stand-in for dialing the source's listener).
+// the session (standing in for dialing the source's listener).
 
 import (
 	"errors"
@@ -99,9 +98,9 @@ type StreamReport struct {
 }
 
 // StreamMigrate moves the running guest in src to dst over a wire. On
-// success dst is running and src is paused, exactly as Migrate leaves
-// them; on an ErrAborted error src is running again with guest-visible
-// state bit-for-bit as it was when the brown-out began.
+// success dst is running and src is paused; on an ErrAborted error src is
+// running again with guest-visible state bit-for-bit as it was when the
+// brown-out began.
 //
 //govisor:serialonly(drives two VMs and a wire protocol; migration runs outside worker context)
 func StreamMigrate(src, dst *core.VM, opt StreamOptions) (StreamReport, error) {
@@ -163,8 +162,8 @@ type session struct {
 	destResumes uint64
 	wireBytes   uint64
 
-	// post-copy source serving state (fixed at commit, like the
-	// in-process engine's `remaining` list and `sent` map). srvMu
+	// post-copy source serving state (fixed at commit: the push
+	// schedule and the pages already sent). srvMu
 	// serializes spawned demand-only servers: a redial may start the next
 	// server while the previous one is still unwinding from its dead conn,
 	// and both touch this state.
@@ -237,8 +236,7 @@ func (s *session) coveredLocked() bool {
 }
 
 // applyRuns lands an ftPages payload in the destination's RAM, in gfn
-// order, through the same WriteRaw path the in-process engine uses — so
-// dirty/COW accounting on the destination is identical. The whole payload
+// order, through WriteRaw, as a plain page copy would. The whole payload
 // is checked before any page lands: a malformed frame applies nothing.
 func (s *session) applyRuns(p []byte) error {
 	if err := forRuns(p, func(start uint64, count uint32, _ []byte) error {
@@ -363,8 +361,8 @@ func (s *session) commit(m commitMsg, conn *wireConn) error {
 
 // demandPull is the destination's post-copy PageSource: consult the
 // present bitmap locally (absent pages fall back to demand-zero at no
-// cost, as in-process), pull over the wire with retry/redial, charge the
-// same RTT + transfer cost the in-process hook charges.
+// cost), pull over the wire with retry/redial, and charge one RTT plus
+// the transfer of pageWireSize per pulled page.
 func (s *session) demandPull(gfn uint64) ([]byte, bool) {
 	s.mu.Lock()
 	skip := !bitmapGet(s.present, gfn) || bitmapGet(s.applied, gfn)
@@ -499,8 +497,7 @@ func (s *session) runServer(conn *wireConn) {
 
 // pushLoop is the destination's chunk-mode driver: request background
 // chunks, apply them, run the guest for the chunk's transfer cycles
-// (demand pulls interleave on the same conn), redial on failure. Mirrors
-// the in-process push loop's accounting exactly.
+// (demand pulls interleave on the same conn), redial on failure.
 func (s *session) pushLoop(conn *wireConn) {
 	backoff := s.opt.BackoffCycles
 	fails := 0
@@ -531,9 +528,9 @@ func (s *session) pushLoop(conn *wireConn) {
 	}
 }
 
-// pushChunkOnce requests one chunk and applies it. The chunk's logical
-// cost and byte accounting replicate the in-process loop: cost is
-// TxCycles(pushed·pageWireSize) and the guest runs for exactly that.
+// pushChunkOnce requests one chunk and applies it. The chunk costs
+// TxCycles(pushed·pageWireSize), and the destination guest runs for
+// exactly that long.
 func (s *session) pushChunkOnce() (done bool, err error) {
 	conn := s.dstConn
 	if err := conn.writeFrame(ftPullChunk, encodeU64(uint64(s.opt.PostCopyPushChunk))); err != nil {
@@ -573,7 +570,7 @@ func (s *session) pushChunkOnce() (done bool, err error) {
 // ---- source-side post-copy server ---------------------------------------
 
 // initPullState freezes the source's serving schedule at commit: the
-// present-page list (the in-process `remaining`) and the sent bitmap.
+// present pages in gfn order and the sent bitmap.
 func (s *session) initPullState() {
 	s.remaining = presentPages(s.src)
 	s.cursor = 0
@@ -647,11 +644,11 @@ func (s *session) servePage(conn *wireConn, gfn uint64, buf []byte) error {
 	return conn.sendFrame(ftPage, appendPage(conn.frame(), m))
 }
 
-// serveChunk advances the push schedule by one in-process-equivalent
-// chunk: consume PostCopyPushChunk entries of the frozen remaining list,
-// push the not-yet-sent ones, report the pushed count. Cursor and sent
-// marks only advance after the whole chunk is on the wire, so a mid-chunk
-// drop re-sends the same chunk.
+// serveChunk advances the push schedule by one chunk: consume
+// PostCopyPushChunk entries of the frozen remaining list, push the
+// not-yet-sent ones, report the pushed count. Cursor and sent marks only
+// advance after the whole chunk is on the wire, so a mid-chunk drop
+// re-sends the same chunk.
 func (s *session) serveChunk(conn *wireConn, buf []byte) (exhausted bool, err error) {
 	chunk := s.opt.PostCopyPushChunk
 	if chunk > len(s.remaining)-s.cursor {
@@ -752,13 +749,13 @@ func (e *streamEngine) teardown() {
 	}
 }
 
-// ensureConn (re)establishes the wire, applying the retry policy.
+// ensureConn (re)establishes the wire. A connect does not reset the
+// failure count, only a completed operation does (succeeded), so a frame
+// the destination rejects on every attempt still exhausts MaxAttempts.
 func (e *streamEngine) ensureConn() error {
 	for e.conn == nil {
 		err := e.connect()
 		if err == nil {
-			e.fails = 0
-			e.backoff = e.opt.BackoffCycles
 			return nil
 		}
 		e.teardown()
@@ -786,6 +783,12 @@ func (e *streamEngine) fail(cause error) error {
 		return err
 	}
 	return nil
+}
+
+// succeeded resets the failure count and backoff after an operation.
+func (e *streamEngine) succeeded() {
+	e.fails = 0
+	e.backoff = e.opt.BackoffCycles
 }
 
 // chargeOverhead accounts non-transfer cycles (backoff, injected delay):
@@ -828,12 +831,13 @@ func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (ui
 			return spent, err
 		}
 		if e.lastWelcome.AckedRounds > idx {
+			e.succeeded()
 			return spent, nil
 		}
 		c, err := e.trySendRound(gfns, idx, interleave)
 		spent += c
 		if err == nil {
-			e.fails = 0
+			e.succeeded()
 			return spent, nil
 		}
 		if errors.Is(err, errBudget) {
@@ -847,9 +851,9 @@ func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (ui
 }
 
 // trySendRound is one attempt: write the page runs and the round marker,
-// charge the logical transfer cost exactly as the in-process sendPages
-// does (source executes through an interleaved round; a paused source's
-// clock still advances), then block on the ack.
+// charge the logical transfer cost of len(gfns) pages (the source
+// executes through an interleaved round; a paused source's clock still
+// advances), then block on the ack.
 func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) (uint64, error) {
 	if err := writePages(e.conn, gfns, e.src.Mem.ReadRaw); err != nil {
 		return 0, err
@@ -888,8 +892,8 @@ func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) 
 
 // sendCommit transfers the architectural state and the switchover marker.
 // If retries exhaust after the commit may have landed, the destination's
-// committed flag resolves the ambiguity — the in-process stand-in for a
-// fencing oracle; a real deployment would consult shared storage or a
+// committed flag resolves the ambiguity, standing in for a fencing
+// oracle; a real deployment would consult shared storage or a
 // coordination service before declaring either side dead.
 func (e *streamEngine) sendCommit(present []byte) error {
 	txCPU := e.opt.Link.TxCycles(cpuStateWireSize)
@@ -901,6 +905,7 @@ func (e *streamEngine) sendCommit(present []byte) error {
 			return err
 		}
 		if e.lastWelcome.Committed {
+			e.succeeded()
 			return nil
 		}
 		err := func() error {
@@ -920,7 +925,7 @@ func (e *streamEngine) sendCommit(present []byte) error {
 			return err
 		}()
 		if err == nil {
-			e.fails = 0
+			e.succeeded()
 			return nil
 		}
 		if errors.Is(err, errBudget) {
@@ -1063,10 +1068,8 @@ func (e *streamEngine) postCopy() error {
 	rep.Converged = true
 	e.pause()
 	present := newBitmap(e.src.Mem.Pages())
-	for gfn := uint64(0); gfn < e.src.Mem.Pages(); gfn++ {
-		if e.src.Mem.Frame(gfn) != mem.NoFrame {
-			bitmapSet(present, gfn)
-		}
+	for _, gfn := range presentPages(e.src) {
+		bitmapSet(present, gfn)
 	}
 	if err := e.sendCommit(present); err != nil {
 		return e.abort(err)
@@ -1079,8 +1082,8 @@ func (e *streamEngine) postCopy() error {
 		return e.servePhase()
 	}
 	// Demand-only: hand the source conn to a background server and
-	// return; demand fills accrue on the destination afterwards, exactly
-	// as the in-process engine's report snapshot does. The handshake and
+	// return; demand fills accrue on the destination afterwards and are
+	// not in the returned report. The handshake and
 	// commit bytes already moved, so fold them in now and zero the
 	// counter — the server reports only post-handoff traffic. Join the
 	// destination reactor first: its last act was writing the commit ack

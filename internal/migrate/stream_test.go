@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"govisor/internal/core"
 	"govisor/internal/faultnet"
@@ -39,10 +41,11 @@ func snapVM(vm *core.VM) vmSnap {
 }
 
 // TestStreamFaultFreeMatchesInProcess is the differential proof: over a
-// clean pipe, the streamed engine is byte-identical to the in-process one
-// for all three modes — same Report (rounds, bytes, downtime), same
-// source and destination registers/CSRs/RAM, same dirty/COW accounting,
-// and the destinations stay in lockstep when run onward.
+// clean pipe, the streamed engine is byte-identical to the in-process
+// oracle refMigrate for all three modes — same Report (rounds, bytes,
+// downtime), same source and destination registers/CSRs/RAM, same
+// dirty/COW accounting, and the destinations stay in lockstep when run
+// onward.
 func TestStreamFaultFreeMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -60,9 +63,9 @@ func TestStreamFaultFreeMatchesInProcess(t *testing.T) {
 			optA := DefaultOptions()
 			optA.Mode = tc.mode
 			optA.PostCopyPushChunk = tc.chunk
-			repA, err := Migrate(srcA, dstA, optA)
+			repA, err := refMigrate(srcA, dstA, optA)
 			if err != nil {
-				t.Fatalf("in-process: %v", err)
+				t.Fatalf("oracle: %v", err)
 			}
 
 			srcB, dstB := pair(t, 16, 2000)
@@ -75,7 +78,7 @@ func TestStreamFaultFreeMatchesInProcess(t *testing.T) {
 			}
 
 			if !reflect.DeepEqual(repA, repB.Report) {
-				t.Errorf("report mismatch:\nin-process %+v\nstreamed   %+v", repA, repB.Report)
+				t.Errorf("report mismatch:\noracle   %+v\nstreamed %+v", repA, repB.Report)
 			}
 			if repB.Retries != 0 || repB.Resumes != 0 || repB.Aborted {
 				t.Errorf("fault-free run reported retries=%d resumes=%d aborted=%v",
@@ -374,5 +377,125 @@ func TestStreamValidatesPair(t *testing.T) {
 	src, _ := pair(t, 8, 2000)
 	if _, err := StreamMigrate(src, src, DefaultStreamOptions()); err == nil {
 		t.Fatalf("self-migration accepted")
+	}
+}
+
+// roundEndCorrupter flips a bit in the CRC of every round-end frame the
+// source writes, so the destination rejects the same frame on every
+// attempt while every connect still succeeds.
+type roundEndCorrupter struct{ io.ReadWriteCloser }
+
+func (c roundEndCorrupter) Write(b []byte) (int, error) {
+	if len(b) > headerSize && frameType(b[4]) == ftRoundEnd {
+		b = append([]byte(nil), b...)
+		b[len(b)-1] ^= 1
+	}
+	return c.ReadWriteCloser.Write(b)
+}
+
+// TestStreamGivesUpOnPersistentRejection: a destination that rejects the
+// same frame on every attempt must exhaust MaxAttempts, not retry for ever
+// because each reconnect succeeds. The wire refuses to dial past a cap, so
+// a regression fails here instead of hanging.
+func TestStreamGivesUpOnPersistentRejection(t *testing.T) {
+	for _, mode := range []Mode{PreCopy, StopAndCopy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			src, dst := pair(t, 16, 2000)
+			const dialCap = 20
+			dials := 0
+			var probe *vmSnap
+			opt := DefaultStreamOptions()
+			opt.Mode = mode
+			opt.MaxAttempts = 3
+			opt.PauseProbe = func() { s := snapVM(src); probe = &s }
+			pipe := PipeWire(func(c io.ReadWriteCloser) io.ReadWriteCloser { return roundEndCorrupter{c} })
+			opt.Wire = func() (io.ReadWriteCloser, io.ReadWriteCloser, error) {
+				if dials++; dials > dialCap {
+					return nil, nil, errors.New("dial cap reached")
+				}
+				return pipe()
+			}
+			rep, err := StreamMigrate(src, dst, opt)
+			if dials > opt.MaxAttempts {
+				t.Fatalf("dialed %d times with MaxAttempts %d: the retry loop does not give up", dials, opt.MaxAttempts)
+			}
+			if !errors.Is(err, ErrAborted) || !rep.Aborted {
+				t.Fatalf("want ErrAborted, got %v (aborted=%v)", err, rep.Aborted)
+			}
+			if src.State != core.StateRunning {
+				t.Fatalf("aborted migration left source %v", src.State)
+			}
+			if probe != nil {
+				if now := snapVM(src); now != *probe {
+					t.Fatalf("rollback is not bit-for-bit")
+				}
+			}
+			if mode == StopAndCopy && probe == nil {
+				t.Fatalf("stop-and-copy never paused the source")
+			}
+			if dst.State != core.StateCreated {
+				t.Fatalf("aborted migration left destination %v", dst.State)
+			}
+		})
+	}
+}
+
+// waitGoroutines polls until runtime.NumGoroutine() is at most want, and
+// returns the last count: a goroutine that has signalled its end may still
+// be running its last instructions.
+func waitGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestMigrateGoroutineLifetime: every Migrate runs over a wire with its own
+// goroutines. Pre-copy, stop-and-copy and chunked post-copy leave none
+// behind. Demand-only post-copy leaves exactly one, the source-side page
+// server, and it exits once every present page has been pulled.
+func TestMigrateGoroutineLifetime(t *testing.T) {
+	cases := []struct {
+		name  string
+		mode  Mode
+		chunk int
+	}{
+		{"precopy", PreCopy, 0},
+		{"stopandcopy", StopAndCopy, 0},
+		{"postcopy-push", PostCopy, 8},
+		{"postcopy-demand", PostCopy, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := pair(t, 16, 2000)
+			base := runtime.NumGoroutine()
+			opt := DefaultOptions()
+			opt.Mode = tc.mode
+			opt.PostCopyPushChunk = tc.chunk
+			if _, err := Migrate(src, dst, opt); err != nil {
+				t.Fatal(err)
+			}
+			if tc.mode != PostCopy || tc.chunk > 0 {
+				if n := waitGoroutines(base); n != base {
+					t.Fatalf("%d goroutines after migration, %d before", n, base)
+				}
+				return
+			}
+			if n := waitGoroutines(base + 1); n != base+1 {
+				t.Fatalf("%d goroutines after demand-only migration, want %d (one page server)", n, base+1)
+			}
+			for gfn := uint64(0); gfn < src.Mem.Pages() && dst.PageSource != nil; gfn++ {
+				if src.Mem.Frame(gfn) != mem.NoFrame {
+					dst.PageSource(gfn)
+				}
+			}
+			if dst.PageSource != nil {
+				t.Fatalf("PageSource still installed after every present page was pulled")
+			}
+			if n := waitGoroutines(base); n != base {
+				t.Fatalf("page server still running after full coverage: %d goroutines, %d before", n, base)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ package migrate
 // count | u8 zero, then count pages of data unless zero — so all-zero
 // pages cost 13 bytes instead of a page on the physical wire while the
 // simulated cost model still charges the logical pageWireSize per page,
-// keeping streamed reports byte-identical to the in-process engine's.
+// so a Report does not depend on the encoding.
 // writePages fixes the encoding: a run grows while the next gfn is
 // contiguous and of the same zero-ness, up to framePageCap data pages or
 // maxRunPages zero pages, and a frame is cut before a run that would take
