@@ -64,7 +64,6 @@ func BenchmarkA1_ParaBatching(b *testing.B)   { runExperiment(b, "A1") }
 func BenchmarkA2_ASIDFlush(b *testing.B)      { runExperiment(b, "A2") }
 func BenchmarkA3_PrecopyBounds(b *testing.B)  { runExperiment(b, "A3") }
 func BenchmarkA4_QueueDepth(b *testing.B)     { runExperiment(b, "A4") }
-func BenchmarkM2_ParallelFleet(b *testing.B)  { runExperiment(b, "M2") }
 func BenchmarkM7_Evacuation(b *testing.B)     { runExperiment(b, "M7") }
 
 // ---- microbenchmarks of the simulator's own hot paths ----

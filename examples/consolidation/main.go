@@ -42,7 +42,7 @@ func main() {
 			}
 			host.AddToScheduler(i, 256, 0)
 		}
-		host.Run(hostTime)
+		host.RunParallel(1, hostTime)
 
 		var total uint64
 		shares := make([]float64, 0, n)

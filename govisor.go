@@ -17,9 +17,10 @@
 //   - memory services: ballooning, content-based page dedup, COW cloning
 //   - live migration: pre-copy, stop-and-copy, post-copy
 //   - vCPU schedulers: round-robin, Xen-style credit, CFS-like fair
-//   - a parallel host execution engine (Host.RunParallel): VM fleets run
-//     across worker goroutines over a lock-striped frame pool, with every
-//     guest-visible result byte-identical to serial execution
+//   - one host execution engine (Host.RunParallel): VM fleets run in
+//     scheduler epochs across worker goroutines over a lock-striped frame
+//     pool, with every guest-visible result byte-identical at any worker
+//     count, including a single worker (serial execution)
 //
 // The public API re-exports the building blocks; see the examples directory
 // for runnable programs and EXPERIMENTS.md for the reproduced evaluation.
@@ -102,7 +103,7 @@ func NewVM(pool *Pool, cfg Config) (*VM, error) { return core.NewVM(pool, cfg) }
 
 // NewHost creates a simulated physical machine with the given memory budget
 // (frames), core count, and scheduler.
-func NewHost(poolFrames uint64, pcpus int, s core.Scheduler) *Host {
+func NewHost(poolFrames uint64, pcpus int, s core.LeaseScheduler) *Host {
 	return core.NewHost(poolFrames, pcpus, s)
 }
 

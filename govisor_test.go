@@ -172,7 +172,7 @@ func TestIntegrationHostSchedulerWithIO(t *testing.T) {
 	}
 	host.AddToScheduler(2, 256, 0)
 
-	host.Run(60_000_000)
+	host.RunParallel(1, 60_000_000)
 	if io.State != govisor.StateHalted {
 		t.Fatalf("io vm state %v (err %v)", io.State, io.Err)
 	}

@@ -27,9 +27,10 @@ const (
 // AllModes lists the execution modes in comparison order.
 var AllModes = []core.Mode{core.ModeNative, core.ModeHW, core.ModePara, core.ModeTrap}
 
-// quickScale divides the M-series (M2, M7) workload sizes when quick mode is
-// on: the tables keep their shape but run in seconds. The reproduced experiments (T/F/A) are untouched — their result
-// is the shape, and shrinking them would change it.
+// quickScale divides the M-series (M7) workload sizes when quick mode is on:
+// the tables keep their shape but run in seconds. The reproduced experiments
+// (T/F/A) are untouched — their result is the shape, and shrinking them
+// would change it.
 var quickScale uint64 = 1
 
 // SetQuick toggles quick mode for the M-series experiments.

@@ -18,7 +18,7 @@ import (
 
 // schedHost builds a host with n CPU-hog VMs plus, optionally, one
 // latency-sensitive timer VM, under the given scheduler.
-func schedHost(s core.Scheduler, hogs int, withLatency bool, pcpus int) (*core.Host, error) {
+func schedHost(s core.LeaseScheduler, hogs int, withLatency bool, pcpus int) (*core.Host, error) {
 	kernel, err := guest.BuildKernel()
 	if err != nil {
 		return nil, err
@@ -61,18 +61,18 @@ func F11SchedFairness() (*metrics.Table, error) {
 	}}
 	scheds := []struct {
 		name string
-		mk   func() core.Scheduler
+		mk   func() core.LeaseScheduler
 	}{
-		{"round-robin", func() core.Scheduler { return sched.NewRoundRobin(core.DefaultQuantum) }},
-		{"credit", func() core.Scheduler { return sched.NewCredit() }},
-		{"cfs", func() core.Scheduler { return sched.NewCFS() }},
+		{"round-robin", func() core.LeaseScheduler { return sched.NewRoundRobin(core.DefaultQuantum) }},
+		{"credit", func() core.LeaseScheduler { return sched.NewCredit() }},
+		{"cfs", func() core.LeaseScheduler { return sched.NewCFS() }},
 	}
 	for _, sc := range scheds {
 		h, err := schedHost(sc.mk(), 4, true, 1)
 		if err != nil {
 			return nil, err
 		}
-		h.Run(150_000_000)
+		h.RunParallel(1, 150_000_000)
 		shares := make([]float64, 4)
 		for i := 0; i < 4; i++ {
 			shares[i] = float64(h.VMs[i].Result(gabi.PResult0))
@@ -115,7 +115,7 @@ func T12WeightCap() (*metrics.Table, error) {
 			}
 			h.AddToScheduler(i, weights[i], caps[i])
 		}
-		h.Run(200_000_000)
+		h.RunParallel(1, 200_000_000)
 		var total uint64
 		works := make([]uint64, len(weights))
 		for i := range weights {
@@ -155,7 +155,7 @@ func T13Consolidation() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.Run(100_000_000)
+		h.RunParallel(1, 100_000_000)
 		var total uint64
 		for _, vm := range h.VMs {
 			total += vm.Result(gabi.PResult0)

@@ -276,52 +276,15 @@ func spinProgram(t *testing.T) []byte {
 	})
 }
 
-func TestHostRunSharesCPUFairly(t *testing.T) {
-	cs := sched.NewCredit()
-	h := NewHost(tPool, 1, cs)
-	img := spinProgram(t)
-	for i := 0; i < 3; i++ {
-		vm, err := h.CreateVM(Config{Name: "vm", Mode: ModeHW, MemBytes: tRAM})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.Boot(img); err != nil {
-			t.Fatal(err)
-		}
-		h.AddToScheduler(i, 256, 0)
-	}
-	h.Run(60_000_000)
-	var counts []uint64
-	for _, vm := range h.VMs {
-		counts = append(counts, vm.Result(gabi.PResult0))
-	}
-	for _, c := range counts {
-		if c == 0 {
-			t.Fatalf("a VM starved: %v", counts)
-		}
-	}
-	// Equal weights: within 25% of each other.
-	min, max := counts[0], counts[0]
-	for _, c := range counts {
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	if float64(max) > 1.25*float64(min) {
-		t.Fatalf("unfair split: %v", counts)
-	}
-}
-
+// TestHostRunStopsWhenAllHalt: a single native VM that halts at once ends
+// the run on a 1-PCPU round-robin host.
 func TestHostRunStopsWhenAllHalt(t *testing.T) {
 	h := NewHost(tPool, 1, sched.NewRoundRobin(DefaultQuantum))
 	img := miniProgram(t, func(b *asm.Builder) { b.Halt(0) })
 	vm, _ := h.CreateVM(Config{Name: "vm", Mode: ModeNative, MemBytes: tRAM})
 	vm.Boot(img)
 	h.AddToScheduler(0, 1, 0)
-	h.Run(1_000_000_000)
+	h.RunParallel(1, 1_000_000_000)
 	if !h.AllHalted() {
 		t.Fatalf("vm state %v", vm.State)
 	}
@@ -330,6 +293,8 @@ func TestHostRunStopsWhenAllHalt(t *testing.T) {
 	}
 }
 
+// TestHostWeightedShares: the credit scheduler splits one PCPU 4:1 between
+// a 512- and a 128-weight VM.
 func TestHostWeightedShares(t *testing.T) {
 	cs := sched.NewCredit()
 	h := NewHost(tPool, 1, cs)
@@ -340,7 +305,7 @@ func TestHostWeightedShares(t *testing.T) {
 	}
 	h.AddToScheduler(0, 512, 0) // 4x weight
 	h.AddToScheduler(1, 128, 0)
-	h.Run(120_000_000)
+	h.RunParallel(1, 120_000_000)
 	c0 := h.VMs[0].Result(gabi.PResult0)
 	c1 := h.VMs[1].Result(gabi.PResult0)
 	ratio := float64(c0) / float64(c1)

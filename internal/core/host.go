@@ -21,12 +21,22 @@ type Scheduler interface {
 	// Account reports the cycles the entity actually consumed.
 	Account(id int, used uint64)
 	// Block marks an entity not runnable (idle/halted); Unblock reverses.
-	// Unblock MUST be a no-op for entities that are not blocked: both host
-	// engines call it to resync after device IRQs or Resume make a VM
+	// Unblock MUST be a no-op for entities that are not blocked: RunParallel
+	// calls it every epoch to resync after device IRQs or Resume make a VM
 	// runnable outside the timer wake path, so a policy that treats every
 	// Unblock as a wake event (boost, requeue) would be distorted.
 	Block(id int)
 	Unblock(id int)
+}
+
+// LeaseScheduler is the scheduler contract a Host runs under: BeginLease
+// excludes an entity from Next until EndLease, so one serial lease phase
+// hands out distinct (VM, quantum) pairs for an epoch. All schedulers in
+// internal/sched implement it.
+type LeaseScheduler interface {
+	Scheduler
+	BeginLease(id int)
+	EndLease(id int)
 }
 
 // Host is one simulated physical machine: a frame pool shared by its VMs, a
@@ -35,7 +45,7 @@ type Scheduler interface {
 type Host struct {
 	Pool  *mem.Pool
 	VMs   []*VM
-	Sched Scheduler
+	Sched LeaseScheduler
 	// PCPUs is the number of physical cores the host time model assumes:
 	// with N VMs and C cores, aggregate guest progress per host cycle is
 	// min(N, C).
@@ -49,10 +59,10 @@ type Host struct {
 	Quantum uint64
 
 	// EpochFunc, when set, runs serially at every RunParallel epoch barrier.
-	// It is where cross-VM effects belong under parallel execution: KSM scan
-	// rounds, balloon policy, migration pre-copy rounds, deferred virtual-
-	// switch delivery (vnet.Switch.Flush). Nothing else may touch more than
-	// one VM while an epoch is in flight.
+	// It is where cross-VM effects belong: KSM scan rounds, balloon policy,
+	// migration pre-copy rounds, deferred virtual-switch delivery
+	// (vnet.Switch.Flush). Nothing else may touch more than one VM while an
+	// epoch is in flight.
 	EpochFunc func()
 
 	wakeAt     map[int]uint64 // host time at which each idle VM's timer fires
@@ -64,7 +74,7 @@ type Host struct {
 const DefaultQuantum = 1_000_000
 
 // NewHost creates a host with the given memory budget in frames.
-func NewHost(poolFrames uint64, pcpus int, sched Scheduler) *Host {
+func NewHost(poolFrames uint64, pcpus int, sched LeaseScheduler) *Host {
 	if pcpus <= 0 {
 		pcpus = 1
 	}
@@ -94,84 +104,14 @@ func (h *Host) AddToScheduler(i int, weight, capPct uint64) {
 	h.Sched.Add(i, weight, capPct)
 }
 
-// Run multiplexes the host's VMs under the scheduler until every VM has
-// halted (or errored), or until the host clock reaches limit. It returns
-// the host cycles elapsed.
-//
-// The time model is a single dispatch trace: the host advances its clock by
-// (consumed quantum ÷ effective parallelism), where effective parallelism is
-// min(runnable VMs, PCPUs). This keeps multi-VM experiments deterministic —
-// no goroutine interleaving — while preserving the contention behaviour the
-// scheduling and consolidation experiments measure.
-//
-// Idle VMs are tickless: a WFI guest's clock keeps tracking wall (host)
-// time, so when its timer fires the guest observes both the sleep and any
-// scheduling delay before it was redispatched — which is exactly what the
-// wakeup-latency experiment (F11) measures.
-func (h *Host) Run(limit uint64) uint64 {
-	if h.Sched == nil {
-		panic("core: host has no scheduler")
-	}
-	h.ensureTimerMaps()
-	start := h.Now
-	for h.Now-start < limit {
-		runnable := h.wakeSleepers()
-		if runnable == 0 {
-			if !h.advanceToNextWake() {
-				return h.Now - start
-			}
-			continue
-		}
-
-		id, quantum, ok := h.Sched.Next()
-		if !ok {
-			h.Now += h.Quantum // all entities capped/throttled: host idles
-			continue
-		}
-		if quantum == 0 {
-			quantum = h.Quantum
-		}
-		par := runnable
-		if par > h.PCPUs {
-			par = h.PCPUs
-		}
-		if par < 1 {
-			par = 1
-		}
-		// Host timer preemption: never run a quantum past the next pending
-		// timer wake, so wakeups are observed promptly.
-		quantum = h.clampToNextWake(quantum, uint64(par))
-		vm := h.VMs[id]
-		if vm.State != StateRunning {
-			h.parkIfNotRunning(id, h.Now)
-			continue
-		}
-		h.chargeRunqueueWait(id)
-		used := vm.Step(quantum)
-		h.Sched.Account(id, used)
-		h.Now += used / uint64(par)
-		if used == 0 {
-			h.Now++ // ensure forward progress
-		}
-		h.parkIfNotRunning(id, h.Now)
-	}
-	return h.Now - start
-}
-
-func (h *Host) ensureTimerMaps() {
-	if h.wakeAt == nil {
-		h.wakeAt = make(map[int]uint64)
-		h.runnableAt = make(map[int]uint64)
-		h.idleAt = make(map[int]uint64)
-	}
-}
-
 // parkIfNotRunning blocks a VM that is not in the running state and, if it
 // went idle, records at — the wall time it actually stopped executing (the
 // end of its consumed slice, not the dispatch time, or the already-consumed
 // quantum would be double-charged): an idle guest's clock tracks wall time,
 // so a later device wake charges the gap (timer wakes compute the same
 // thing from the armed deadline instead).
+//
+//govisor:serialonly(edits the shared scheduler and the host's idle record; epoch prologue and barrier only)
 func (h *Host) parkIfNotRunning(id int, at uint64) {
 	vm := h.VMs[id]
 	if vm.State == StateRunning {
@@ -186,8 +126,10 @@ func (h *Host) parkIfNotRunning(id int, at uint64) {
 }
 
 // wakeSleepers wakes idle VMs whose timers have fired on the host clock and
-// returns the number of runnable VMs. This is the serial prologue both
-// execution engines (Run and RunParallel) share.
+// returns the number of runnable VMs. It is the serial prologue of every
+// RunParallel epoch.
+//
+//govisor:serialonly(touches every VM and the shared scheduler; epoch prologue only)
 func (h *Host) wakeSleepers() int {
 	runnable := 0
 	for i, vm := range h.VMs {
@@ -249,6 +191,8 @@ func (h *Host) wakeSleepers() int {
 
 // advanceToNextWake moves the clock to the earliest pending timer wake. It
 // returns false when no wake is pending — the host has nothing left to do.
+//
+//govisor:serialonly(moves the shared host clock; epoch prologue only)
 func (h *Host) advanceToNextWake() bool {
 	next := uint64(0)
 	//govisor:nondet(pure min fold over the values; result is independent of iteration order)
@@ -268,15 +212,16 @@ func (h *Host) advanceToNextWake() bool {
 	return true
 }
 
-// clampToNextWake bounds a dispatch quantum so it cannot run past the next
-// pending timer wake. par converts wall room into cycle room: Run's single
-// dispatch advances the host clock by used/par, while a RunParallel lease
-// occupies its own simulated core (par 1).
-func (h *Host) clampToNextWake(quantum, par uint64) uint64 {
+// clampToNextWake bounds a lease's quantum so it cannot run past the next
+// pending timer wake. A leased VM occupies its own simulated core, so its
+// cycle room equals the wall room left before the wake.
+//
+//govisor:serialonly(reads every VM's pending wake; lease phase only)
+func (h *Host) clampToNextWake(quantum uint64) uint64 {
 	//govisor:nondet(pure clamp/min fold over the values; result is independent of iteration order)
 	for _, at := range h.wakeAt {
 		if at > h.Now {
-			if room := (at - h.Now) * par; room < quantum {
+			if room := at - h.Now; room < quantum {
 				quantum = room
 			}
 		} else {
@@ -291,6 +236,8 @@ func (h *Host) clampToNextWake(quantum, par uint64) uint64 {
 
 // chargeRunqueueWait applies the wall time VM id spent waiting on the
 // runqueue since it woke (the scheduling-delay component of wakeup latency).
+//
+//govisor:serialonly(edits the host's runqueue record; lease phase only)
 func (h *Host) chargeRunqueueWait(id int) {
 	if rs, waited := h.runnableAt[id]; waited {
 		if h.Now > rs {

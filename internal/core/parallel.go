@@ -6,17 +6,6 @@ import (
 	"govisor/internal/vnet"
 )
 
-// LeaseScheduler is the optional capability RunParallel uses to dispatch
-// several VMs per epoch: BeginLease excludes an entity from Next until
-// EndLease, so one serial lease phase can hand out distinct (VM, quantum)
-// pairs. All schedulers in internal/sched implement it; a plain Scheduler
-// still works under RunParallel but degenerates to one lease per epoch.
-type LeaseScheduler interface {
-	Scheduler
-	BeginLease(id int)
-	EndLease(id int)
-}
-
 // epochLease is one (VM, quantum) grant of an epoch. used is written by the
 // executing worker and read back after the epoch barrier.
 type epochLease struct {
@@ -25,8 +14,9 @@ type epochLease struct {
 	used    uint64
 }
 
-// RunParallel multiplexes the host's VMs like Run, but executes each epoch's
-// leased VMs concurrently on a pool of host worker goroutines. It runs until
+// RunParallel is how a Host runs: it multiplexes the host's VMs under the
+// scheduler, executing each epoch's leased VMs concurrently on a pool of
+// host worker goroutines (one worker runs them serially). It runs until
 // every VM has halted (or errored), or until the host clock advances by
 // limit, and returns the host cycles elapsed.
 //
@@ -49,9 +39,12 @@ type epochLease struct {
 // The host clock advances by the longest lease actually consumed: each
 // leased VM occupies its own simulated core for the epoch. This is gang
 // scheduling — a VM that exits its quantum early still holds its core until
-// the barrier — which slightly differs from Run's single-dispatch
-// interleaving but is deterministic and preserves min(N, PCPUs) aggregate
-// progress.
+// the barrier — and preserves min(N, PCPUs) aggregate progress.
+//
+// Idle VMs are tickless: a WFI guest's clock keeps tracking wall (host)
+// time, so when its timer fires the guest observes both the sleep and any
+// scheduling delay before it was redispatched — which is exactly what the
+// wakeup-latency experiment (F11) measures.
 //
 // Known limits:
 //
@@ -73,8 +66,11 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 	if workers < 1 {
 		workers = 1
 	}
-	h.ensureTimerMaps()
-	ls, multi := h.Sched.(LeaseScheduler)
+	if h.wakeAt == nil {
+		h.wakeAt = make(map[int]uint64)
+		h.runnableAt = make(map[int]uint64)
+		h.idleAt = make(map[int]uint64)
+	}
 
 	// Inter-VM networking must not race across workers: flip every switch
 	// the fleet's NICs attach to into epoch-deferred delivery for the
@@ -105,13 +101,7 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 			}
 			continue
 		}
-		par := runnable
-		if par > h.PCPUs {
-			par = h.PCPUs
-		}
-		if par < 1 || !multi {
-			par = 1
-		}
+		par := max(min(runnable, h.PCPUs), 1)
 
 		// Lease phase (serial): fix this epoch's schedule.
 		leases = leases[:0]
@@ -128,13 +118,10 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 				continue
 			}
 			// Host timer preemption: never run an epoch past the next
-			// pending timer wake. A leased VM runs on its own simulated
-			// core, so cycle room equals wall room (par 1).
-			quantum = h.clampToNextWake(quantum, 1)
+			// pending timer wake.
+			quantum = h.clampToNextWake(quantum)
 			h.chargeRunqueueWait(id)
-			if multi {
-				ls.BeginLease(id)
-			}
+			h.Sched.BeginLease(id)
 			leases = append(leases, &epochLease{id: id, quantum: quantum})
 		}
 		if len(leases) == 0 {
@@ -154,20 +141,13 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 		var epochWall uint64
 		for _, l := range leases {
 			h.Sched.Account(l.id, l.used)
-			if multi {
-				ls.EndLease(l.id)
-			}
+			h.Sched.EndLease(l.id)
 			// A lease that went idle stopped executing at epoch start +
 			// consumed cycles (its own simulated core ran 1:1 with wall).
 			h.parkIfNotRunning(l.id, h.Now+l.used)
-			if l.used > epochWall {
-				epochWall = l.used
-			}
+			epochWall = max(epochWall, l.used)
 		}
-		if epochWall == 0 {
-			epochWall = 1 // ensure forward progress
-		}
-		h.Now += epochWall
+		h.Now += max(epochWall, 1) // ensure forward progress
 		// Barrier-time frame delivery (or EpochFunc work) may raise IRQs
 		// that wake idle VMs; the next epoch's wakeSleepers resyncs the
 		// scheduler with any VM a device made runnable.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -31,7 +32,7 @@ func idleTickProgram(t *testing.T, ticks int64, period uint64) []byte {
 
 // parallelFixture builds a host with 3 spinning VMs and 1 timer-idle VM
 // under the given scheduler.
-func parallelFixture(t *testing.T, mk func() Scheduler) *Host {
+func parallelFixture(t *testing.T, mk func() LeaseScheduler) *Host {
 	t.Helper()
 	h := NewHost(tPool, 2, mk())
 	spin := spinProgram(t)
@@ -57,20 +58,53 @@ func parallelFixture(t *testing.T, mk func() Scheduler) *Host {
 	return h
 }
 
+// wideFleet builds 8 counting VMs on an 8-PCPU host under the credit
+// scheduler, so every epoch holds 8 concurrent leases. Each VM counts to a
+// different bound and halts, so leases end early and VMs leave the fleet
+// in different epochs (about eight of them, at a 0.2 ms quantum).
+func wideFleet(t *testing.T) *Host {
+	t.Helper()
+	const vms = 8
+	cs := sched.NewCredit()
+	cs.Quantum = 200_000
+	h := NewHost(2*vms*tRAM>>isa.PageShift, vms, cs)
+	for i := 0; i < vms; i++ {
+		img := miniProgram(t, func(b *asm.Builder) {
+			b.Li(isa.RegT0, 0)
+			b.Li(isa.RegT2, uint64(40_000+10_000*i))
+			b.Li(isa.RegT1, gabi.ParamBase+gabi.PResult0*8)
+			b.Label("loop")
+			b.I(isa.OpADDI, isa.RegT0, isa.RegT0, 1)
+			b.Store(isa.OpSD, isa.RegT0, isa.RegT1, 0)
+			b.Branch(isa.OpBNE, isa.RegT0, isa.RegT2, "loop")
+			b.Halt(0)
+		})
+		vm, err := h.CreateVM(Config{Name: "wide", Mode: ModeHW, MemBytes: tRAM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Boot(img); err != nil {
+			t.Fatal(err)
+		}
+		h.AddToScheduler(i, 256, 0)
+	}
+	return h
+}
+
 type hostSnapshot struct {
 	now    uint64
-	cycles [4]uint64
-	pcs    [4]uint64
-	work   [4]uint64
+	cycles []uint64
+	pcs    []uint64
+	work   []uint64
 	shares []float64
 }
 
 func snapshotHost(h *Host) hostSnapshot {
 	s := hostSnapshot{now: h.Now}
-	for i, vm := range h.VMs {
-		s.cycles[i] = vm.CPU.Cycles
-		s.pcs[i] = vm.CPU.PC
-		s.work[i] = vm.Result(gabi.PResult0)
+	for _, vm := range h.VMs {
+		s.cycles = append(s.cycles, vm.CPU.Cycles)
+		s.pcs = append(s.pcs, vm.CPU.PC)
+		s.work = append(s.work, vm.Result(gabi.PResult0))
 	}
 	if sh, ok := h.Sched.(interface{ Shares() []float64 }); ok {
 		s.shares = sh.Shares()
@@ -80,18 +114,36 @@ func snapshotHost(h *Host) hostSnapshot {
 
 // TestRunParallelIdenticalAcrossWorkers: the whole point of the epoch
 // engine — worker count must never leak into any guest-visible or scheduler-
-// visible number, for every policy, including timer wakeups mid-run.
+// visible number, for every policy, including timer wakeups mid-run, and
+// with as many concurrent leases as workers (the 8-PCPU wide fleet).
 func TestRunParallelIdenticalAcrossWorkers(t *testing.T) {
-	policies := map[string]func() Scheduler{
-		"rr":     func() Scheduler { return sched.NewRoundRobin(DefaultQuantum) },
-		"credit": func() Scheduler { return sched.NewCredit() },
-		"cfs":    func() Scheduler { return sched.NewCFS() },
+	type fleetCase struct {
+		name    string
+		build   func() *Host
+		limit   uint64
+		workers []int
+		halts   bool // every run must end with the whole fleet halted
 	}
-	for name, mk := range policies {
+	var cases []fleetCase
+	for name, mk := range map[string]func() LeaseScheduler{
+		"rr":     func() LeaseScheduler { return sched.NewRoundRobin(DefaultQuantum) },
+		"credit": func() LeaseScheduler { return sched.NewCredit() },
+		"cfs":    func() LeaseScheduler { return sched.NewCFS() },
+	} {
+		cases = append(cases, fleetCase{name, func() *Host { return parallelFixture(t, mk) },
+			40_000_000 / raceScale, []int{1, 2, 3, 4}, false})
+	}
+	cases = append(cases, fleetCase{"wide-credit", func() *Host { return wideFleet(t) },
+		1_000_000_000, []int{1, 2, 4, 8}, true})
+	for _, c := range cases {
+		name := c.name
 		var ref hostSnapshot
-		for workers := 1; workers <= 4; workers++ {
-			h := parallelFixture(t, mk)
-			h.RunParallel(workers, 40_000_000/raceScale)
+		for _, workers := range c.workers {
+			h := c.build()
+			h.RunParallel(workers, c.limit)
+			if c.halts && !h.AllHalted() {
+				t.Fatalf("%s w=%d: fleet did not halt", name, workers)
+			}
 			got := snapshotHost(h)
 			if workers == 1 {
 				ref = got
@@ -148,10 +200,13 @@ func TestRunParallelRunsAllToHalt(t *testing.T) {
 	if elapsed == 0 {
 		t.Fatal("no host time elapsed")
 	}
+	if !strings.Contains(h.String(), "vms=6") {
+		t.Fatalf("host String %q", h.String())
+	}
 }
 
-// TestRunParallelSharesCPUFairly mirrors the serial fairness test under the
-// parallel engine: equal weights on a 1-PCPU host must stay within 25%.
+// TestRunParallelSharesCPUFairly: equal weights on a 1-PCPU host must stay
+// within 25% of each other.
 func TestRunParallelSharesCPUFairly(t *testing.T) {
 	cs := sched.NewCredit()
 	// Keep enough dispatches in the window for fairness to converge even
@@ -211,36 +266,5 @@ func TestRunParallelEpochFunc(t *testing.T) {
 	h.RunParallel(2, 10_000_000/raceScale)
 	if epochs.Load() == 0 {
 		t.Fatal("EpochFunc never ran")
-	}
-}
-
-// plainScheduler hides the lease capability, forcing the single-lease
-// fallback path.
-type plainScheduler struct{ s *sched.Credit }
-
-func (p plainScheduler) Add(id int, w, c uint64)     { p.s.Add(id, w, c) }
-func (p plainScheduler) Remove(id int)               { p.s.Remove(id) }
-func (p plainScheduler) Next() (int, uint64, bool)   { return p.s.Next() }
-func (p plainScheduler) Account(id int, used uint64) { p.s.Account(id, used) }
-func (p plainScheduler) Block(id int)                { p.s.Block(id) }
-func (p plainScheduler) Unblock(id int)              { p.s.Unblock(id) }
-
-// TestRunParallelPlainSchedulerFallback: a scheduler without lease support
-// still works (one lease per epoch).
-func TestRunParallelPlainSchedulerFallback(t *testing.T) {
-	h := NewHost(tPool, 4, plainScheduler{sched.NewCredit()})
-	img := spinProgram(t)
-	for i := 0; i < 2; i++ {
-		vm, _ := h.CreateVM(Config{Name: "vm", Mode: ModeHW, MemBytes: tRAM})
-		if err := vm.Boot(img); err != nil {
-			t.Fatal(err)
-		}
-		h.AddToScheduler(i, 256, 0)
-	}
-	h.RunParallel(4, 20_000_000/raceScale)
-	for i, vm := range h.VMs {
-		if vm.Result(gabi.PResult0) == 0 {
-			t.Fatalf("vm %d starved under fallback", i)
-		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // unicast sender→receiver pairs over one shared switch must end in byte-identical guest state — cycles,
 // registers, CSRs, UART, RAM hashes (which cover the receivers' RX buffers,
 // i.e. the delivered frames and their order), VMM/MMU/TLB stats and switch
-// counters — no matter whether it ran serially, under RunParallel with any
-// worker count, or with the DMA memos disabled.
+// counters — at any RunParallel worker count, and on the reference engine
+// with its page-by-page DMA.
 
 // dataplanePair describes one sender→receiver flow.
 type dataplanePair struct {
@@ -134,10 +134,8 @@ func checkDataplaneDelivery(t *testing.T, label string, h *core.Host, sw *vnet.S
 // TestDifferentialDataplaneInvisible: the timestamp-ordered switch flush and
 // the span-DMA memo must be architecturally invisible. RunParallel with 1..4
 // workers is byte-identical per VM (full comparison including exit counters
-// and population stats), the serial engine reaches the same guest-visible
-// state (host clock legitimately differs: epoch scheduling is host
-// bookkeeping), and a reference-engine fleet (per-instruction interpreter,
-// page-by-page DMA) matches in full.
+// and population stats), and a reference-engine fleet (per-instruction
+// interpreter, page-by-page DMA) matches in full.
 func TestDifferentialDataplaneInvisible(t *testing.T) {
 	pairs := dataplanePairs()
 
@@ -162,21 +160,6 @@ func TestDifferentialDataplaneInvisible(t *testing.T) {
 		}
 	}
 
-	// Serial engine: frames deliver synchronously mid-step instead of at
-	// epoch barriers. Disjoint unicast flows make delivery order per
-	// receiver depend only on its one sender's send order, so guest-visible
-	// state must still match exactly.
-	hs, ssw := buildDataplaneFleet(t, pairs, nil)
-	hs.Run(8_000_000_000)
-	checkDataplaneDelivery(t, "serial", hs, ssw, pairs)
-	if got := switchStats(ssw); got != refStats {
-		t.Errorf("serial: switch stats diverged: %+v vs %+v", got, refStats)
-	}
-	for i := range hs.VMs {
-		compareVMs(t, fmt.Sprintf("serial vm=%s", hs.VMs[i].Name),
-			ref.VMs[i], hs.VMs[i], false)
-	}
-
 	// Reference engine: the per-instruction interpreter, every DMA access
 	// resolving through the unmemoized per-page path. Full comparison — the
 	// fast engine may not even perturb population or dirty-tracking
@@ -192,31 +175,19 @@ func TestDifferentialDataplaneInvisible(t *testing.T) {
 		compareVMs(t, fmt.Sprintf("ref vm=%s", hn.VMs[i].Name),
 			ref.VMs[i], hn.VMs[i], true)
 	}
-
-	// And the cross product: the reference engine under the serial host.
-	hns, nssw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.Reference = true })
-	hns.Run(8_000_000_000)
-	checkDataplaneDelivery(t, "ref-serial", hns, nssw, pairs)
-	for i := range hns.VMs {
-		compareVMs(t, fmt.Sprintf("ref-serial vm=%s", hns.VMs[i].Name),
-			ref.VMs[i], hns.VMs[i], false)
-	}
 }
 
 // TestDataplaneConvergedFrames: the receivers' RX buffers contain exactly
 // the bytes their senders transmitted, in send order — the payload stamp
 // (frame index) ascends through the posted buffers. This nails delivery
-// *order*, not just delivery count, across both engines.
+// *order*, not just delivery count, at one worker and at four.
 func TestDataplaneConvergedFrames(t *testing.T) {
 	pairs := dataplanePairs()
-	for _, engine := range []string{"serial", "parallel"} {
+	for _, workers := range []int{1, 4} {
 		h, sw := buildDataplaneFleet(t, pairs, nil)
-		if engine == "serial" {
-			h.Run(8_000_000_000)
-		} else {
-			h.RunParallel(4, 8_000_000_000)
-		}
-		checkDataplaneDelivery(t, engine, h, sw, pairs)
+		h.RunParallel(workers, 8_000_000_000)
+		label := fmt.Sprintf("w=%d", workers)
+		checkDataplaneDelivery(t, label, h, sw, pairs)
 		for i, p := range pairs {
 			recv := h.VMs[2*i+1]
 			bufLen := 12 + p.frameLen
@@ -230,11 +201,11 @@ func TestDataplaneConvergedFrames(t *testing.T) {
 				addr := ioDataBase + fr*stride + 24
 				got, f := recv.Mem.ReadUint(addr, 8)
 				if f != nil {
-					t.Fatalf("[%s] rx%d frame %d: stamp read fault", engine, i, fr)
+					t.Fatalf("[%s] rx%d frame %d: stamp read fault", label, i, fr)
 				}
 				if want := (fr / p.batch) * p.batch; got != want {
 					t.Fatalf("[%s] rx%d buffer %d holds batch stamp %d, want %d: frames delivered out of send order",
-						engine, i, fr, got, want)
+						label, i, fr, got, want)
 				}
 			}
 		}

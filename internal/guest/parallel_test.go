@@ -67,26 +67,26 @@ func overcommitFleet() fleetSpec {
 
 func schedPolicies() []struct {
 	name string
-	mk   func() core.Scheduler
+	mk   func() core.LeaseScheduler
 } {
 	return []struct {
 		name string
-		mk   func() core.Scheduler
+		mk   func() core.LeaseScheduler
 	}{
-		{"rr", func() core.Scheduler { return sched.NewRoundRobin(core.DefaultQuantum) }},
-		{"credit", func() core.Scheduler { return sched.NewCredit() }},
-		{"cfs", func() core.Scheduler { return sched.NewCFS() }},
+		{"rr", func() core.LeaseScheduler { return sched.NewRoundRobin(core.DefaultQuantum) }},
+		{"credit", func() core.LeaseScheduler { return sched.NewCredit() }},
+		{"cfs", func() core.LeaseScheduler { return sched.NewCFS() }},
 	}
 }
 
 // buildFleet boots a spec onto a fresh host.
-func buildFleet(t *testing.T, spec fleetSpec, mk func() core.Scheduler) *core.Host {
+func buildFleet(t *testing.T, spec fleetSpec, mk func() core.LeaseScheduler) *core.Host {
 	return buildFleetCfg(t, spec, mk, nil)
 }
 
 // buildFleetCfg is buildFleet with a per-VM config tweak hook (the
 // refinement suite selects the reference engine fleet-wide).
-func buildFleetCfg(t *testing.T, spec fleetSpec, mk func() core.Scheduler, tweak func(*core.Config)) *core.Host {
+func buildFleetCfg(t *testing.T, spec fleetSpec, mk func() core.LeaseScheduler, tweak func(*core.Config)) *core.Host {
 	t.Helper()
 	kernel, err := BuildKernel()
 	if err != nil {
@@ -358,13 +358,12 @@ func TestParallelAutoDefersSwitches(t *testing.T) {
 	}
 }
 
-// TestIRQWakeRedispatchesUnderBothEngines is the regression test for the
-// device-wake starvation bug: a VM parked in WFI with no timer armed is
-// woken by a NIC interrupt (frame delivery raises the external IRQ, which
-// flips it to StateRunning without going through the timer wake path). Both
-// host engines must resync the scheduler and redispatch it — before the
-// fix, serial Run left the entity blocked forever and spun to the limit.
-func TestIRQWakeRedispatchesUnderBothEngines(t *testing.T) {
+// TestIRQWakeRedispatches is the regression test for the device-wake
+// starvation bug: a VM parked in WFI with no timer armed is woken by a NIC
+// interrupt (frame delivery raises the external IRQ, which flips it to
+// StateRunning without going through the timer wake path). The host must
+// resync the scheduler and redispatch it, at any worker count.
+func TestIRQWakeRedispatches(t *testing.T) {
 	build := func() *core.Host {
 		sw := vnet.NewSwitch()
 		h := core.NewHost(4*(testRAM>>isa.PageShift), 2, sched.NewCredit())
@@ -406,13 +405,10 @@ func TestIRQWakeRedispatchesUnderBothEngines(t *testing.T) {
 		return h
 	}
 
-	run := map[string]func(h *core.Host){
-		"serial":   func(h *core.Host) { h.Run(200_000_000) },
-		"parallel": func(h *core.Host) { h.RunParallel(2, 200_000_000) },
-	}
-	for name, drive := range run {
+	for _, workers := range []int{1, 2} {
 		h := build()
-		drive(h)
+		h.RunParallel(workers, 200_000_000)
+		name := fmt.Sprintf("w=%d", workers)
 		if !h.AllHalted() {
 			for _, vm := range h.VMs {
 				t.Logf("[%s] %s: state %v err %v", name, vm.Name, vm.State, vm.Err)

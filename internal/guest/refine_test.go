@@ -280,7 +280,7 @@ func refineFleet(t *testing.T, build func(tweak func(*core.Config)) *core.Host, 
 }
 
 // kernelFleet builds a fleetSpec under a scheduler policy.
-func kernelFleet(t *testing.T, spec fleetSpec, mk func() core.Scheduler) func(func(*core.Config)) *core.Host {
+func kernelFleet(t *testing.T, spec fleetSpec, mk func() core.LeaseScheduler) func(func(*core.Config)) *core.Host {
 	return func(tweak func(*core.Config)) *core.Host { return buildFleetCfg(t, spec, mk, tweak) }
 }
 
@@ -307,17 +307,17 @@ func imageFleet(t *testing.T, imgs [][]byte) func(func(*core.Config)) *core.Host
 }
 
 func TestDifferentialSuperblockParallel(t *testing.T) {
-	refineFleet(t, kernelFleet(t, consolidationFleet(), func() core.Scheduler { return sched.NewCredit() }),
+	refineFleet(t, kernelFleet(t, consolidationFleet(), func() core.LeaseScheduler { return sched.NewCredit() }),
 		blocksDispatched)
 }
 
 func TestDifferentialThreadedDispatchParallel(t *testing.T) {
-	refineFleet(t, kernelFleet(t, overcommitFleet(), func() core.Scheduler { return sched.NewCFS() }),
+	refineFleet(t, kernelFleet(t, overcommitFleet(), func() core.LeaseScheduler { return sched.NewCFS() }),
 		blocksDispatched)
 }
 
 func TestDifferentialWriteMemoParallel(t *testing.T) {
-	refineFleet(t, kernelFleet(t, consolidationFleet(), func() core.Scheduler { return sched.NewRoundRobin(core.DefaultQuantum) }),
+	refineFleet(t, kernelFleet(t, consolidationFleet(), func() core.LeaseScheduler { return sched.NewRoundRobin(core.DefaultQuantum) }),
 		wmemoHit)
 }
 

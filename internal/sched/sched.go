@@ -3,8 +3,9 @@
 // scheduler (weights, caps, and a BOOST state for freshly woken entities),
 // and a CFS-like fair scheduler driven by weighted virtual runtime.
 //
-// All three satisfy the core.Scheduler interface. Time is the host's
-// simulated cycle count; schedulers are purely deterministic.
+// All three satisfy core.LeaseScheduler, the contract a core.Host runs
+// under. Time is the host's simulated cycle count; schedulers are purely
+// deterministic.
 package sched
 
 // Entity is the per-vCPU accounting state shared by the policies.
@@ -23,7 +24,7 @@ type Entity struct {
 }
 
 // baseScheduler holds the entity table shared by the policies, plus the
-// lease bookkeeping the parallel host engine uses: an epoch leases several
+// lease bookkeeping the host's epoch engine uses: an epoch leases several
 // distinct entities with BeginLease (each excluded from Next until its
 // EndLease), runs them concurrently, and applies Account/EndLease serially
 // at the epoch barrier.
