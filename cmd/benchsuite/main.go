@@ -5,18 +5,17 @@
 //
 // Flags:
 //
-//	-cpuprofile F  write a pprof CPU profile of the run (interpreter profiling)
-//	-quick         scale the M-series workloads down (smoke budgets)
+//	-quick  scale the M-series workloads down (smoke budgets)
 //
 // Performance is measured by the harness in benchmark/ (go run ./benchmark),
-// not here: these tables reproduce the paper's shapes.
+// not here: these tables reproduce the paper's shapes. To profile the
+// simulator, run one workload traced: go run ./benchmark -workload W -trace 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -26,7 +25,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	quick := flag.Bool("quick", false, "scale M-series microbenchmark workloads down for smoke runs")
 	flag.Parse()
 
@@ -64,25 +62,6 @@ func main() {
 	}
 
 	bench.SetQuick(*quick)
-	// The profile must be flushed even when experiments fail (that is
-	// exactly when one profiles), so stop it explicitly before any exit
-	// rather than deferring past os.Exit.
-	stopProfile := func() {}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
 
 	failed := 0
 	for _, e := range experiments {
@@ -102,7 +81,6 @@ func main() {
 		fmt.Print(table.String())
 		fmt.Printf("(%.1fs)\n\n", elapsed.Seconds())
 	}
-	stopProfile()
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiments failed\n", failed)
 		os.Exit(1)

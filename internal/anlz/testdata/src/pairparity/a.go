@@ -98,7 +98,7 @@ func (c *C) leave() exit {
 	return exit{reason: 1}
 }
 
-// Negative: the snapshot-replay shape (ChainFetch/ReplayFetch) — the fast
+// Negative: the snapshot-replay shape (ChainFetch/ReplayFetchSpan) — the fast
 // arm's bumps sit behind early-return validation checks, but the write-set
 // is flow-insensitive, so parity with the unconditional reference holds.
 //

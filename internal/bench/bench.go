@@ -1,7 +1,8 @@
 // Package bench implements the reproduced evaluation: one runner per table
 // or figure in EXPERIMENTS.md. Each runner executes the experiment on the
 // simulated machine and returns a rendered table; cmd/benchsuite prints
-// them all, and the root bench_test.go wraps each in a testing.B benchmark.
+// them all. Host time is measured by benchmark/ (go run ./benchmark), not
+// here.
 package bench
 
 import (

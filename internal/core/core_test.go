@@ -8,6 +8,7 @@ import (
 	"govisor/internal/gabi"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/mmu"
 	"govisor/internal/sched"
 )
 
@@ -148,6 +149,60 @@ func TestParaMapValidation(t *testing.T) {
 	v2, _ := vm.Mem.ReadUint(0x108, 8)
 	if v1 != gabi.HCEInval || v2 != gabi.HCEInval {
 		t.Fatalf("rets = %#x, %#x", v1, v2)
+	}
+}
+
+// TestParaUnmapRejectsNonCanonicalAlias unmaps va|1<<VABits, whose table
+// indices are va's. The hypercall must fail and leave va's mapping, its
+// warm TLB entry and the ParaMaps count as they were; clearing va's PTE
+// while flushing the alias's TLB page would leave a stale translation.
+func TestParaUnmapRejectsNonCanonicalAlias(t *testing.T) {
+	const pa = 0x10000
+	vm := newTestVM(t, ModePara)
+	img := miniProgram(t, func(b *asm.Builder) {
+		b.Load(isa.OpLD, isa.RegT0, isa.RegA0, gabi.PSatp*8)
+		b.Csrw(isa.CSRSatp, isa.RegT0)
+		b.SfenceVMA(isa.RegZero, isa.RegZero)
+		b.Li(isa.RegA0, ChurnWindowVA)
+		b.Li(isa.RegA1, pa)
+		b.Li(isa.RegA2, isa.PTERead|isa.PTEWrite)
+		b.Li(isa.RegA7, gabi.HCMMUMap)
+		b.Ecall()
+		// Warm the TLB through the new mapping.
+		b.Li(isa.RegT1, ChurnWindowVA)
+		b.Li(isa.RegT2, 0x5a)
+		b.Store(isa.OpSD, isa.RegT2, isa.RegT1, 0)
+		b.Li(isa.RegA0, ChurnWindowVA|1<<isa.VABits)
+		b.Li(isa.RegA7, gabi.HCMMUUnmap)
+		b.Ecall()
+		b.Store(isa.OpSD, isa.RegA0, isa.RegZero, 0x100)
+		b.Halt(0)
+	})
+	if err := vm.Boot(img); err != nil {
+		t.Fatal(err)
+	}
+	if st := vm.RunToHalt(budget); st != StateHalted {
+		t.Fatalf("state %v err %v", st, vm.Err)
+	}
+	if v, _ := vm.Mem.ReadUint(0x100, 8); v != gabi.HCEInval {
+		t.Fatalf("unmap of the alias returned %#x, want HCEInval", v)
+	}
+	if vm.Stats.ParaMaps != 1 {
+		t.Fatalf("ParaMaps = %d, want 1 (the map only)", vm.Stats.ParaMaps)
+	}
+	wr, werr := mmu.Walk(vm.Mem, vm.tb.RootPPN, ChurnWindowVA)
+	if werr != nil || wr.GPA != pa {
+		t.Fatalf("mapping of %#x lost: gpa %#x, %v", ChurnWindowVA, wr.GPA, werr)
+	}
+	// The warm TLB entry still agrees with the tables.
+	walks := vm.MMUCtx.Stats.Walks
+	gpa, _, f := vm.MMUCtx.Translate(ChurnWindowVA, isa.AccRead, false)
+	if f != nil || gpa != pa || vm.MMUCtx.Stats.Walks != walks {
+		t.Fatalf("translate = %#x, %v after %d walks; want a TLB hit on %#x",
+			gpa, f, vm.MMUCtx.Stats.Walks-walks, pa)
+	}
+	if v, _ := vm.Mem.ReadUint(pa, 8); v != 0x5a {
+		t.Fatalf("page holds %#x, want the guest's 0x5a", v)
 	}
 }
 

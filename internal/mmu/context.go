@@ -200,26 +200,11 @@ func (c *Context) Enabled() bool { return isa.SatpMode(c.Satp) == isa.SatpModePa
 
 // Translate maps va to a guest-physical address for the given access from
 // the given (virtual) privilege. It returns the number of page-table memory
-// references the access cost, which the interpreter converts to cycles.
+// references the access cost, which the interpreter converts to cycles. It
+// reads no memo: the reference engine relies on that.
 func (c *Context) Translate(va uint64, acc isa.Access, userMode bool) (gpa uint64, refs int, fault *Fault) {
-	c.Stats.Translations++
-	if !c.Enabled() {
-		return va, 0, nil
-	}
-	asid := c.asid()
-	if e, ok := c.TLB.Lookup(asid, va); ok {
-		if f := c.checkTLBPerms(e.Perms, acc, userMode, va); f != nil {
-			return 0, 0, f
-		}
-		return e.PPN<<isa.PageShift | va&isa.PageMask, 0, nil
-	}
-
-	switch c.Style {
-	case StyleShadow:
-		return c.translateShadow(va, acc, userMode, asid)
-	default:
-		return c.translateWalk(va, acc, userMode, asid)
-	}
+	var unused FetchSnap
+	return c.fill(&unused, va, acc, userMode)
 }
 
 // CheckFetchSnap is the one validity rule of a memoized translation: it
@@ -249,11 +234,11 @@ func (c *Context) hit(s *FetchSnap, va uint64, userMode bool) bool {
 	return true
 }
 
-// fill is the memo miss path shared by every memoized translation: the full
-// translation of va for access acc, installing the result in m when it came
-// from the TLB or paging is off (a walk or a shadow fill inserts into the
-// TLB, so the next call fills from there). Behaviour, cycle charging and
-// every statistic are identical to Translate.
+// fill is the one translation body: the full translation of va for access
+// acc, installing the result in m when it came from the TLB or paging is off
+// (a walk or a shadow fill inserts into the TLB, so the next call fills from
+// there). It never reads m, so Translate runs it on a throwaway memo and
+// every memo miss path runs it on its own.
 func (c *Context) fill(m *FetchSnap, va uint64, acc isa.Access, userMode bool) (gpa uint64, refs int, fault *Fault) {
 	m.valid = false
 	c.Stats.Translations++
@@ -264,8 +249,8 @@ func (c *Context) fill(m *FetchSnap, va uint64, acc isa.Access, userMode bool) (
 	}
 	asid := c.asid()
 	if e, ok := c.TLB.LookupRef(asid, va); ok {
-		if f := c.checkTLBPerms(e.Perms, acc, userMode, va); f != nil {
-			return 0, 0, f
+		if denied(e.Perms, acc, userMode) {
+			return 0, 0, c.guestFault(acc, va)
 		}
 		*m = FetchSnap{valid: true, paged: true, satp: c.Satp, user: userMode,
 			vpn: vpn, gen: c.TLB.Gen(), entry: e, ppn: e.PPN}
@@ -301,8 +286,8 @@ func (c *Context) SnapFetch() FetchSnap { return c.fetch }
 // previously snapshotted translation: the memo hit rule applied to the
 // snapshot. On success it performs exactly the bookkeeping of a fetch-memo
 // hit and installs the snapshot as the live fetch memo, so in-block
-// ReplayFetch continues on the chained page. On failure it performs nothing
-// and the caller must take the full fetch path.
+// ReplayFetchSpan continues on the chained page. On failure it performs
+// nothing and the caller must take the full fetch path.
 func (c *Context) ChainFetch(s *FetchSnap, va uint64, userMode bool) bool {
 	if !c.hit(s, va, userMode) {
 		return false
@@ -311,42 +296,22 @@ func (c *Context) ChainFetch(s *FetchSnap, va uint64, userMode bool) bool {
 	return true
 }
 
-// ReplayFetch replays the accounting of one more instruction fetch from the
-// virtual page the fetch memo currently covers — the superblock engine's
-// per-instruction fetch, where the block entry already performed the real
-// TranslateFetch. It returns false (performing nothing) when the memo cannot
-// prove the replay exact — unset, a different page, or a TLB insert/flush
-// since the memo was filled — and the caller must fall back to the full
-// fetch path. Callers guarantee SATP and the privilege level are unchanged
-// since the memo was filled (inside a superblock neither can change: CSR
-// writes and traps both end the block before the next fetch), which is why
-// this is the hit rule minus those two compares — spelled out rather than
-// shared, because it runs once per retired instruction.
-func (c *Context) ReplayFetch(va uint64) bool {
-	m := &c.fetch
-	if !m.valid || va>>isa.PageShift != m.vpn {
-		return false
-	}
-	if !m.paged {
-		c.Stats.Translations++
-		return true
-	}
-	if c.TLB.Gen() != m.gen {
-		return false
-	}
-	c.Stats.Translations++
-	c.TLB.Touch(m.entry)
-	return true
-}
-
-// ReplayFetchSpan folds n consecutive same-page ReplayFetch calls into one
-// step: one memo validation, then the batched bookkeeping (n translations,
-// TLB.TouchN). Bit-identical to the n individual calls — but only when the
-// caller proves nothing between the folded fetches can touch the TLB or
-// this memo: the block engines use it for straight-line spans containing no
-// memory operations (pure ALU cannot trap, flush, insert or re-translate),
-// where each per-instruction replay would hit the same memo entry and Touch
-// the same TLB entry back to back.
+// ReplayFetchSpan replays the accounting of n more instruction fetches from
+// va on the virtual page the fetch memo currently covers — the block
+// engines' per-instruction fetch, where the block entry already performed
+// the real TranslateFetch. One memo validation, then the batched bookkeeping
+// (n translations, TLB.TouchN): bit-identical to n fetch-memo hits in a row.
+// It returns false (performing nothing) when the memo cannot prove the
+// replay exact — unset, a different page, or a TLB insert/flush since the
+// memo was filled — and the caller must fall back to the full fetch path.
+// Callers guarantee SATP and the privilege level are unchanged since the
+// memo was filled (inside a block neither can change: CSR writes and traps
+// both end the block before the next fetch), which is why this is the hit
+// rule minus those two compares — spelled out rather than shared, because
+// it runs once per retired instruction. For n > 1 the caller also proves
+// that nothing between the folded fetches can touch the TLB or this memo:
+// the block engines fold only straight-line spans containing no memory
+// operations (pure ALU cannot trap, flush, insert or re-translate).
 func (c *Context) ReplayFetchSpan(va, n uint64) bool {
 	m := &c.fetch
 	if !m.valid || va>>isa.PageShift != m.vpn {
@@ -377,8 +342,8 @@ func (c *Context) TranslateData(va uint64, acc isa.Access, userMode bool) (gpa u
 		return c.fill(m, va, acc, userMode)
 	}
 	if m.paged {
-		if f := c.checkTLBPerms(m.entry.Perms, acc, userMode, va); f != nil {
-			return 0, 0, f
+		if denied(m.entry.Perms, acc, userMode) {
+			return 0, 0, c.guestFault(acc, va)
 		}
 	}
 	return m.ppn<<isa.PageShift | va&isa.PageMask, 0, nil
@@ -416,23 +381,23 @@ func (c *Context) MaxWalkRefs() uint64 {
 	return refs
 }
 
-func (c *Context) checkTLBPerms(perms uint8, acc isa.Access, userMode bool, va uint64) *Fault {
+// denied is the one permission rule: it reports whether translation
+// permissions perms (tlb.Perm* bits; a walk converts its leaf PTE with
+// tlb.PermsFromPTE) forbid an access from a privilege level. Supervisor mode
+// may access user pages (SUM behaviour is always-on in GV64); user mode may
+// only touch PermU pages.
+func denied(perms uint8, acc isa.Access, userMode bool) bool {
 	if userMode && perms&tlb.PermU == 0 {
-		return c.guestFault(acc, va)
+		return true
 	}
-	var need uint8
 	switch acc {
 	case isa.AccRead:
-		need = tlb.PermR
+		return perms&tlb.PermR == 0
 	case isa.AccWrite:
-		need = tlb.PermW
+		return perms&tlb.PermW == 0
 	default:
-		need = tlb.PermX
+		return perms&tlb.PermX == 0
 	}
-	if perms&need == 0 {
-		return c.guestFault(acc, va)
-	}
-	return nil
 }
 
 func (c *Context) guestFault(acc isa.Access, va uint64) *Fault {
@@ -453,18 +418,15 @@ func (c *Context) translateWalk(va uint64, acc isa.Access, userMode bool, asid u
 		c.Stats.NestedRefs += uint64(extra)
 	}
 	c.Stats.WalkRefs += uint64(wr.Refs)
-	if werr != nil {
-		if werr.Fault != nil {
-			return 0, refs, &Fault{Kind: FaultHost, VA: va, Mem: werr.Fault}
-		}
+	if werr != nil && werr.Fault != nil {
+		return 0, refs, &Fault{Kind: FaultHost, VA: va, Mem: werr.Fault}
+	}
+	perms := tlb.PermsFromPTE(wr.PTE)
+	if werr != nil || denied(perms, acc, userMode) {
 		return 0, refs, c.guestFault(acc, va)
 	}
-	if PermError(wr.PTE, acc, userMode) {
-		return 0, refs, c.guestFault(acc, va)
-	}
-	gpa := wr.GPA
-	c.TLB.Insert(asid, va, gpa>>isa.PageShift, tlb.PermsFromPTE(wr.PTE), wr.PTE&isa.PTEGlobal != 0)
-	return gpa, refs, nil
+	c.TLB.Insert(asid, va, wr.GPA>>isa.PageShift, perms, wr.PTE&isa.PTEGlobal != 0)
+	return wr.GPA, refs, nil
 }
 
 // shadowMiss is the fault every shadow miss returns: one shared value that
@@ -484,8 +446,8 @@ func (c *Context) translateShadow(va uint64, acc isa.Access, userMode bool, asid
 	refs := isa.PTLevels
 	c.Stats.Walks++
 	c.Stats.WalkRefs += uint64(refs)
-	if f := c.checkTLBPerms(e.Perms, acc, userMode, va); f != nil {
-		return 0, refs, f
+	if denied(e.Perms, acc, userMode) {
+		return 0, refs, c.guestFault(acc, va)
 	}
 	gpa := e.PPN<<isa.PageShift | va&isa.PageMask
 	c.TLB.Insert(asid, va, e.PPN, e.Perms, e.Global)

@@ -1,6 +1,8 @@
 package mmu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"govisor/internal/isa"
@@ -128,6 +130,89 @@ func TestTableBuilderRegionExhaustion(t *testing.T) {
 	}
 	if err := tb.Map(0, 0, isa.PTERead); err == nil {
 		t.Fatal("expected table region exhaustion")
+	}
+}
+
+// TestTableBuilderDescentErrors drives Map, EnsureL0 and Unmap through every
+// way the builder's one table descent stops short — a va under a 2 MiB
+// superpage, a non-canonical va (1<<VABits aliases a mapped page in every
+// table index), absent tables under Unmap, and a region exhausted
+// mid-descent — and checks the table region against a snapshot taken
+// before the call.
+func TestTableBuilderDescentErrors(t *testing.T) {
+	const (
+		start  = 32                   // first table page
+		region = 4                    // root, the L1 and L0 below, one spare
+		super  = isa.MegaPageSize     // a 2 MiB superpage at [2, 4) MiB
+		page   = 0x4000               // a mapped 4 KiB page
+		alias  = page | 1<<isa.VABits // page's table indices, not canonical
+		far    = 1 << 30              // root slot 1: no tables below it
+	)
+	mapTo := func(va uint64) func(*TableBuilder) error {
+		return func(tb *TableBuilder) error { return tb.Map(va, 0x7000, isa.PTERead) }
+	}
+	ensureL0 := func(va uint64) func(*TableBuilder) error {
+		return func(tb *TableBuilder) error { _, err := tb.EnsureL0(va); return err }
+	}
+	unmap := func(va uint64) func(*TableBuilder) error {
+		return func(tb *TableBuilder) error { return tb.Unmap(va) }
+	}
+	for _, tc := range []struct {
+		name    string
+		op      func(*TableBuilder) error
+		wantErr bool
+		grows   bool // the descent allocated one table before failing
+	}{
+		{"Map under superpage", mapTo(super + 0x1000), true, false},
+		{"EnsureL0 under superpage", ensureL0(super + 0x1000), true, false},
+		{"Unmap under superpage", unmap(super + 0x1000), true, false},
+		{"Map non-canonical", mapTo(alias), true, false},
+		{"EnsureL0 non-canonical", ensureL0(alias), true, false},
+		{"Unmap non-canonical", unmap(alias), true, false},
+		{"Unmap absent tables", unmap(far), false, false},
+		{"Map exhausts region mid-descent", mapTo(far), true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newSpace(t, 64)
+			tb, err := NewTableBuilder(g, start, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.MapSuper(super, 0, isa.PTERead); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Map(page, 0x7000, isa.PTERead); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]byte, region*isa.PageSize)
+			after := make([]byte, region*isa.PageSize)
+			if f := g.Read(start<<isa.PageShift, before); f != nil {
+				t.Fatal(f)
+			}
+			pages := tb.Pages
+
+			err = tc.op(tb)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if f := g.Read(start<<isa.PageShift, after); f != nil {
+				t.Fatal(f)
+			}
+			if tc.grows {
+				// The only write is the root's pointer to the new, still
+				// empty table: the tables stay well formed.
+				if tb.Pages != pages+1 {
+					t.Fatalf("pages %d → %d, want one more", pages, tb.Pages)
+				}
+				slot := isa.VPN(far, isa.PTLevels-1) * 8
+				binary.LittleEndian.PutUint64(before[slot:], isa.MakePTE(start+uint64(pages), isa.PTEValid))
+			} else if tb.Pages != pages {
+				t.Fatalf("pages %d → %d, want no allocation", pages, tb.Pages)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("table pages changed")
+			}
+		})
 	}
 }
 

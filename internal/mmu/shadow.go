@@ -126,18 +126,16 @@ func (e *Engine) Lookup(root, va uint64) (ShadowEntry, bool) {
 // the VMM must inject a page fault; FaultHost escalates host-level problems.
 func (e *Engine) Fill(root, va uint64, acc isa.Access, userMode bool) (refs int, fault *Fault) {
 	wr, werr := Walk(e.g, root, va)
-	if werr != nil {
-		if werr.Fault != nil {
-			return wr.Refs, &Fault{Kind: FaultHost, VA: va, Mem: werr.Fault}
-		}
-		return wr.Refs, &Fault{Kind: FaultGuest, Cause: isa.PageFaultCause(acc), VA: va}
+	if werr != nil && werr.Fault != nil {
+		return wr.Refs, &Fault{Kind: FaultHost, VA: va, Mem: werr.Fault}
 	}
-	if PermError(wr.PTE, acc, userMode) {
+	perms := tlb.PermsFromPTE(wr.PTE)
+	if werr != nil || denied(perms, acc, userMode) {
 		return wr.Refs, &Fault{Kind: FaultGuest, Cause: isa.PageFaultCause(acc), VA: va}
 	}
 	s := e.space(root)
 	vpn := va >> isa.PageShift
-	s.entries.put(vpn, wr.GPA>>isa.PageShift<<9|wr.PTE&isa.PTEGlobal<<3|uint64(tlb.PermsFromPTE(wr.PTE)))
+	s.entries.put(vpn, wr.GPA>>isa.PageShift<<9|wr.PTE&isa.PTEGlobal<<3|uint64(perms))
 	for i, ptGfn := range wr.Path[:wr.Plen] {
 		if _, dup := s.rmap.get(rmapKey(ptGfn, vpn)); i > 0 && !dup {
 			head, _ := s.rmap.get(rmapKey(ptGfn, rmapHead))

@@ -91,24 +91,6 @@ func Walk(g *mem.GuestPhys, rootPPN, va uint64) (WalkResult, *WalkError) {
 	panic("unreachable")
 }
 
-// PermError checks a leaf PTE against an access from a privilege level and
-// returns false if the access is architecturally forbidden. Supervisor mode
-// may access user pages (SUM behaviour is always-on in GV64); user mode may
-// only touch PTEUser pages.
-func PermError(pte uint64, acc isa.Access, userMode bool) bool {
-	if userMode && pte&isa.PTEUser == 0 {
-		return true
-	}
-	switch acc {
-	case isa.AccRead:
-		return pte&isa.PTERead == 0
-	case isa.AccWrite:
-		return pte&isa.PTEWrite == 0
-	default:
-		return pte&isa.PTEExec == 0
-	}
-}
-
 // TableBuilder constructs guest page tables inside guest-physical memory.
 // The guest kernel generated by internal/guest does this itself in GV64
 // code for realism, but tests and the VMM's identity-map bootstrap use this
@@ -163,31 +145,10 @@ func (tb *TableBuilder) MapSuper(va, pa uint64, flags uint64) error {
 }
 
 func (tb *TableBuilder) mapLevel(va, pa uint64, flags uint64, leafLevel int) error {
-	if va>>isa.VABits != 0 {
-		return fmt.Errorf("mmu: va %#x not canonical", va)
+	pteAddr, _, err := tb.slot(va, leafLevel, true)
+	if err != nil {
+		return err
 	}
-	tablePPN := tb.RootPPN
-	for level := isa.PTLevels - 1; level > leafLevel; level-- {
-		pteAddr := tablePPN<<isa.PageShift + isa.VPN(va, level)*8
-		pte, f := tb.g.ReadUint(pteAddr, 8)
-		if f != nil {
-			return f
-		}
-		if pte&isa.PTEValid == 0 {
-			next, err := tb.allocTable()
-			if err != nil {
-				return err
-			}
-			pte = isa.MakePTE(next, isa.PTEValid)
-			if f := tb.g.WriteUintPriv(pteAddr, 8, pte); f != nil {
-				return f
-			}
-		} else if isa.PTELeaf(pte) {
-			return fmt.Errorf("mmu: va %#x already covered by a level-%d superpage", va, level)
-		}
-		tablePPN = isa.PTEPPN(pte)
-	}
-	pteAddr := tablePPN<<isa.PageShift + isa.VPN(va, leafLevel)*8
 	pte := isa.MakePTE(pa>>isa.PageShift, flags|isa.PTEValid|isa.PTEAcc|isa.PTEDirty)
 	if f := tb.g.WriteUintPriv(pteAddr, 8, pte); f != nil {
 		return f
@@ -199,56 +160,57 @@ func (tb *TableBuilder) mapLevel(va, pa uint64, flags uint64, leafLevel int) err
 // its page number. The VMM uses it to precompute leaf-PTE addresses handed
 // to guest kernels (the PT-churn workload writes those slots directly).
 func (tb *TableBuilder) EnsureL0(va uint64) (uint64, error) {
-	if va>>isa.VABits != 0 {
-		return 0, fmt.Errorf("mmu: va %#x not canonical", va)
-	}
-	tablePPN := tb.RootPPN
-	for level := isa.PTLevels - 1; level > 0; level-- {
-		pteAddr := tablePPN<<isa.PageShift + isa.VPN(va, level)*8
-		pte, f := tb.g.ReadUint(pteAddr, 8)
-		if f != nil {
-			return 0, f
-		}
-		if pte&isa.PTEValid == 0 {
-			next, err := tb.allocTable()
-			if err != nil {
-				return 0, err
-			}
-			pte = isa.MakePTE(next, isa.PTEValid)
-			if f := tb.g.WriteUintPriv(pteAddr, 8, pte); f != nil {
-				return 0, f
-			}
-		} else if isa.PTELeaf(pte) {
-			return 0, fmt.Errorf("mmu: va %#x covered by a level-%d superpage", va, level)
-		}
-		tablePPN = isa.PTEPPN(pte)
-	}
-	return tablePPN, nil
+	pteAddr, _, err := tb.slot(va, 0, true)
+	return pteAddr >> isa.PageShift, err
 }
 
 // Unmap clears the 4 KiB mapping at va (no-op if the covering tables are
 // absent).
 func (tb *TableBuilder) Unmap(va uint64) error {
-	tablePPN := tb.RootPPN
-	for level := isa.PTLevels - 1; level > 0; level-- {
-		pteAddr := tablePPN<<isa.PageShift + isa.VPN(va, level)*8
-		pte, f := tb.g.ReadUint(pteAddr, 8)
-		if f != nil {
-			return f
-		}
-		if pte&isa.PTEValid == 0 {
-			return nil
-		}
-		if isa.PTELeaf(pte) {
-			return fmt.Errorf("mmu: cannot 4K-unmap inside a level-%d superpage", level)
-		}
-		tablePPN = isa.PTEPPN(pte)
+	pteAddr, present, err := tb.slot(va, 0, false)
+	if err != nil || !present {
+		return err
 	}
-	pteAddr := tablePPN<<isa.PageShift + isa.VPN(va, 0)*8
 	if f := tb.g.WriteUintPriv(pteAddr, 8, 0); f != nil {
 		return f
 	}
 	return nil
+}
+
+// slot is the builder's one table descent: it walks from the root to the
+// table at level and returns the guest-physical address of va's entry in it.
+// A missing table on the way is allocated when alloc is set; otherwise the
+// descent stops there and reports present == false. A non-canonical va, or
+// one a superpage above level already covers, is an error.
+func (tb *TableBuilder) slot(va uint64, level int, alloc bool) (pteAddr uint64, present bool, err error) {
+	if va>>isa.VABits != 0 {
+		return 0, false, fmt.Errorf("mmu: va %#x not canonical", va)
+	}
+	tablePPN := tb.RootPPN
+	for l := isa.PTLevels - 1; l > level; l-- {
+		addr := tablePPN<<isa.PageShift + isa.VPN(va, l)*8
+		pte, f := tb.g.ReadUint(addr, 8)
+		if f != nil {
+			return 0, false, f
+		}
+		if pte&isa.PTEValid == 0 {
+			if !alloc {
+				return 0, false, nil
+			}
+			next, err := tb.allocTable()
+			if err != nil {
+				return 0, false, err
+			}
+			pte = isa.MakePTE(next, isa.PTEValid)
+			if f := tb.g.WriteUintPriv(addr, 8, pte); f != nil {
+				return 0, false, f
+			}
+		} else if isa.PTELeaf(pte) {
+			return 0, false, fmt.Errorf("mmu: va %#x covered by a level-%d superpage", va, l)
+		}
+		tablePPN = isa.PTEPPN(pte)
+	}
+	return tablePPN<<isa.PageShift + isa.VPN(va, level)*8, true, nil
 }
 
 // TablePPNs returns the page numbers of every table page allocated so far

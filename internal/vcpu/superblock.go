@@ -30,8 +30,8 @@ import (
 //     just end the block.
 //
 //   - Exact replay. Fetch translations for instructions after the first are
-//     replayed through mmu.Context.ReplayFetch (translation count, TLB LRU
-//     stamp and hit counter — identical to what TranslateFetch would do),
+//     replayed through mmu.Context.ReplayFetchSpan (translation count, TLB
+//     LRU stamp and hit counter — identical to what TranslateFetch would do),
 //     and cycle/instret accounting is batched into one addition per block,
 //     which is exact because nothing inside a block reads the clock.
 //
@@ -138,7 +138,7 @@ const stBail = -1
 // the trace engine (trace.go), so the two retire instructions through
 // literally the same code. The caller has already performed (or exactly
 // replayed) the fetch translation of the first instruction; subsequent
-// fetches replay through mmu.Context.ReplayFetch. The caller batches the
+// fetches replay through mmu.Context.ReplayFetchSpan. The caller batches the
 // cycle/instret accounting for the retired count. Status is stOK when all n
 // retired cleanly, stExit when Run must return c.pendExit, stTrap/stSMC when
 // the run ended early at an instruction boundary (guest trap redirected
@@ -175,7 +175,7 @@ func (c *CPU) retireRun(p *decodedPage, idx, n uint64, memless bool) (retired ui
 			p.valid[j>>6] |= 1 << (j & 63)
 		}
 		in := p.ins[j]
-		if retired > 0 && !c.MMU.ReplayFetch(c.PC) {
+		if retired > 0 && !c.MMU.ReplayFetchSpan(c.PC, 1) {
 			return retired, stBail // TLB insert/flush under the fetch stream
 		}
 		retired++

@@ -32,8 +32,8 @@ import (
 //     uses, hop transitions replay the chain-consume / crossing bookkeeping
 //     (followLink) per boundary per pass,
 //     and inline terminators replay the per-instruction path's fetch
-//     (ReplayFetch) and icache-hit accounting before executing through the
-//     same executors.
+//     (ReplayFetchSpan) and icache-hit accounting before executing through
+//     the same executors.
 //   - Skipped loop-top event checks cannot fire inside an admitted pass:
 //     the admission span counts every instruction including inline
 //     terminators, nothing inside a trace latches STIMECMP or makes a new
@@ -230,13 +230,13 @@ const (
 // traceTerm retires one inline terminator (slot term of page p, the current
 // PC) and reports whether control continued to expectPC. It replays exactly
 // the per-instruction path's bookkeeping for this fetch: the memoized
-// same-page translation via ReplayFetch, then the icache lookup hit (the
+// same-page translation via ReplayFetchSpan, then the icache lookup hit (the
 // MRU slot is this page — the hop body just ran from it, and nothing inside
 // the hop can have changed the page's version without ending it as stSMC),
 // then the slot's lazy decode and the same executor the outer loop would
 // call. Cycle/instret accounting stays with the caller's batch.
 func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64) int {
-	if !c.MMU.ReplayFetch(c.PC) {
+	if !c.MMU.ReplayFetchSpan(c.PC, 1) {
 		return termBail
 	}
 	ic := c.ICache
