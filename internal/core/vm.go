@@ -22,6 +22,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"govisor/internal/dev"
@@ -503,30 +505,12 @@ func (vm *VM) Resume() {
 	}
 }
 
-// AdoptState copies the architectural vCPU state from src into this VM —
-// the migration switchover. Memory content is transferred separately by the
-// migration engine; device models are expected to be attached identically
-// on both sides. Installing SATP through WriteCSR re-arms the destination's
-// own MMU (shadow spaces rebuild on demand).
-func (vm *VM) AdoptState(src *VM) {
-	dst := vm.CPU
-	s := src.CPU
-	dst.X = s.X
-	dst.PC = s.PC
-	dst.Priv = s.Priv
-	dst.Cycles = s.Cycles
-	dst.Instret = s.Instret
-	dst.CSR = s.CSR
-	dst.WriteCSR(isa.CSRSatp, s.CSR.Satp)
-	vm.Params = src.Params
-	vm.HaltCode = src.HaltCode
-	vm.State = StateRunning
-}
-
-// ArchState is the portable architectural snapshot of a vCPU — exactly the
-// fields AdoptState transfers at migration switchover. The streamed
-// migration engine serializes it over the wire and also checkpoints it at
-// Pause so an aborted migration can roll the source back bit-for-bit.
+// ArchState is the portable architectural state of a VM: the vCPU's
+// registers, counters and CSRs, the parameter block and the halt code.
+// CaptureArch and RestoreArch are its one field list out of and into a VM,
+// and Append/DecodeArchState its one encoding, shared by the snapshot
+// format and the migration arch frame. The migration engine also keeps one
+// at Pause so an aborted migration can roll the source back bit-for-bit.
 type ArchState struct {
 	X        [32]uint64
 	PC       uint64
@@ -536,6 +520,63 @@ type ArchState struct {
 	CSR      vcpu.CSRFile
 	Params   [gabi.ParamSlots]uint64
 	HaltCode uint16
+}
+
+// ArchStateSize is the length of an encoded ArchState: 95 little-endian u64
+// words — 32 GPRs, PC, privilege, cycles, instret, the 10 CSRs in CSRFile
+// order, the parameter slots and the halt code.
+const ArchStateSize = (32 + 4 + 10 + gabi.ParamSlots + 1) * 8
+
+// words calls f on every encoded word of a in wire order, with the largest
+// value DecodeArchState accepts for it. Priv and HaltCode travel widened to
+// u64 and are narrowed back after f.
+func (a *ArchState) words(f func(w *uint64, max uint64)) {
+	const anyWord = ^uint64(0)
+	priv, halt := uint64(a.Priv), uint64(a.HaltCode)
+	c := &a.CSR
+	for i := range a.X {
+		f(&a.X[i], anyWord)
+	}
+	f(&a.PC, anyWord)
+	f(&priv, uint64(vcpu.PrivS))
+	for _, w := range [...]*uint64{&a.Cycles, &a.Instret, &c.Sstatus, &c.Sie, &c.Stvec,
+		&c.Sscratch, &c.Sepc, &c.Scause, &c.Stval, &c.Sip, &c.Stimecmp, &c.Satp} {
+		f(w, anyWord)
+	}
+	for i := range a.Params {
+		f(&a.Params[i], anyWord)
+	}
+	f(&halt, 0xFFFF)
+	a.Priv, a.HaltCode = uint8(priv), uint16(halt)
+}
+
+// Append appends the ArchStateSize-byte encoding of a to b.
+func (a ArchState) Append(b []byte) []byte {
+	a.words(func(w *uint64, _ uint64) { b = binary.LittleEndian.AppendUint64(b, *w) })
+	return b
+}
+
+// DecodeArchState parses an encoded ArchState. It accepts exactly
+// ArchStateSize bytes whose privilege is PrivU or PrivS and whose halt code
+// fits 16 bits, so every state it accepts encodes back to the same bytes.
+func DecodeArchState(p []byte) (ArchState, error) {
+	var a ArchState
+	if len(p) != ArchStateSize {
+		return a, fmt.Errorf("core: arch state is %d bytes, want %d", len(p), ArchStateSize)
+	}
+	var err error
+	i := 0
+	a.words(func(w *uint64, max uint64) {
+		*w = binary.LittleEndian.Uint64(p[i*8:])
+		if *w > max && err == nil {
+			err = fmt.Errorf("core: arch state word %d = %#x, above its limit %#x", i, *w, max)
+		}
+		i++
+	})
+	if err != nil {
+		return ArchState{}, err
+	}
+	return a, nil
 }
 
 // CaptureArch snapshots the VM's architectural state.
@@ -553,30 +594,12 @@ func (vm *VM) CaptureArch() ArchState {
 	}
 }
 
-// AdoptArch installs a captured architectural state into this VM — the
-// remote half of AdoptState. Installing SATP through WriteCSR re-arms the
-// destination's own MMU, and the VM comes up running, exactly as a local
-// AdoptState would leave it.
-func (vm *VM) AdoptArch(a ArchState) {
-	c := vm.CPU
-	c.X = a.X
-	c.PC = a.PC
-	c.Priv = a.Priv
-	c.Cycles = a.Cycles
-	c.Instret = a.Instret
-	c.CSR = a.CSR
-	c.WriteCSR(isa.CSRSatp, a.CSR.Satp)
-	vm.Params = a.Params
-	vm.HaltCode = a.HaltCode
-	vm.State = StateRunning
-}
-
-// RestoreArch rolls the VM back to a checkpoint taken on this same VM
-// while it was paused — the migration-abort path. Unlike AdoptArch it is a
-// raw field restore with no MMU re-arm: nothing has executed since the
-// checkpoint (the brown-out only read memory and advanced the clock), so
-// the MMU state on record is still valid and must not be perturbed. The VM
-// stays in its current (paused) state; the caller Resumes it.
+// RestoreArch installs a as a raw field restore, with no MMU re-arm and no
+// state change. On its own it is the migration-abort path, rolling the VM
+// back to a checkpoint taken on it while paused: nothing has executed since
+// (the brown-out only read memory and advanced the clock), so the MMU state
+// on record is still valid and must not be perturbed, and the caller
+// Resumes the VM. AdoptArch builds on it for state from another VM.
 func (vm *VM) RestoreArch(a ArchState) {
 	c := vm.CPU
 	c.X = a.X
@@ -587,6 +610,48 @@ func (vm *VM) RestoreArch(a ArchState) {
 	c.CSR = a.CSR
 	vm.Params = a.Params
 	vm.HaltCode = a.HaltCode
+}
+
+// AdoptArch installs state captured on another VM — the switchover of a
+// migration, a clone or a snapshot restore, into a VM that passed
+// CheckReceiver. It is RestoreArch plus what a VM that never ran this
+// state needs: SATP goes through WriteCSR to re-arm this VM's own MMU
+// (shadow spaces rebuild on demand), and the VM comes up running. Memory
+// content travels separately.
+func (vm *VM) AdoptArch(a ArchState) {
+	vm.RestoreArch(a)
+	vm.CPU.WriteCSR(isa.CSRSatp, a.CSR.Satp)
+	vm.State = StateRunning
+}
+
+// ErrParaState refuses ModePara state to every receiver. A para VM's table
+// builder, pinned table pages and their write-protect bits are VMM state
+// that no encoding carries, so a receiver would run the guest against
+// tables its VMM does not know (the guest's next MMU hypercall fails).
+var ErrParaState = errors.New("core: ModePara state does not move: its VMM-side page-table state has no encoding")
+
+// CheckReceiver is the one rule for who may receive a VM's state (a
+// migration, a clone or a snapshot restore): a freshly created VM of the
+// sender's mode, not ModePara, with at least pages pages of RAM. src is the
+// sending VM, or nil for a snapshot stream; when set it must be another VM
+// over another guest-physical space, since self-transfer silently corrupts
+// state.
+func (vm *VM) CheckReceiver(src *VM, mode Mode, pages uint64) error {
+	switch {
+	case src == vm:
+		return errors.New("core: source and destination are the same VM")
+	case src != nil && src.Mem == vm.Mem:
+		return errors.New("core: source and destination share a guest-physical space")
+	case vm.State != StateCreated:
+		return fmt.Errorf("core: destination is %v, want freshly created", vm.State)
+	case mode != vm.Mode:
+		return fmt.Errorf("core: source mode %v, destination mode %v", mode, vm.Mode)
+	case mode == ModePara:
+		return ErrParaState
+	case vm.Mem.Pages() < pages:
+		return fmt.Errorf("core: destination has %d pages of RAM, source %d", vm.Mem.Pages(), pages)
+	}
+	return nil
 }
 
 // FailRemote transitions the VM to StateError with err — used by

@@ -130,24 +130,14 @@ func Migrate(src, dst *core.VM, opt Options) (Report, error) {
 	return rep.Report, err
 }
 
-// validatePair vets a migration pair: a live source, an unbooted
-// destination with enough RAM, and — crucially — two distinct VMs over
-// distinct guest-physical spaces (self-migration silently corrupts state).
+// validatePair vets a migration pair: dst must be a receiver for src
+// (core.VM.CheckReceiver), and src must be live.
 func validatePair(src, dst *core.VM) error {
-	if src == dst {
-		return fmt.Errorf("migrate: source and destination are the same VM")
-	}
-	if src.Mem == dst.Mem {
-		return fmt.Errorf("migrate: source and destination share a guest-physical space")
+	if err := dst.CheckReceiver(src, src.Mode, src.Mem.Pages()); err != nil {
+		return fmt.Errorf("migrate: %w", err)
 	}
 	if src.State != core.StateRunning && src.State != core.StateIdle {
 		return fmt.Errorf("migrate: source is %v", src.State)
-	}
-	if dst.State != core.StateCreated {
-		return fmt.Errorf("migrate: destination is %v", dst.State)
-	}
-	if dst.Mem.Pages() < src.Mem.Pages() {
-		return fmt.Errorf("migrate: destination RAM too small")
 	}
 	return nil
 }

@@ -100,7 +100,7 @@ func refPreCopy(src, dst *core.VM, opt Options) (Report, error) {
 	rep.TotalCycles += c
 	rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(dirty)), Cycles: c})
 
-	dst.AdoptState(src)
+	dst.AdoptArch(src.CaptureArch())
 	dst.CPU.AddCycles(c) // the destination clock absorbs the downtime
 	return rep, nil
 }
@@ -118,7 +118,7 @@ func refStopAndCopy(src, dst *core.VM, opt Options) (Report, error) {
 	rep.Rounds = append(rep.Rounds, Round{Pages: uint64(len(all)), Cycles: c})
 	rep.DowntimeCycles = c
 	rep.TotalCycles = c
-	dst.AdoptState(src)
+	dst.AdoptArch(src.CaptureArch())
 	dst.CPU.AddCycles(c)
 	return rep, nil
 }
@@ -132,7 +132,7 @@ func refPostCopy(src, dst *core.VM, opt Options) (Report, error) {
 	rep.BytesSent += cpuStateWireSize
 	rep.DowntimeCycles = c
 	rep.TotalCycles = c
-	dst.AdoptState(src)
+	dst.AdoptArch(src.CaptureArch())
 	dst.CPU.AddCycles(c)
 
 	// Demand path: every not-present fault on the destination pulls the

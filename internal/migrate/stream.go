@@ -285,7 +285,7 @@ func (s *session) serve(conn *wireConn) (keepConn bool) {
 				return false
 			}
 		case ftArch:
-			a, err := decodeArch(p)
+			a, err := core.DecodeArchState(p)
 			if err != nil {
 				return false
 			}
@@ -909,7 +909,7 @@ func (e *streamEngine) sendCommit(present []byte) error {
 			return nil
 		}
 		err := func() error {
-			if err := e.conn.writeFrame(ftArch, encodeArch(e.src.CaptureArch())); err != nil {
+			if err := e.conn.writeFrame(ftArch, e.src.CaptureArch().Append(make([]byte, 0, core.ArchStateSize))); err != nil {
 				return err
 			}
 			e.downtime += txCPU

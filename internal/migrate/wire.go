@@ -26,7 +26,7 @@ package migrate
 // read from guest RAM straight into the write buffer that goes out as its
 // frame. The payload readFrame returns aliases the read buffer and is valid
 // only until the next readFrame on that conn: a consumer that keeps any of
-// it copies it first (commit's present bitmap, decodeArch), applyRuns
+// it copies it first (commit's present bitmap, core.DecodeArchState), applyRuns
 // writes it into guest RAM at once, and the page a post-copy pull returns
 // is read by the PageSource caller before the next pull.
 
@@ -36,8 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"govisor/internal/core"
-	"govisor/internal/gabi"
 	"govisor/internal/isa"
 )
 
@@ -50,7 +48,6 @@ const (
 	framePageCap = 128     // data pages per ftPages frame
 	maxFrameRuns = 1024    // runs per ftPages frame
 	runHdr       = 13      // u64 start | u32 count | u8 zero
-	archWireLen  = 32*8 + 8 + 8 + 8 + 8 + 10*8 + gabi.ParamSlots*8 + 8
 )
 
 // frameType tags one wire message.
@@ -411,70 +408,6 @@ func isZeroPage(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// encodeArch serializes an architectural snapshot.
-func encodeArch(a core.ArchState) []byte {
-	b := make([]byte, archWireLen)
-	o := 0
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[o:], v)
-		o += 8
-	}
-	for _, x := range a.X {
-		put(x)
-	}
-	put(a.PC)
-	put(uint64(a.Priv))
-	put(a.Cycles)
-	put(a.Instret)
-	c := a.CSR
-	for _, v := range []uint64{c.Sstatus, c.Sie, c.Stvec, c.Sscratch, c.Sepc, c.Scause, c.Stval, c.Sip, c.Stimecmp, c.Satp} {
-		put(v)
-	}
-	for _, v := range a.Params {
-		put(v)
-	}
-	put(uint64(a.HaltCode))
-	return b
-}
-
-// decodeArch parses an architectural snapshot.
-func decodeArch(p []byte) (core.ArchState, error) {
-	var a core.ArchState
-	if len(p) != archWireLen {
-		return a, fmt.Errorf("migrate: arch payload %d bytes, want %d", len(p), archWireLen)
-	}
-	o := 0
-	get := func() uint64 {
-		v := binary.LittleEndian.Uint64(p[o:])
-		o += 8
-		return v
-	}
-	for i := range a.X {
-		a.X[i] = get()
-	}
-	a.PC = get()
-	priv := get()
-	if priv > 3 {
-		return a, fmt.Errorf("migrate: arch privilege %d out of range", priv)
-	}
-	a.Priv = uint8(priv)
-	a.Cycles = get()
-	a.Instret = get()
-	c := &a.CSR
-	for _, dst := range []*uint64{&c.Sstatus, &c.Sie, &c.Stvec, &c.Sscratch, &c.Sepc, &c.Scause, &c.Stval, &c.Sip, &c.Stimecmp, &c.Satp} {
-		*dst = get()
-	}
-	for i := range a.Params {
-		a.Params[i] = get()
-	}
-	hc := get()
-	if hc > 0xFFFF {
-		return a, fmt.Errorf("migrate: arch halt code %d out of range", hc)
-	}
-	a.HaltCode = uint16(hc)
-	return a, nil
 }
 
 type commitMsg struct {

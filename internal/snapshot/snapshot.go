@@ -1,8 +1,19 @@
-// Package snapshot implements whole-VM state capture: serialization of the
-// architectural CPU state and memory image to a portable binary format
+// Package snapshot implements whole-VM state capture: serialization of a
+// VM's architectural state and memory image to a portable binary format
 // (save/restore, disaster recovery), and instant copy-on-write cloning of a
 // running VM on the same host (the rapid-provisioning path of experiment
 // T14).
+//
+// A version-2 stream is, in little-endian u64 words unless noted:
+//
+//	magic "GVSV" | version 2 | mode | RAM pages
+//	core.ArchStateSize bytes of core.ArchState (registers, counters,
+//	    CSRs, parameter block, halt code — the migration arch frame's bytes)
+//	page count | count × (gfn | one page of content)
+//
+// Only present, non-zero pages are stored. Version 1 (no parameter block or
+// halt code) is rejected. Device state is not captured. Who may receive a
+// stream or a clone is core.VM.CheckReceiver's rule.
 package snapshot
 
 import (
@@ -19,16 +30,13 @@ import (
 // magic identifies govisor snapshot streams.
 const magic = 0x47565356 // "GVSV"
 
-const version = 1
-
-// header fields are written as little-endian u64 unless noted.
+const version = 2
 
 // Save serializes the VM (which should be paused or halted for a consistent
 // image) to w. Only present pages are stored; zero pages are elided, so
 // sparse guests stay small.
 func Save(vm *core.VM, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	cpu := vm.CPU
 
 	var scratch [8]byte
 	wu := func(v uint64) {
@@ -41,21 +49,8 @@ func Save(vm *core.VM, w io.Writer) error {
 	wu(uint64(vm.Mode))
 	wu(vm.Mem.Pages())
 
-	// CPU: 32 GPRs, PC, priv, cycles, instret, CSR file.
-	for _, x := range cpu.X {
-		wu(x)
-	}
-	wu(cpu.PC)
-	wu(uint64(cpu.Priv))
-	wu(cpu.Cycles)
-	wu(cpu.Instret)
-	csr := cpu.CSR
-	for _, v := range []uint64{
-		csr.Sstatus, csr.Sie, csr.Stvec, csr.Sscratch, csr.Sepc,
-		csr.Scause, csr.Stval, csr.Sip, csr.Stimecmp, csr.Satp,
-	} {
-		wu(v)
-	}
+	var arch [core.ArchStateSize]byte
+	bw.Write(vm.CaptureArch().Append(arch[:0]))
 
 	// Memory: count, then (gfn, page) pairs for non-zero present pages.
 	var pages []uint64
@@ -76,17 +71,15 @@ func Save(vm *core.VM, w io.Writer) error {
 	return bw.Flush()
 }
 
-// Restore loads a snapshot stream into a freshly created (un-booted) VM of
-// at least the snapshot's memory size and marks it running.
+// Restore loads a snapshot stream into a VM that may receive it
+// (core.VM.CheckReceiver: freshly created, the snapshot's mode, at least its
+// memory size) and marks it running.
 //
 // The stream is fully parsed and validated into temporaries before any VM
 // state is touched: a truncated, corrupted, or version-skewed stream is an
 // error that leaves the VM exactly as it was — never a panic, never a
 // half-adopted image.
 func Restore(vm *core.VM, r io.Reader) error {
-	if vm.State != core.StateCreated {
-		return fmt.Errorf("snapshot: restore target is %v, want freshly created", vm.State)
-	}
 	br := bufio.NewReader(r)
 	var scratch [8]byte
 	ru := func() (uint64, error) {
@@ -113,38 +106,26 @@ func Restore(vm *core.VM, r io.Reader) error {
 	}
 	modev, err := ru()
 	if err != nil {
-		return err
-	}
-	if core.Mode(modev) != vm.Mode {
-		return fmt.Errorf("snapshot: mode %v does not match VM mode %v", core.Mode(modev), vm.Mode)
+		return fmt.Errorf("snapshot: reading mode: %w", err)
 	}
 	npages, err := ru()
 	if err != nil {
-		return err
+		return fmt.Errorf("snapshot: reading RAM size: %w", err)
 	}
-	if npages > vm.Mem.Pages() {
-		return fmt.Errorf("snapshot: image has %d pages, VM has %d", npages, vm.Mem.Pages())
+	mode := core.Mode(modev)
+	if uint64(mode) != modev {
+		return fmt.Errorf("snapshot: mode %#x out of range", modev)
 	}
-
-	// Stage the CPU image.
-	var x [32]uint64
-	for i := range x {
-		v, err := ru()
-		if err != nil {
-			return fmt.Errorf("snapshot: reading GPRs: %w", err)
-		}
-		x[i] = v
+	if err := vm.CheckReceiver(nil, mode, npages); err != nil {
+		return fmt.Errorf("snapshot: restore: %w", err)
 	}
-	vals := make([]uint64, 14)
-	for i := range vals {
-		v, err := ru()
-		if err != nil {
-			return fmt.Errorf("snapshot: reading CPU state: %w", err)
-		}
-		vals[i] = v
+	var archBuf [core.ArchStateSize]byte
+	if _, err := io.ReadFull(br, archBuf[:]); err != nil {
+		return fmt.Errorf("snapshot: reading arch state: %w", err)
 	}
-	if vals[1] > 3 {
-		return fmt.Errorf("snapshot: privilege %d out of range", vals[1])
+	arch, err := core.DecodeArchState(archBuf[:])
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 
 	// Stage the memory image. Save emits each present page at most once,
@@ -183,47 +164,22 @@ func Restore(vm *core.VM, r io.Reader) error {
 	}
 
 	// Everything parsed and validated: apply atomically.
-	cpu := vm.CPU
-	cpu.X = x
-	cpu.PC = vals[0]
-	cpu.Priv = uint8(vals[1])
-	cpu.Cycles = vals[2]
-	cpu.Instret = vals[3]
-	cpu.CSR.Sstatus = vals[4]
-	cpu.CSR.Sie = vals[5]
-	cpu.CSR.Stvec = vals[6]
-	cpu.CSR.Sscratch = vals[7]
-	cpu.CSR.Sepc = vals[8]
-	cpu.CSR.Scause = vals[9]
-	cpu.CSR.Stval = vals[10]
-	cpu.CSR.Sip = vals[11]
-	cpu.CSR.Stimecmp = vals[12]
-	cpu.WriteCSR(isa.CSRSatp, vals[13])
 	for _, p := range pages {
 		if err := vm.Mem.WriteRaw(p.gfn, p.data); err != nil {
 			return fmt.Errorf("snapshot: applying gfn %d: %w", p.gfn, err)
 		}
 	}
-	vm.State = core.StateRunning
+	vm.AdoptArch(arch)
 	return nil
 }
 
 // Clone instantly forks src into dst on the same host pool: every present
 // page is shared copy-on-write, so the clone costs no page copies up front
-// and splits lazily as either side writes. dst must be freshly created with
-// the same configuration.
+// and splits lazily as either side writes. dst must be a receiver for src
+// (core.VM.CheckReceiver) over the same host pool.
 func Clone(src, dst *core.VM) error {
-	if src == dst {
-		return fmt.Errorf("snapshot: clone source and destination are the same VM")
-	}
-	if src.Mem == dst.Mem {
-		return fmt.Errorf("snapshot: clone source and destination share a guest-physical space")
-	}
-	if dst.State != core.StateCreated {
-		return fmt.Errorf("snapshot: clone destination is %v", dst.State)
-	}
-	if dst.Mem.Pages() < src.Mem.Pages() {
-		return fmt.Errorf("snapshot: clone destination too small")
+	if err := dst.CheckReceiver(src, src.Mode, src.Mem.Pages()); err != nil {
+		return fmt.Errorf("snapshot: clone: %w", err)
 	}
 	if dst.Mem.Pool() != src.Mem.Pool() {
 		return fmt.Errorf("snapshot: clone requires a shared host pool")
@@ -239,6 +195,6 @@ func Clone(src, dst *core.VM) error {
 		// The source side becomes COW too: its next write must split.
 		src.Mem.MarkCOWIfMapped(gfn, hfn)
 	}
-	dst.AdoptState(src)
+	dst.AdoptArch(src.CaptureArch())
 	return nil
 }

@@ -36,7 +36,12 @@ func runningVM(t *testing.T, pool *mem.Pool, name string) *core.VM {
 
 func freshVM(t *testing.T, pool *mem.Pool, name string) *core.VM {
 	t.Helper()
-	vm, err := core.NewVM(pool, core.Config{Name: name, Mode: core.ModeHW, MemBytes: vmRAM})
+	return newVM(t, pool, name, core.ModeHW)
+}
+
+func newVM(t *testing.T, pool *mem.Pool, name string, mode core.Mode) *core.VM {
+	t.Helper()
+	vm, err := core.NewVM(pool, core.Config{Name: name, Mode: mode, MemBytes: vmRAM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +52,9 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	pool := mem.NewPool(4 * vmRAM >> isa.PageShift)
 	src := runningVM(t, pool, "src")
 	src.Pause()
+	// A running guest's halt code is zero; set one so the test sees it
+	// carried. Params are non-zero from Boot.
+	src.HaltCode = 0x5A
 
 	var buf bytes.Buffer
 	if err := Save(src, &buf); err != nil {
@@ -60,8 +68,8 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	if err := Restore(dst, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if dst.CPU.PC != src.CPU.PC || dst.CPU.X[5] != src.CPU.X[5] {
-		t.Fatal("cpu state mismatch")
+	if got, want := dst.CaptureArch(), src.CaptureArch(); got != want {
+		t.Fatalf("arch state mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	// Restored guest continues the workload.
 	before := dst.Result(gabi.PResult0)
@@ -164,5 +172,74 @@ func TestCloneRejectsBootedDestination(t *testing.T) {
 	dst := runningVM(t, pool, "dst")
 	if err := Clone(src, dst); err == nil {
 		t.Fatal("running destination accepted")
+	}
+}
+
+// TestCloneAndRestoreFinishLikeTwin: a guest cloned or restored mid-run
+// finishes with the halt code and result slots of an uninterrupted twin, in
+// every mode whose state may move, and so does the source it was taken
+// from. Cycles and instret may differ: a receiver starts with a cold TLB
+// and its zero pages unbacked.
+func TestCloneAndRestoreFinishLikeTwin(t *testing.T) {
+	kernel, err := guest.BuildKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := []struct {
+		name string
+		w    guest.Workload
+	}{
+		{"ptchurn", guest.PTChurn(20, false)},
+		{"memtouch", guest.MemTouch(16, 128, 30)},
+		{"syscall", guest.Syscall(2000)},
+	}
+	const budget = 500_000_000
+	for _, mode := range []core.Mode{core.ModeNative, core.ModeTrap, core.ModeHW} {
+		for _, wl := range workloads {
+			t.Run(mode.String()+"/"+wl.name, func(t *testing.T) {
+				pool := mem.NewPool(8 * vmRAM >> isa.PageShift)
+				boot := func(name string) *core.VM {
+					vm := newVM(t, pool, name, mode)
+					wl.w.Apply(vm)
+					if err := vm.Boot(kernel); err != nil {
+						t.Fatal(err)
+					}
+					return vm
+				}
+				twin := boot("twin")
+				if st := twin.RunToHalt(budget); st != core.StateHalted {
+					t.Fatalf("twin ended %v (err %v)", st, twin.Err)
+				}
+				src := boot("src")
+				src.Step(twin.CPU.Cycles / 2)
+				if src.State != core.StateRunning {
+					t.Fatalf("source is %v at mid-run", src.State)
+				}
+				src.Pause()
+				var img bytes.Buffer
+				if err := Save(src, &img); err != nil {
+					t.Fatal(err)
+				}
+				restored := newVM(t, pool, "restored", mode)
+				if err := Restore(restored, &img); err != nil {
+					t.Fatal(err)
+				}
+				clone := newVM(t, pool, "clone", mode)
+				if err := Clone(src, clone); err != nil {
+					t.Fatal(err)
+				}
+				src.Resume()
+				for _, vm := range []*core.VM{src, clone, restored} {
+					if st := vm.RunToHalt(budget); st != core.StateHalted || vm.HaltCode != twin.HaltCode {
+						t.Fatalf("%s ended %v halt %#x (err %v), twin halt %#x", vm.Name, st, vm.HaltCode, vm.Err, twin.HaltCode)
+					}
+					for slot := gabi.PResult0; slot <= gabi.PResult3; slot++ {
+						if got, want := vm.Result(slot), twin.Result(slot); got != want {
+							t.Errorf("%s result slot %d = %#x, twin %#x", vm.Name, slot, got, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }
