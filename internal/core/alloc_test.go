@@ -1,0 +1,63 @@
+package core_test
+
+import (
+	"testing"
+
+	"govisor/internal/core"
+	"govisor/internal/guest"
+	"govisor/internal/isa"
+	"govisor/internal/mem"
+	"govisor/internal/vcpu"
+)
+
+// TestTrapLoopsDoNotAllocate: once warm, a slice of a trap-and-emulate
+// guest allocates nothing on the host. Every exit these loops take — the
+// privileged CSR exits, the reflected syscalls and the write-protect traps
+// of shadow-tracked page-table stores — is carried by the CPU's exit record
+// and a by-value guest-physical fault, so a heap allocation per exit shows
+// up here as a nonzero count.
+func TestTrapLoopsDoNotAllocate(t *testing.T) {
+	if core.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	kernel, err := guest.BuildKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		w    guest.Workload
+		exit vcpu.ExitReason // the loop's exit
+	}{
+		{"ptchurn", guest.PTChurn(1<<30, false), vcpu.ExitHostFault},
+		{"csr", guest.CSRLoop(1 << 40), vcpu.ExitPriv},
+		{"syscall", guest.Syscall(1 << 40), vcpu.ExitEcall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const ram = 8 << 20
+			vm, err := core.NewVM(mem.NewPool(2*ram>>isa.PageShift), core.Config{Name: tc.name, Mode: core.ModeTrap, MemBytes: ram})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.w.Apply(vm)
+			if err := vm.Boot(kernel); err != nil {
+				t.Fatal(err)
+			}
+			const slice = 200_000
+			for i := 0; i < 100; i++ {
+				vm.Step(slice)
+			}
+			before := vm.CPU.Stats.Exits[tc.exit]
+			n := testing.AllocsPerRun(50, func() { vm.Step(slice) })
+			if vm.State != core.StateRunning {
+				t.Fatalf("guest left the loop: state %v, halt code %d", vm.State, vm.HaltCode)
+			}
+			if vm.CPU.Stats.Exits[tc.exit] == before {
+				t.Fatalf("the measured slices took no %v exits", tc.exit)
+			}
+			if n != 0 {
+				t.Fatalf("%v allocations per %d-cycle slice, want 0", n, slice)
+			}
+		})
+	}
+}

@@ -8,3 +8,8 @@ package core
 // stays inside a CI-friendly wall clock. Determinism assertions are
 // unaffected — every compared run uses the same budget.
 const raceScale = 1
+
+// RaceEnabled gates the testing.AllocsPerRun assertions: the race
+// detector's instrumentation allocates. Exported for the external test
+// package (alloc_test.go).
+const RaceEnabled = false

@@ -20,8 +20,7 @@ func (vm *VM) Step(budget uint64) uint64 {
 	start := cpu.Cycles
 	deadline := start + budget
 	for vm.State == StateRunning && cpu.Cycles < deadline {
-		ex := cpu.Run(deadline - cpu.Cycles)
-		vm.handleExit(ex)
+		vm.handleExit(cpu.Run(deadline - cpu.Cycles))
 	}
 	return cpu.Cycles - start
 }
@@ -60,9 +59,12 @@ func (vm *VM) fail(err error) {
 	}
 }
 
-func (vm *VM) handleExit(ex vcpu.Exit) {
+// handleExit dispatches the exit Run returned, reading its detail from the
+// CPU's exit record in place.
+func (vm *VM) handleExit(r vcpu.ExitReason) {
 	cpu := vm.CPU
-	switch ex.Reason {
+	ex := &cpu.Exit
+	switch r {
 	case vcpu.ExitQuantum:
 		// Budget exhausted; Step's loop condition stops.
 
@@ -120,20 +122,18 @@ func (vm *VM) handleExit(ex vcpu.Exit) {
 		}
 
 	case vcpu.ExitShadowMiss:
-		vm.handleShadowMiss(ex)
+		vm.handleShadowMiss(ex.VA, ex.Access)
 
 	case vcpu.ExitHostFault:
-		vm.handleHostFault(ex)
-
-	case vcpu.ExitError:
-		vm.fail(ex.Err)
+		vm.handleHostFault(ex.VA, &ex.Mem)
 
 	default:
 		vm.fail(fmt.Errorf("core: %s: unhandled exit %v", vm.Name, ex))
 	}
 }
 
-func (vm *VM) handleShadowMiss(ex vcpu.Exit) {
+// handleShadowMiss fills the shadow entry for an access of kind acc to va.
+func (vm *VM) handleShadowMiss(va uint64, acc isa.Access) {
 	cpu := vm.CPU
 	sh := vm.MMUCtx.Shadow
 	if sh == nil {
@@ -141,7 +141,7 @@ func (vm *VM) handleShadowMiss(ex vcpu.Exit) {
 		return
 	}
 	root := isa.SatpPPN(cpu.CSR.Satp)
-	refs, fault := sh.Fill(root, ex.VA, ex.Access, cpu.Priv == vcpu.PrivU)
+	refs, fault := sh.Fill(root, va, acc, cpu.Priv == vcpu.PrivU)
 	cpu.AddCycles(uint64(refs)*vm.costs.PTRef + vm.costs.Emulate)
 	vm.Stats.ShadowFills++
 	if fault == nil {
@@ -149,25 +149,20 @@ func (vm *VM) handleShadowMiss(ex vcpu.Exit) {
 	}
 	switch fault.Kind {
 	case mmu.FaultGuest:
-		cpu.InjectTrap(fault.Cause, ex.VA)
+		cpu.InjectTrap(fault.Cause, va)
 		cpu.AddCycles(vm.costs.Inject)
 		vm.Stats.Injections++
 	case mmu.FaultHost:
-		vm.handleHostFault(vcpu.Exit{
-			Reason: vcpu.ExitHostFault, VA: ex.VA, Access: ex.Access, Mem: fault.Mem,
-		})
+		vm.handleHostFault(va, fault.Mem)
 	default:
 		vm.fail(fmt.Errorf("core: %s: shadow fill returned %v", vm.Name, fault))
 	}
 }
 
-func (vm *VM) handleHostFault(ex vcpu.Exit) {
+// handleHostFault resolves the guest-physical fault f that an access to va
+// raised: from the exit record, or from a shadow fill's walk.
+func (vm *VM) handleHostFault(va uint64, f *mem.Fault) {
 	cpu := vm.CPU
-	f := ex.Mem
-	if f == nil {
-		vm.fail(fmt.Errorf("core: %s: host fault exit without fault", vm.Name))
-		return
-	}
 	gfn := f.GPA >> isa.PageShift
 	switch f.Kind {
 	case mem.FaultNotPresent:
@@ -203,7 +198,7 @@ func (vm *VM) handleHostFault(ex vcpu.Exit) {
 			vm.emulatePTWrite(f.GPA, gfn)
 		case vm.Mode == ModePara && vm.ptPages[gfn]:
 			// A paravirtual guest must not write pinned tables directly.
-			cpu.InjectTrap(isa.CauseStorePageFault, ex.VA)
+			cpu.InjectTrap(isa.CauseStorePageFault, va)
 			cpu.AddCycles(vm.costs.Inject)
 			vm.Stats.Injections++
 		default:
@@ -211,7 +206,7 @@ func (vm *VM) handleHostFault(ex vcpu.Exit) {
 		}
 
 	case mem.FaultBeyondRAM:
-		cpu.InjectTrap(isa.AccessFaultCause(f.Access), ex.VA)
+		cpu.InjectTrap(isa.AccessFaultCause(f.Access), va)
 		cpu.AddCycles(vm.costs.Inject)
 		vm.Stats.Injections++
 

@@ -443,25 +443,27 @@ func (g *GuestPhys) DirtyCount() uint64 {
 
 // resolveWrite prepares gfn for writing: presence, write-protection and COW
 // are all checked here, so every store in the machine funnels through one
-// place. It returns the writable hfn.
-func (g *GuestPhys) resolveWrite(gpa uint64) (uint64, *Fault) {
+// place. It returns the writable hfn, or the fault kind that stops the write
+// (FaultNone means none): the CPU's store path carries the kind by value, and
+// the device/VMM API turns it into a *Fault with faultOf.
+func (g *GuestPhys) resolveWrite(gpa uint64) (uint64, FaultKind) {
 	gfn := gpa >> isa.PageShift
 	if gfn >= g.npages {
-		return 0, &Fault{Kind: FaultBeyondRAM, GPA: gpa, Access: isa.AccWrite}
+		return 0, FaultBeyondRAM
 	}
 	if bit(g.wprot, gfn) {
-		return 0, &Fault{Kind: FaultWriteProt, GPA: gpa, Access: isa.AccWrite}
+		return 0, FaultWriteProt
 	}
 	hfn := g.hfn[gfn]
 	if hfn == NoFrame {
-		return 0, &Fault{Kind: FaultNotPresent, GPA: gpa, Access: isa.AccWrite}
+		return 0, FaultNotPresent
 	}
 	if bit(g.cow, gfn) {
 		nfn, err := g.pool.BreakCOWNear(hfn, g.hint)
 		if err != nil {
 			// Pool exhausted: surface as not-present so the VMM's overcommit
 			// policy can reclaim and retry.
-			return 0, &Fault{Kind: FaultNotPresent, GPA: gpa, Access: isa.AccWrite}
+			return 0, FaultNotPresent
 		}
 		g.hfn[gfn] = nfn
 		clearBit(g.cow, gfn)
@@ -476,19 +478,30 @@ func (g *GuestPhys) resolveWrite(gpa uint64) (uint64, *Fault) {
 		g.DirtySets++
 	}
 	g.bumpVersion(gfn)
-	return hfn, nil
+	return hfn, FaultNone
 }
 
-func (g *GuestPhys) resolveRead(gpa uint64, acc isa.Access) (uint64, *Fault) {
+// resolveRead is resolveWrite for reads: the hfn backing gpa, or the fault
+// kind that stops the read.
+func (g *GuestPhys) resolveRead(gpa uint64) (uint64, FaultKind) {
 	gfn := gpa >> isa.PageShift
 	if gfn >= g.npages {
-		return 0, &Fault{Kind: FaultBeyondRAM, GPA: gpa, Access: acc}
+		return 0, FaultBeyondRAM
 	}
 	hfn := g.hfn[gfn]
 	if hfn == NoFrame {
-		return 0, &Fault{Kind: FaultNotPresent, GPA: gpa, Access: acc}
+		return 0, FaultNotPresent
 	}
-	return hfn, nil
+	return hfn, FaultNone
+}
+
+// faultOf is the one place a *Fault is built for the device/VMM API: nil
+// for FaultNone, so the pointer is allocated on the fault path only.
+func faultOf(k FaultKind, gpa uint64, acc isa.Access) *Fault {
+	if k == FaultNone {
+		return nil
+	}
+	return &Fault{Kind: k, GPA: gpa, Access: acc}
 }
 
 // Read copies len(buf) bytes from gpa; the range may span pages.
@@ -499,9 +512,9 @@ func (g *GuestPhys) Read(gpa uint64, buf []byte) *Fault {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		hfn, f := g.resolveRead(gpa, isa.AccRead)
-		if f != nil {
-			return f
+		hfn, k := g.resolveRead(gpa)
+		if k != FaultNone {
+			return faultOf(k, gpa, isa.AccRead)
 		}
 		g.pool.ReadAt(hfn, off, buf[:n])
 		buf = buf[n:]
@@ -518,9 +531,9 @@ func (g *GuestPhys) Write(gpa uint64, buf []byte) *Fault {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		hfn, f := g.resolveWrite(gpa)
-		if f != nil {
-			return f
+		hfn, k := g.resolveWrite(gpa)
+		if k != FaultNone {
+			return faultOf(k, gpa, isa.AccWrite)
 		}
 		g.pool.WriteAt(hfn, off, buf[:n])
 		buf = buf[n:]
@@ -554,15 +567,25 @@ func (g *GuestPhys) readFill(m *readMemo, gfn, hfn uint64) []byte {
 // ReadUint reads a naturally aligned size-byte little-endian value
 // (size ∈ {1,2,4,8}) through the read memo.
 func (g *GuestPhys) ReadUint(gpa uint64, size int) (uint64, *Fault) {
-	m, ok := g.readHit(gpa >> isa.PageShift)
-	if ok {
+	if m, ok := g.readHit(gpa >> isa.PageShift); ok {
 		return readUintFrom(m.data, gpa&isa.PageMask, size), nil
 	}
-	hfn, f := g.resolveRead(gpa, isa.AccRead)
-	if f != nil {
-		return 0, f
+	v, k := g.ReadUintFill(gpa, size)
+	return v, faultOf(k, gpa, isa.AccRead)
+}
+
+// ReadUintFill is ReadUint's slow path, for a caller that has already
+// probed ReadUintFast: it resolves the page, installs it in the read memo
+// and reads the value, or returns by value the kind of the isa.AccRead fault
+// at gpa. The CPU's load and fetch slow paths use it.
+func (g *GuestPhys) ReadUintFill(gpa uint64, size int) (uint64, FaultKind) {
+	gfn := gpa >> isa.PageShift
+	hfn, k := g.resolveRead(gpa)
+	if k != FaultNone {
+		return 0, k
 	}
-	return readUintFrom(g.readFill(m, gpa>>isa.PageShift, hfn), gpa&isa.PageMask, size), nil
+	m := &g.rmemo[gfn&(rmemoSlots-1)]
+	return readUintFrom(g.readFill(m, gfn, hfn), gpa&isa.PageMask, size), FaultNone
 }
 
 // ReadUintFast is ReadUint's hit-only probe: it serves the value when the
@@ -601,9 +624,9 @@ func readUintFrom(data []byte, off uint64, size int) uint64 {
 // This is the unmemoized store path: every call resolves the page and bumps
 // its version. Device models and VMM-internal writes use it.
 func (g *GuestPhys) WriteUint(gpa uint64, size int, v uint64) *Fault {
-	hfn, f := g.resolveWrite(gpa)
-	if f != nil {
-		return f
+	hfn, k := g.resolveWrite(gpa)
+	if k != FaultNone {
+		return faultOf(k, gpa, isa.AccWrite)
 	}
 	writeUintTo(g.pool.writable(hfn), gpa&isa.PageMask, size, v)
 	return nil
@@ -671,24 +694,25 @@ func (g *GuestPhys) WriteUintMemo(gpa uint64, size int, v uint64) *Fault {
 	if g.WriteUintFast(gpa, size, v) {
 		return nil
 	}
-	return g.WriteUintFill(gpa, size, v)
+	return faultOf(g.WriteUintFill(gpa, size, v), gpa, isa.AccWrite)
 }
 
 // WriteUintFill is WriteUint installing a write-memo entry for the page, so
 // subsequent stores to it hit WriteUintFast. Behaviour and guest-visible
 // side effects are identical to WriteUint; only the memo bookkeeping is
 // added. This is the interpreter's store slow path: the caller has already
-// probed WriteUintFast, so the fill does not re-probe.
-func (g *GuestPhys) WriteUintFill(gpa uint64, size int, v uint64) *Fault {
-	hfn, f := g.resolveWrite(gpa)
-	if f != nil {
-		return f
+// probed WriteUintFast, so the fill does not re-probe, and it returns the
+// fault kind (of isa.AccWrite at gpa) by value, FaultNone on success.
+func (g *GuestPhys) WriteUintFill(gpa uint64, size int, v uint64) FaultKind {
+	hfn, k := g.resolveWrite(gpa)
+	if k != FaultNone {
+		return k
 	}
 	data := g.pool.writable(hfn)
 	g.writeFill(gpa>>isa.PageShift, data)
 	g.WMemoFills++
 	writeUintTo(data, gpa&isa.PageMask, size, v)
-	return nil
+	return FaultNone
 }
 
 // writeUintTo encodes the value at off into a materialized page slice.

@@ -24,9 +24,9 @@ func (g *GuestPhys) ReadSpan(gpa uint64, buf []byte) *Fault {
 		m, ok := g.readHit(gpa >> isa.PageShift)
 		data := m.data
 		if !ok {
-			hfn, f := g.resolveRead(gpa, isa.AccRead)
-			if f != nil {
-				return f
+			hfn, k := g.resolveRead(gpa)
+			if k != FaultNone {
+				return faultOf(k, gpa, isa.AccRead)
 			}
 			data = g.readFill(m, gpa>>isa.PageShift, hfn)
 		}
@@ -58,9 +58,9 @@ func (g *GuestPhys) WriteSpan(gpa uint64, buf []byte) *Fault {
 		n := min(isa.PageSize-off, len(buf))
 		data := g.writeHit(gpa >> isa.PageShift)
 		if data == nil {
-			hfn, f := g.resolveWrite(gpa)
-			if f != nil {
-				return f
+			hfn, k := g.resolveWrite(gpa)
+			if k != FaultNone {
+				return faultOf(k, gpa, isa.AccWrite)
 			}
 			data = g.pool.writable(hfn)
 			g.writeFill(gpa>>isa.PageShift, data)

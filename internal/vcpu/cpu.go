@@ -56,10 +56,12 @@ type CPU struct {
 	// choice only changes host-side speed.
 	ICache *ICache
 
-	// pendExit carries the rare Exit out of the threaded executors and the
-	// superblock engine so the per-instruction status stays a small int
-	// (see dispatch.go).
-	pendExit Exit
+	// Exit is the exit record: Run writes it when it returns and the VMM
+	// reads the detail of the returned reason from it; it stays valid until
+	// the next Run. Internal helpers return a small status and write the
+	// record only when the CPU actually exits (see dispatch.go), so neither
+	// the per-instruction path nor Run's return copies an Exit.
+	Exit Exit
 
 	// codeGfn is the guest-physical page a superblock is executing from
 	// (mem.NoFrame outside blocks): storeExec compares every retired
@@ -110,15 +112,18 @@ func (c *CPU) AddCycles(n uint64) { c.Cycles += n }
 // guest's behalf (MMIO, PT writes, hypercalls).
 func (c *CPU) SkipInstr() { c.PC += 4 }
 
-func (c *CPU) exit(e Exit) Exit {
-	c.Stats.Exits[e.Reason]++
-	return e
+// exit counts the exit just written to the record and returns stExit, the
+// status of every helper that exits.
+func (c *CPU) exit() int {
+	c.Stats.Exits[c.Exit.Reason]++
+	return stExit
 }
 
-// vmExit charges the world-switch cost and returns the exit.
-func (c *CPU) vmExit(e Exit) Exit {
+// vmExit is exit for an exit that switches to the VMM: it also charges the
+// world-switch cost.
+func (c *CPU) vmExit() int {
 	c.Cycles += c.Costs.ExitRound
-	return c.exit(e)
+	return c.exit()
 }
 
 // FinishMMIORead completes a load that exited with ExitMMIO: the VMM passes
@@ -149,51 +154,70 @@ func (c *CPU) FinishMMIORead(info MMIOInfo, value uint64) {
 	c.SetReg(info.Rd, v)
 }
 
-// guestTrap delivers a guest-visible trap: directly when fully privileged,
-// as an ExitGuestTrap for the VMM to inject when deprivileged.
-func (c *CPU) guestTrap(cause, tval uint64) (Exit, bool) {
+// guestTrap delivers a guest-visible trap: directly when fully privileged
+// (stTrap: control redirected in place), as an ExitGuestTrap for the VMM to
+// inject when deprivileged (stExit).
+func (c *CPU) guestTrap(cause, tval uint64) int {
 	if c.Deprivileged {
-		return c.vmExit(Exit{Reason: ExitGuestTrap, Cause: cause, Tval: tval}), true
+		c.Exit = Exit{Reason: ExitGuestTrap, Cause: cause, Tval: tval}
+		return c.vmExit()
 	}
 	c.InjectTrap(cause, tval)
-	return Exit{}, false
+	return stTrap
+}
+
+// illegal is guestTrap for illegal-instruction traps.
+func (c *CPU) illegal(raw uint32) int {
+	return c.guestTrap(isa.CauseIllegal, uint64(raw))
 }
 
 // fetchTranslate translates an instruction fetch via the MMU's memoized
 // fetch path, converting its fault taxonomy into either a guest trap or a VM
 // exit: cycle charges, faults and statistics identical to a plain Translate,
-// less host work while the fetch stream stays on one page. ok is false when
-// the caller must return ex, or — ex.Reason == ExitNone — restart the loop
-// because a guest trap was delivered in place.
-func (c *CPU) fetchTranslate(va uint64) (gpa uint64, ex Exit, ok bool) {
+// less host work while the fetch stream stays on one page. The status is
+// stOK with the gpa, or translateFault's.
+func (c *CPU) fetchTranslate(va uint64) (uint64, int) {
 	gpa, refs, fault := c.MMU.TranslateFetch(va, c.Priv == PrivU)
 	c.Cycles += uint64(refs) * c.Costs.PTRef
 	if fault == nil {
-		return gpa, Exit{}, true
+		return gpa, stOK
 	}
-	return c.translateFault(va, isa.AccExec, fault)
+	return 0, c.translateFault(va, isa.AccExec, fault)
 }
 
-func (c *CPU) translateFault(va uint64, acc isa.Access, fault *mmu.Fault) (gpa uint64, ex Exit, ok bool) {
+// translateFault converts a translation fault of both engines: stTrap when
+// a guest trap was delivered in place (the instruction restarts at the
+// handler), stExit when the exit record was written.
+func (c *CPU) translateFault(va uint64, acc isa.Access, fault *mmu.Fault) int {
 	switch fault.Kind {
 	case mmu.FaultGuest:
-		e, exited := c.guestTrap(fault.Cause, va)
-		if exited {
-			return 0, e, false
-		}
-		// Trap delivered inside the guest; instruction restarts at the
-		// handler. Signal the caller to continue the loop.
-		return 0, Exit{Reason: ExitNone}, false
+		return c.guestTrap(fault.Cause, va)
 	case mmu.FaultShadowMiss:
-		return 0, c.vmExit(Exit{Reason: ExitShadowMiss, VA: va, Access: acc}), false
+		c.Exit = Exit{Reason: ExitShadowMiss, VA: va, Access: acc}
 	default: // mmu.FaultHost
-		return 0, c.vmExit(Exit{Reason: ExitHostFault, VA: va, Access: acc, Mem: fault.Mem}), false
+		c.Exit = Exit{Reason: ExitHostFault, VA: va, Access: acc, Mem: *fault.Mem}
 	}
+	return c.vmExit()
 }
 
-// memFaultExit converts a guest-physical access fault on a data access.
-func (c *CPU) memFaultExit(va uint64, acc isa.Access, f *mem.Fault) Exit {
-	return c.vmExit(Exit{Reason: ExitHostFault, VA: va, Access: acc, Mem: f})
+// memFaultExit converts a guest-physical fault f of an access to va.
+func (c *CPU) memFaultExit(va uint64, acc isa.Access, f mem.Fault) int {
+	c.Exit = Exit{Reason: ExitHostFault, VA: va, Access: acc, Mem: f}
+	return c.vmExit()
+}
+
+// mmioExit exits for the device access m of the instruction at the PC,
+// which the PC has already advanced past.
+func (c *CPU) mmioExit(m MMIOInfo) int {
+	c.PC += 4
+	c.Exit = Exit{Reason: ExitMMIO, MMIO: m}
+	return c.vmExit()
+}
+
+// privExit exits for the privileged instruction in, for the VMM to emulate.
+func (c *CPU) privExit(in isa.Inst) int {
+	c.Exit = Exit{Reason: ExitPriv, Inst: in}
+	return c.vmExit()
 }
 
 // Run interprets instructions until the cycle budget is exhausted or an exit
@@ -204,7 +228,7 @@ func (c *CPU) memFaultExit(va uint64, acc isa.Access, f *mem.Fault) Exit {
 // inside the loop.
 //
 //govisor:worker
-func (c *CPU) Run(budget uint64) Exit {
+func (c *CPU) Run(budget uint64) ExitReason {
 	ic := c.ICache
 	if ic == nil {
 		return c.runRef(budget)
@@ -212,7 +236,9 @@ func (c *CPU) Run(budget uint64) Exit {
 	deadline := c.Cycles + budget
 	for {
 		if c.Cycles >= deadline {
-			return c.exit(Exit{Reason: ExitQuantum})
+			c.Exit = Exit{Reason: ExitQuantum}
+			c.exit()
+			return ExitQuantum
 		}
 		// Timer: STIP latches when the clock passes STIMECMP.
 		if cmp := c.CSR.Stimecmp; cmp != 0 && c.Cycles >= cmp && c.CSR.Sip&(1<<isa.IntTimer) == 0 {
@@ -220,7 +246,9 @@ func (c *CPU) Run(budget uint64) Exit {
 		}
 		if irq := c.PendingInterrupt(); irq != 0 {
 			if c.Deprivileged {
-				return c.vmExit(Exit{Reason: ExitIntrWindow})
+				c.Exit = Exit{Reason: ExitIntrWindow}
+				c.vmExit()
+				return ExitIntrWindow
 			}
 			c.Stats.Interrupts++
 			c.InjectTrap(isa.CauseInterrupt|irq, 0)
@@ -233,8 +261,8 @@ func (c *CPU) Run(budget uint64) Exit {
 		// LRU state, the walk cycle charges and every statistic evolve exactly
 		// as under the reference interpreter.
 		if c.PC&3 != 0 {
-			if e, exited := c.guestTrap(isa.CauseInstrMisaligned, c.PC); exited {
-				return e
+			if c.guestTrap(isa.CauseInstrMisaligned, c.PC) == stExit {
+				return c.Exit.Reason
 			}
 			continue
 		}
@@ -262,14 +290,12 @@ func (c *CPU) Run(budget uint64) Exit {
 			}
 		}
 		if p == nil {
-			var ex Exit
-			var ok bool
-			gpa, ex, ok = c.fetchTranslate(c.PC)
-			if !ok {
-				if ex.Reason == ExitNone {
-					continue
+			var st int
+			if gpa, st = c.fetchTranslate(c.PC); st != stOK {
+				if st == stExit {
+					return c.Exit.Reason
 				}
-				return ex
+				continue
 			}
 			gfn = gpa >> isa.PageShift
 			i = (gpa & isa.PageMask) >> 2
@@ -294,10 +320,10 @@ func (c *CPU) Run(budget uint64) Exit {
 					// batched run); otherwise the consume heats the link
 					// toward promotion.
 					if tr := hitLink.tr; tr != nil {
-						ex, done, dispatched := c.runTrace(tr, deadline)
+						done, dispatched := c.runTrace(tr, deadline)
 						if dispatched {
 							if done {
-								return ex
+								return c.Exit.Reason
 							}
 							continue
 						}
@@ -308,10 +334,10 @@ func (c *CPU) Run(budget uint64) Exit {
 						}
 					}
 				}
-				ex, done, dispatched := c.runBlock(p, i, gfn, deadline)
+				done, dispatched := c.runBlock(p, i, gfn, deadline)
 				if dispatched {
 					if done {
-						return ex
+						return c.Exit.Reason
 					}
 					continue
 				}
@@ -335,11 +361,11 @@ func (c *CPU) Run(budget uint64) Exit {
 				c.chainPage, c.chainSlot, c.chainArmed = p, uint16(i), true
 			}
 		} else {
-			word, e, st := c.fetchWord(gpa)
-			if st == fetchExit {
-				return e
+			word, st := c.fetchWord(gpa)
+			if st == stExit {
+				return c.Exit.Reason
 			}
-			if st == fetchRetry {
+			if st == stTrap {
 				continue
 			}
 			raw = uint32(word)
@@ -353,48 +379,37 @@ func (c *CPU) Run(budget uint64) Exit {
 		// The executor table is total over valid opcodes (TestExecTableComplete,
 		// FuzzDecode), so past this check fn is never nil.
 		if !in.Op.Valid() {
-			if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
-				return e
+			if c.illegal(raw) == stExit {
+				return c.Exit.Reason
 			}
 			continue
 		}
 		c.Cycles += c.Costs.Instr
 		c.Instret++
 		if fn(c, in, raw) == stExit {
-			return c.pendExit
+			return c.Exit.Reason
 		}
 	}
 }
 
-// fetchWord outcomes.
-const (
-	fetchOK    = iota // word holds the instruction
-	fetchRetry        // a guest trap was delivered in place; restart the loop
-	fetchExit         // Run must return the Exit
-)
-
 // fetchWord performs the fast engine's instruction read at gpa on an icache
 // miss: the executing-from-device-space check and the guest-physical read,
-// with the reference interpreter's fault taxonomy (refFetch).
-func (c *CPU) fetchWord(gpa uint64) (uint64, Exit, int) {
+// with the reference interpreter's fault taxonomy (refFetch). The status is
+// stOK with the word, stTrap when a guest trap was delivered in place, or
+// stExit.
+func (c *CPU) fetchWord(gpa uint64) (uint64, int) {
 	if c.IsMMIO != nil && !c.Mem.Contains(gpa) && c.IsMMIO(gpa) {
 		// Executing out of device space is an access fault.
-		if e, exited := c.guestTrap(isa.CauseInstrAccess, c.PC); exited {
-			return 0, e, fetchExit
-		}
-		return 0, Exit{}, fetchRetry
+		return 0, c.guestTrap(isa.CauseInstrAccess, c.PC)
 	}
-	word, f := c.Mem.ReadUint(gpa, 4)
-	if f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			if e, exited := c.guestTrap(isa.CauseInstrAccess, c.PC); exited {
-				return 0, e, fetchExit
-			}
-			return 0, Exit{}, fetchRetry
-		}
-		return 0, c.memFaultExit(c.PC, isa.AccExec, f), fetchExit
+	word, k := c.Mem.ReadUintFill(gpa, 4)
+	switch k {
+	case mem.FaultNone:
+		return word, stOK
+	case mem.FaultBeyondRAM:
+		return 0, c.guestTrap(isa.CauseInstrAccess, c.PC)
 	}
-	return word, Exit{}, fetchOK
+	return 0, c.memFaultExit(c.PC, isa.AccExec, mem.Fault{Kind: k, GPA: gpa, Access: isa.AccRead})
 }
 
 // EmulatePrivileged is the VMM-side emulation of an instruction that exited

@@ -52,6 +52,16 @@ func newCPUPair(t *testing.T, img []byte, tweak func(*CPU)) (fast, ref *CPU) {
 	return fast, ref
 }
 
+// runRecord runs c for budget cycles and returns its exit record, which
+// must carry the reason Run returned.
+func runRecord(t *testing.T, c *CPU, budget uint64) *Exit {
+	t.Helper()
+	if r := c.Run(budget); r != c.Exit.Reason {
+		t.Fatalf("Run returned %v, but the exit record says %v", r, &c.Exit)
+	}
+	return &c.Exit
+}
+
 // buildRun assembles source with builder fn, runs to completion, returns CPU.
 func buildRun(t *testing.T, mk engine, build func(b *asm.Builder)) *CPU {
 	t.Helper()
@@ -62,7 +72,7 @@ func buildRun(t *testing.T, mk engine, build func(b *asm.Builder)) *CPU {
 		t.Fatal(err)
 	}
 	c := newCPU(t, mk, img, 0x1000)
-	ex := c.Run(1_000_000)
+	ex := runRecord(t, c, 1_000_000)
 	if ex.Reason != ExitHalt {
 		t.Fatalf("exit = %v (pc=%#x)", ex, c.PC)
 	}
@@ -397,7 +407,7 @@ func TestEcallFromSExits(t *testing.T) {
 		b.Halt(9)
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
-		ex := c.Run(10_000)
+		ex := runRecord(t, c, 10_000)
 		if ex.Reason != ExitEcall || ex.From != PrivS {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -406,7 +416,7 @@ func TestEcallFromSExits(t *testing.T) {
 		}
 		// VMM handles, then resumes past the ecall.
 		c.PC += 4
-		ex = c.Run(10_000)
+		ex = runRecord(t, c, 10_000)
 		if ex.Reason != ExitHalt || ex.Code != 9 {
 			t.Fatalf("resume exit = %v", ex)
 		}
@@ -420,7 +430,7 @@ func TestQuantumExpiry(t *testing.T) {
 		b.J("spin")
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
-		ex := c.Run(1000)
+		ex := runRecord(t, c, 1000)
 		if ex.Reason != ExitQuantum {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -428,7 +438,7 @@ func TestQuantumExpiry(t *testing.T) {
 			t.Fatalf("cycles = %d", c.Cycles)
 		}
 		// Resumable.
-		ex = c.Run(1000)
+		ex = runRecord(t, c, 1000)
 		if ex.Reason != ExitQuantum {
 			t.Fatalf("second run = %v", ex)
 		}
@@ -483,13 +493,13 @@ func TestWFIWaitsForInterrupt(t *testing.T) {
 		b.Halt(0)
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
-		ex := c.Run(100_000)
+		ex := runRecord(t, c, 100_000)
 		if ex.Reason != ExitWFI {
 			t.Fatalf("exit = %v", ex)
 		}
 		// Device raises the external line; VMM resumes.
 		c.RaiseIRQ(isa.IntExt)
-		ex = c.Run(100_000)
+		ex = runRecord(t, c, 100_000)
 		if ex.Reason != ExitHalt {
 			t.Fatalf("after irq: %v", ex)
 		}
@@ -507,7 +517,7 @@ func TestDeprivilegedCSRExits(t *testing.T) {
 		c.Deprivileged = true
 		c.Venv = isa.VEnvTrap
 
-		ex := c.Run(100_000)
+		ex := runRecord(t, c, 100_000)
 		if ex.Reason != ExitPriv {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -521,7 +531,7 @@ func TestDeprivilegedCSRExits(t *testing.T) {
 		if c.CSR.Sscratch != 0xAB {
 			t.Fatalf("sscratch = %#x", c.CSR.Sscratch)
 		}
-		ex = c.Run(100_000)
+		ex = runRecord(t, c, 100_000)
 		if ex.Reason != ExitHalt || ex.Code != 3 {
 			t.Fatalf("resume = %v", ex)
 		}
@@ -535,7 +545,7 @@ func TestDeprivilegedGuestTrapExits(t *testing.T) {
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
 		c.Deprivileged = true
-		ex := c.Run(10_000)
+		ex := runRecord(t, c, 10_000)
 		if ex.Reason != ExitGuestTrap || ex.Cause != isa.CauseIllegal {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -553,7 +563,7 @@ func TestDeprivilegedInterruptWindow(t *testing.T) {
 		c.CSR.Sie = 1 << isa.IntTimer
 		c.CSR.Sstatus = isa.StatusSIE
 		c.RaiseIRQ(isa.IntTimer)
-		ex := c.Run(10_000)
+		ex := runRecord(t, c, 10_000)
 		if ex.Reason != ExitIntrWindow {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -573,16 +583,16 @@ func TestMMIOExitRoundTrip(t *testing.T) {
 		c := newCPU(t, mk, img, 0x1000)
 		c.IsMMIO = func(gpa uint64) bool { return gpa >= mmioBase && gpa < mmioBase+0x1000 }
 
-		ex := c.Run(100_000)
+		ex := runRecord(t, c, 100_000)
 		if ex.Reason != ExitMMIO || !ex.MMIO.Write || ex.MMIO.GPA != mmioBase || ex.MMIO.Value != 0x55 {
 			t.Fatalf("write exit = %v", ex)
 		}
-		ex = c.Run(100_000)
+		ex = runRecord(t, c, 100_000)
 		if ex.Reason != ExitMMIO || ex.MMIO.Write || ex.MMIO.GPA != mmioBase+4 {
 			t.Fatalf("read exit = %v", ex)
 		}
 		c.FinishMMIORead(ex.MMIO, 0xFFFFFFFF)
-		ex = c.Run(100_000)
+		ex = runRecord(t, c, 100_000)
 		if ex.Reason != ExitHalt {
 			t.Fatalf("final = %v", ex)
 		}
@@ -602,7 +612,7 @@ func TestCycleAccountingMonotonic(t *testing.T) {
 		b.Halt(0)
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
-		ex := c.Run(1_000_000)
+		ex := runRecord(t, c, 1_000_000)
 		if ex.Reason != ExitHalt {
 			t.Fatal(ex)
 		}
@@ -623,7 +633,7 @@ func TestStoreCostsMoreThanALU(t *testing.T) {
 			b.Halt(0)
 			img, _ := b.Finish()
 			c := newCPU(t, mk, img, 0x1000)
-			if ex := c.Run(1_000_000); ex.Reason != ExitHalt {
+			if ex := runRecord(t, c, 1_000_000); ex.Reason != ExitHalt {
 				t.Fatal(ex)
 			}
 			return c.Cycles
@@ -669,7 +679,7 @@ func TestALUSemanticsProperty(t *testing.T) {
 				return false
 			}
 			c := newCPU(t, mk, img, 0x1000)
-			if ex := c.Run(1_000_000); ex.Reason != ExitHalt {
+			if ex := runRecord(t, c, 1_000_000); ex.Reason != ExitHalt {
 				return false
 			}
 			return c.X[isa.RegA2] == op.eval(a, b)
@@ -710,7 +720,7 @@ func TestPagedExecution(t *testing.T) {
 		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		c.Priv = PrivS
 		c.PC = 0x1000
-		ex := c.Run(1_000_000)
+		ex := runRecord(t, c, 1_000_000)
 		if ex.Reason != ExitHalt {
 			t.Fatalf("exit = %v (pc=%#x)", ex, c.PC)
 		}
@@ -750,7 +760,7 @@ func TestPageFaultDeliveredToGuest(t *testing.T) {
 		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		c.Priv = PrivS
 		c.PC = 0x1000
-		ex := c.Run(1_000_000)
+		ex := runRecord(t, c, 1_000_000)
 		if ex.Reason != ExitHalt {
 			t.Fatalf("exit = %v", ex)
 		}

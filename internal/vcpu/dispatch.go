@@ -3,25 +3,25 @@ package vcpu
 import (
 	"govisor/internal/isa"
 	"govisor/internal/mem"
-	"govisor/internal/mmu"
 )
 
 // Threaded dispatch: every opcode resolves once, at decode/predecode time,
 // to an executor function, and the fast engine calls the resolved pointer
 // per retired instruction instead of walking an opcode switch. Executors
-// return a small int status; the rare Exit travels out of line through
-// c.pendExit, so the no-exit fast path never materializes the large Exit
-// struct. Each executor refines the reference interpreter's rule for its
+// return a small int status; the rare exit is written to the CPU's exit
+// record (c.Exit), so the no-exit fast path never materializes the large
+// Exit struct. Each executor refines the reference interpreter's rule for its
 // opcode (execute in ref.go): byte-identical guest state, cycle accounting
 // and statistics, proven per opcode by TestThreadedExecutorsMatchSwitch.
 
-// Executor statuses. Shared between the threaded executors and the
-// superblock engine: both keep the per-instruction result a small int and
-// route the rare Exit through c.pendExit.
+// Statuses. Every helper of both engines that may exit — the threaded
+// executors, the reference rules, the fetch, translate and trap helpers and
+// the superblock engine — returns one of these small ints, and writes the
+// exit record (c.Exit) only when it returns stExit.
 const (
-	stOK   = iota // retired; continue
+	stOK   = iota // retired (or fetched/translated); continue
 	stTrap        // a guest trap redirected control in place
-	stExit        // Run must return c.pendExit
+	stExit        // the exit record is written; Run must return its reason
 	stSMC         // retired, but the store hit the executing code page
 )
 
@@ -69,34 +69,6 @@ var execTable = isa.ExecTable[execFn]{
 // total over every decodable instruction so table/switch completeness can
 // never drift.
 func ExecutorResolved(op isa.Op) bool { return execTable.For(op) != nil }
-
-// guestTrapStatus delivers a guest trap from an executor or a superblock.
-func (c *CPU) guestTrapStatus(cause, tval uint64) int {
-	if e, exited := c.guestTrap(cause, tval); exited {
-		c.pendExit = e
-		return stExit
-	}
-	return stTrap
-}
-
-// illegalStatus is guestTrapStatus for illegal-instruction traps.
-func (c *CPU) illegalStatus(raw uint32) int {
-	return c.guestTrapStatus(isa.CauseIllegal, uint64(raw))
-}
-
-// faultStatus is translateFault with executor-status results.
-func (c *CPU) faultStatus(va uint64, acc isa.Access, fault *mmu.Fault) int {
-	switch fault.Kind {
-	case mmu.FaultGuest:
-		return c.guestTrapStatus(fault.Cause, va)
-	case mmu.FaultShadowMiss:
-		c.pendExit = c.vmExit(Exit{Reason: ExitShadowMiss, VA: va, Access: acc})
-		return stExit
-	default: // mmu.FaultHost
-		c.pendExit = c.vmExit(Exit{Reason: ExitHostFault, VA: va, Access: acc, Mem: fault.Mem})
-		return stExit
-	}
-}
 
 // ---- register-register ALU ----
 
@@ -288,12 +260,12 @@ func execSD(c *CPU, in isa.Inst, _ uint32) int { return c.storeExec(in, 8) }
 func (c *CPU) loadExec(in isa.Inst, size int, signed bool) int {
 	va := c.X[in.Rs1] + uint64(int64(in.Imm))
 	if va&uint64(size-1) != 0 {
-		return c.guestTrapStatus(isa.CauseLoadMisaligned, va)
+		return c.guestTrap(isa.CauseLoadMisaligned, va)
 	}
 	gpa, refs, fault := c.MMU.TranslateData(va, isa.AccRead, c.Priv == PrivU)
 	c.Cycles += uint64(refs) * c.Costs.PTRef
 	if fault != nil {
-		return c.faultStatus(va, isa.AccRead, fault)
+		return c.translateFault(va, isa.AccRead, fault)
 	}
 	// Memoized RAM verdict: a read-memo hit proves the page is inside guest
 	// RAM, so the Contains/IsMMIO range checks fold into the probe and the
@@ -306,20 +278,15 @@ func (c *CPU) loadExec(in isa.Inst, size int, signed bool) int {
 		return stOK
 	}
 	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		c.pendExit = c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Rd: in.Rd, Signed: signed,
-		}})
-		return stExit
+		return c.mmioExit(MMIOInfo{GPA: gpa, Size: uint8(size), Rd: in.Rd, Signed: signed})
 	}
 	c.Cycles += c.Costs.MemAccess
-	v, f := c.Mem.ReadUint(gpa, size)
-	if f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			return c.guestTrapStatus(isa.CauseLoadAccess, va)
+	v, k := c.Mem.ReadUintFill(gpa, size)
+	if k != mem.FaultNone {
+		if k == mem.FaultBeyondRAM {
+			return c.guestTrap(isa.CauseLoadAccess, va)
 		}
-		c.pendExit = c.memFaultExit(va, isa.AccRead, f)
-		return stExit
+		return c.memFaultExit(va, isa.AccRead, mem.Fault{Kind: k, GPA: gpa, Access: isa.AccRead})
 	}
 	c.SetReg(in.Rd, extendLoad(v, size, signed))
 	c.PC += 4
@@ -353,14 +320,14 @@ func (c *CPU) storeExec(in isa.Inst, size int) int {
 	va := c.X[in.Rs1] + uint64(int64(in.Imm))
 	val := c.X[in.Rs2]
 	if va&uint64(size-1) != 0 {
-		return c.guestTrapStatus(isa.CauseStoreMisaligned, va)
+		return c.guestTrap(isa.CauseStoreMisaligned, va)
 	}
 	gpa, refs, fault := c.MMU.TranslateWrite(va, c.Priv == PrivU)
 	if refs != 0 {
 		c.Cycles += uint64(refs) * c.Costs.PTRef
 	}
 	if fault != nil {
-		return c.faultStatus(va, isa.AccWrite, fault)
+		return c.translateFault(va, isa.AccWrite, fault)
 	}
 	if c.Mem.WriteUintFast(gpa, size, val) {
 		// Memoized store: the memo proves the page is in RAM (so the
@@ -375,19 +342,14 @@ func (c *CPU) storeExec(in isa.Inst, size int) int {
 		return stOK
 	}
 	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		c.pendExit = c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Write: true, Value: val,
-		}})
-		return stExit
+		return c.mmioExit(MMIOInfo{GPA: gpa, Size: uint8(size), Write: true, Value: val})
 	}
 	c.Cycles += c.Costs.MemAccess
-	if f := c.Mem.WriteUintFill(gpa, size, val); f != nil {
-		if f.Kind == mem.FaultBeyondRAM {
-			return c.guestTrapStatus(isa.CauseStoreAccess, va)
+	if k := c.Mem.WriteUintFill(gpa, size, val); k != mem.FaultNone {
+		if k == mem.FaultBeyondRAM {
+			return c.guestTrap(isa.CauseStoreAccess, va)
 		}
-		c.pendExit = c.memFaultExit(va, isa.AccWrite, f)
-		return stExit
+		return c.memFaultExit(va, isa.AccWrite, mem.Fault{Kind: k, GPA: gpa, Access: isa.AccWrite})
 	}
 	c.PC += 4
 	if gpa>>isa.PageShift == c.codeGfn {
@@ -473,21 +435,20 @@ func execECALL(c *CPU, _ isa.Inst, _ uint32) int {
 		c.InjectTrap(isa.CauseEcallU, 0)
 		return stTrap
 	}
-	c.pendExit = c.vmExit(Exit{Reason: ExitEcall, From: c.Priv})
-	return stExit
+	c.Exit = Exit{Reason: ExitEcall, From: c.Priv}
+	return c.vmExit()
 }
 
 func execEBREAK(c *CPU, _ isa.Inst, _ uint32) int {
-	return c.guestTrapStatus(isa.CauseBreakpoint, c.PC)
+	return c.guestTrap(isa.CauseBreakpoint, c.PC)
 }
 
 func execSRET(c *CPU, in isa.Inst, raw uint32) int {
 	if c.Priv != PrivS {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	if c.Deprivileged {
-		c.pendExit = c.vmExit(Exit{Reason: ExitPriv, Inst: in})
-		return stExit
+		return c.privExit(in)
 	}
 	c.ExecuteSRET()
 	return stTrap
@@ -495,14 +456,14 @@ func execSRET(c *CPU, in isa.Inst, raw uint32) int {
 
 func execWFI(c *CPU, _ isa.Inst, raw uint32) int {
 	if c.Priv != PrivS {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	c.PC += 4
 	if c.CSR.Sip&c.CSR.Sie != 0 {
 		return stOK // already pending: WFI is a no-op
 	}
-	c.pendExit = c.vmExit(Exit{Reason: ExitWFI})
-	return stExit
+	c.Exit = Exit{Reason: ExitWFI}
+	return c.vmExit()
 }
 
 func execFENCE(c *CPU, _ isa.Inst, _ uint32) int {
@@ -513,11 +474,10 @@ func execFENCE(c *CPU, _ isa.Inst, _ uint32) int {
 
 func execSFENCE(c *CPU, in isa.Inst, raw uint32) int {
 	if c.Priv != PrivS {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	if c.Deprivileged {
-		c.pendExit = c.vmExit(Exit{Reason: ExitPriv, Inst: in})
-		return stExit
+		return c.privExit(in)
 	}
 	c.MMU.Flush(c.X[in.Rs1], uint16(c.X[in.Rs2]))
 	c.PC += 4
@@ -529,16 +489,15 @@ func execCSROp(c *CPU, in isa.Inst, raw uint32) int {
 	// Unprivileged counters execute directly in every regime.
 	if !isa.IsUserCSR(addr) {
 		if c.Priv != PrivS {
-			return c.illegalStatus(raw)
+			return c.illegal(raw)
 		}
 		if c.Deprivileged {
-			c.pendExit = c.vmExit(Exit{Reason: ExitPriv, Inst: in})
-			return stExit
+			return c.privExit(in)
 		}
 	}
 	old, known := c.ReadCSR(addr)
 	if !known {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	src := c.X[in.Rs1]
 	var newVal uint64
@@ -554,7 +513,7 @@ func execCSROp(c *CPU, in isa.Inst, raw uint32) int {
 		write = in.Rs1 != 0
 	}
 	if write && !c.WriteCSR(addr, newVal) {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	c.SetReg(in.Rd, old)
 	c.PC += 4
@@ -563,9 +522,9 @@ func execCSROp(c *CPU, in isa.Inst, raw uint32) int {
 
 func execHALT(c *CPU, in isa.Inst, raw uint32) int {
 	if c.Priv != PrivS {
-		return c.illegalStatus(raw)
+		return c.illegal(raw)
 	}
 	c.PC += 4
-	c.pendExit = c.exit(Exit{Reason: ExitHalt, Code: uint16(in.Imm)})
-	return stExit
+	c.Exit = Exit{Reason: ExitHalt, Code: uint16(in.Imm)}
+	return c.exit()
 }

@@ -36,8 +36,8 @@ func TestThreadedDispatchQuantumSweep(t *testing.T) {
 	for budget := uint64(1); budget < 40; budget++ {
 		threaded, sw := newCPUPair(t, smcProgram(), nil)
 		for {
-			exT := threaded.Run(budget)
-			exS := sw.Run(budget)
+			exT := runRecord(t, threaded, budget)
+			exS := runRecord(t, sw, budget)
 			if exT.Reason != exS.Reason {
 				t.Fatalf("budget %d: exit diverged: threaded %v switch %v (pc %#x vs %#x)",
 					budget, exT, exS, threaded.PC, sw.PC)
@@ -94,7 +94,7 @@ func TestThreadedDispatchSelfModifyingCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		threaded, sw := newCPUPair(t, img, nil)
-		exT, exS := threaded.Run(1_000_000), sw.Run(1_000_000)
+		exT, exS := runRecord(t, threaded, 1_000_000), runRecord(t, sw, 1_000_000)
 		if exT.Reason != ExitHalt || exS.Reason != ExitHalt {
 			t.Fatalf("%v: exits: threaded %v switch %v", st.op, exT, exS)
 		}
@@ -110,7 +110,7 @@ func TestThreadedDispatchSelfModifyingCode(t *testing.T) {
 // (CPU.Run calls it without a nil check), and invalid slots carry none.
 func TestDecodeResolvesExecutors(t *testing.T) {
 	threaded := newCPU(t, New, straightLineImg(t, 100), 0x1000)
-	if ex := threaded.Run(1_000_000); ex.Reason != ExitHalt {
+	if ex := runRecord(t, threaded, 1_000_000); ex.Reason != ExitHalt {
 		t.Fatalf("run ended %v", ex)
 	}
 	slots := 0
@@ -199,14 +199,13 @@ func TestThreadedExecutorsMatchSwitch(t *testing.T) {
 			seed := int64(op)<<32 | int64(trial)
 			a, b := build(New, seed), build(NewReference, seed)
 
-			st := fn(a, in, raw)
-			ex, done := b.execute(in, raw)
+			st, stRef := fn(a, in, raw), b.execute(in, raw)
 
-			if (st == stExit) != done {
-				t.Fatalf("%v %+v: status %d vs done=%v", op, in, st, done)
+			if st != stRef {
+				t.Fatalf("%v %+v: status %d vs %d", op, in, st, stRef)
 			}
-			if done && a.pendExit != ex {
-				t.Fatalf("%v %+v: exit diverged: %+v vs %+v", op, in, a.pendExit, ex)
+			if a.Exit != b.Exit {
+				t.Fatalf("%v %+v: exit record diverged: %+v vs %+v", op, in, a.Exit, b.Exit)
 			}
 			if a.X != b.X || a.PC != b.PC || a.Priv != b.Priv {
 				t.Fatalf("%v %+v (raw %#x): register state diverged (pc %#x vs %#x, a0 %d vs %d)",

@@ -97,7 +97,7 @@ func TestMisalignedPCTraps(t *testing.T) {
 		b.Halt(0)
 		img, _ := b.Finish()
 		c := newCPU(t, mk, img, 0x1000)
-		if ex := c.Run(100_000); ex.Reason != ExitHalt {
+		if ex := runRecord(t, c, 100_000); ex.Reason != ExitHalt {
 			t.Fatalf("exit %v", ex)
 		}
 		// JALR clears bit 0 only; 0x2002 stays misaligned → instr-misaligned.
@@ -223,7 +223,7 @@ func TestHostFaultExitOnBalloonedCodePage(t *testing.T) {
 		c := mk(g, mmu.NewContext(g, mmu.StyleDirect))
 		c.Priv = PrivS
 		c.PC = 0x1000
-		ex := c.Run(10_000)
+		ex := runRecord(t, c, 10_000)
 		if ex.Reason != ExitHostFault || ex.Mem.Kind != mem.FaultNotPresent {
 			t.Fatalf("exit = %v", ex)
 		}
@@ -236,7 +236,7 @@ func TestExitStringsRender(t *testing.T) {
 		{Reason: ExitPriv, Inst: isa.Inst{Op: isa.OpSRET}},
 		{Reason: ExitMMIO, MMIO: MMIOInfo{GPA: 0x4000_0000, Size: 4, Write: true}},
 		{Reason: ExitGuestTrap, Cause: isa.CauseIllegal},
-		{Reason: ExitHostFault, Mem: &mem.Fault{Kind: mem.FaultNotPresent}},
+		{Reason: ExitHostFault, Mem: mem.Fault{Kind: mem.FaultNotPresent}},
 		{Reason: ExitQuantum},
 	}
 	for _, e := range exits {

@@ -7,7 +7,8 @@ import (
 	"govisor/internal/mem"
 )
 
-// ExitReason says why Run returned control to the VMM.
+// ExitReason says why Run returned control to the VMM; the detail is in
+// the CPU's exit record (CPU.Exit).
 type ExitReason uint8
 
 // Exit reasons.
@@ -23,9 +24,8 @@ const (
 	ExitGuestTrap             // guest-visible trap while deprivileged; VMM must inject Cause/Tval
 	ExitWFI                   // guest idles until an interrupt is pending
 	ExitIntrWindow            // deprivileged guest has a deliverable virtual interrupt; VMM injects
-	ExitError                 // interpreter invariant violated; Err set
 
-	NumExitReasons = int(ExitError) + 1
+	NumExitReasons = int(ExitIntrWindow) + 1
 )
 
 var exitNames = [...]string{
@@ -33,7 +33,7 @@ var exitNames = [...]string{
 	ExitEcall: "ecall", ExitPriv: "priv", ExitMMIO: "mmio",
 	ExitHostFault: "host-fault", ExitShadowMiss: "shadow-miss",
 	ExitGuestTrap: "guest-trap", ExitWFI: "wfi",
-	ExitIntrWindow: "intr-window", ExitError: "error",
+	ExitIntrWindow: "intr-window",
 }
 
 // String names the exit reason.
@@ -56,7 +56,10 @@ type MMIOInfo struct {
 	Signed bool   // sign-extend the loaded value
 }
 
-// Exit is the result of CPU.Run.
+// Exit is the CPU's exit record (CPU.Exit): the detail of the exit whose
+// reason CPU.Run returned. The CPU owns the one record, every exit writes
+// all of it in one assignment — no field of an earlier exit survives — and
+// it stays valid until the next Run.
 type Exit struct {
 	Reason ExitReason
 	Code   uint16   // ExitHalt diagnostic
@@ -65,17 +68,15 @@ type Exit struct {
 
 	VA     uint64     // faulting virtual address (shadow miss / host fault)
 	Access isa.Access // access kind for VA
-	Mem    *mem.Fault // ExitHostFault detail
+	Mem    mem.Fault  // ExitHostFault detail
 
 	Cause uint64 // ExitGuestTrap: scause to inject
 	Tval  uint64 // ExitGuestTrap: stval to inject
 
 	MMIO MMIOInfo
-
-	Err error // ExitError
 }
 
-func (e Exit) String() string {
+func (e *Exit) String() string {
 	switch e.Reason {
 	case ExitHalt:
 		return fmt.Sprintf("halt(%d)", e.Code)
@@ -90,9 +91,7 @@ func (e Exit) String() string {
 	case ExitGuestTrap:
 		return fmt.Sprintf("guest-trap(%s)", isa.CauseName(e.Cause))
 	case ExitHostFault:
-		return fmt.Sprintf("host-fault(%v)", e.Mem)
-	case ExitError:
-		return fmt.Sprintf("error(%v)", e.Err)
+		return fmt.Sprintf("host-fault(%v)", &e.Mem)
 	default:
 		return e.Reason.String()
 	}

@@ -51,8 +51,8 @@ func smcProgram() []byte {
 // reference interpreter.
 func TestICacheSelfModifyingCode(t *testing.T) {
 	cached, plain := newCPUPair(t, smcProgram(), nil)
-	exC := cached.Run(1_000_000)
-	exP := plain.Run(1_000_000)
+	exC := runRecord(t, cached, 1_000_000)
+	exP := runRecord(t, plain, 1_000_000)
 	if exC.Reason != ExitHalt || exP.Reason != ExitHalt {
 		t.Fatalf("exits: cached %v plain %v", exC, exP)
 	}
@@ -91,7 +91,7 @@ func TestDMAIntoObservedCodePage(t *testing.T) {
 	patch := words(isa.Inst{Op: isa.OpADDI, Rd: isa.RegA0, Rs1: isa.RegZero, Imm: 42})
 	fast, ref := newCPUPair(t, img, nil)
 	for _, c := range []*CPU{fast, ref} {
-		if ex := c.Run(1_000_000); ex.Reason != ExitHalt || c.X[isa.RegA0] != 1 {
+		if ex := runRecord(t, c, 1_000_000); ex.Reason != ExitHalt || c.X[isa.RegA0] != 1 {
 			t.Fatalf("first run: exit %v a0=%d", ex, c.X[isa.RegA0])
 		}
 	}
@@ -110,7 +110,7 @@ func TestDMAIntoObservedCodePage(t *testing.T) {
 			t.Fatal("DMA into an observed page left its version unchanged")
 		}
 		c.PC = 0x1008
-		if ex := c.Run(1_000_000); ex.Reason != ExitHalt {
+		if ex := runRecord(t, c, 1_000_000); ex.Reason != ExitHalt {
 			t.Fatalf("second run: exit %v", ex)
 		}
 	}
@@ -134,7 +134,7 @@ func TestICacheStreamsHotLoop(t *testing.T) {
 		isa.Inst{Op: isa.OpHALT},
 	)
 	cached, plain := newCPUPair(t, img, nil)
-	exC, exP := cached.Run(1_000_000), plain.Run(1_000_000)
+	exC, exP := runRecord(t, cached, 1_000_000), runRecord(t, plain, 1_000_000)
 	if exC.Reason != ExitHalt || exP.Reason != ExitHalt {
 		t.Fatalf("exits: cached %v plain %v", exC, exP)
 	}
@@ -284,7 +284,7 @@ func TestICacheQuantumAndTraps(t *testing.T) {
 		c.X[isa.RegT0] = 0x1100
 		// Tiny quanta force many exits/re-entries mid-stream.
 		for {
-			ex := c.Run(50)
+			ex := runRecord(t, c, 50)
 			if ex.Reason == ExitHalt {
 				return c
 			}

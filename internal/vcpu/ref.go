@@ -29,11 +29,13 @@ func NewReference(m *mem.GuestPhys, ctx *mmu.Context) *CPU {
 // runRef is Run for a CPU without an ICache.
 //
 //govisor:worker
-func (c *CPU) runRef(budget uint64) Exit {
+func (c *CPU) runRef(budget uint64) ExitReason {
 	deadline := c.Cycles + budget
 	for {
 		if c.Cycles >= deadline {
-			return c.exit(Exit{Reason: ExitQuantum})
+			c.Exit = Exit{Reason: ExitQuantum}
+			c.exit()
+			return ExitQuantum
 		}
 		// Timer: STIP latches when the clock passes STIMECMP.
 		if cmp := c.CSR.Stimecmp; cmp != 0 && c.Cycles >= cmp && c.CSR.Sip&(1<<isa.IntTimer) == 0 {
@@ -41,77 +43,70 @@ func (c *CPU) runRef(budget uint64) Exit {
 		}
 		if irq := c.PendingInterrupt(); irq != 0 {
 			if c.Deprivileged {
-				return c.vmExit(Exit{Reason: ExitIntrWindow})
+				c.Exit = Exit{Reason: ExitIntrWindow}
+				c.vmExit()
+				return ExitIntrWindow
 			}
 			c.Stats.Interrupts++
 			c.InjectTrap(isa.CauseInterrupt|irq, 0)
 			continue
 		}
 		if c.PC&3 != 0 {
-			if e, exited := c.guestTrap(isa.CauseInstrMisaligned, c.PC); exited {
-				return e
+			if c.guestTrap(isa.CauseInstrMisaligned, c.PC) == stExit {
+				return c.Exit.Reason
 			}
 			continue
 		}
-		gpa, ex, ok := c.translate(c.PC, isa.AccExec)
-		if !ok {
-			if ex.Reason == ExitNone {
-				continue
-			}
-			return ex
+		// Each step runs only while the previous one returned stOK; stTrap
+		// restarts the loop at the handler the trap vectored to.
+		gpa, st := c.translate(c.PC, isa.AccExec)
+		var raw uint32
+		if st == stOK {
+			raw, st = c.refFetch(gpa)
 		}
-		raw, ex, ok := c.refFetch(gpa)
-		if !ok {
-			if ex.Reason == ExitNone {
-				continue
+		if st == stOK {
+			in := isa.Decode(raw)
+			if !in.Op.Valid() {
+				st = c.illegal(raw)
+			} else {
+				c.Cycles += c.Costs.Instr
+				c.Instret++
+				st = c.execute(in, raw)
 			}
-			return ex
 		}
-		in := isa.Decode(raw)
-		if !in.Op.Valid() {
-			if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
-				return e
-			}
-			continue
-		}
-		c.Cycles += c.Costs.Instr
-		c.Instret++
-		if ex, done := c.execute(in, raw); done {
-			return ex
+		if st == stExit {
+			return c.Exit.Reason
 		}
 	}
 }
 
 // translate wraps the MMU, converting its fault taxonomy into either a guest
-// trap or a VM exit. ok is false when the caller must return ex, or —
-// ex.Reason == ExitNone — restart at the trap handler the guest trap just
-// vectored to.
-func (c *CPU) translate(va uint64, acc isa.Access) (gpa uint64, ex Exit, ok bool) {
+// trap or a VM exit. The status is stOK with the gpa, or translateFault's:
+// stTrap restarts at the trap handler the guest trap just vectored to.
+func (c *CPU) translate(va uint64, acc isa.Access) (uint64, int) {
 	gpa, refs, fault := c.MMU.Translate(va, acc, c.Priv == PrivU)
 	c.Cycles += uint64(refs) * c.Costs.PTRef
 	if fault == nil {
-		return gpa, Exit{}, true
+		return gpa, stOK
 	}
-	return c.translateFault(va, acc, fault)
+	return 0, c.translateFault(va, acc, fault)
 }
 
 // refFetch reads the instruction word at gpa. Executing out of device space
 // or beyond RAM is an instruction access fault; any other guest-physical
-// fault is the host's to resolve. ok is as for translate.
-func (c *CPU) refFetch(gpa uint64) (raw uint32, ex Exit, ok bool) {
+// fault is the host's to resolve. The status is as for translate.
+func (c *CPU) refFetch(gpa uint64) (uint32, int) {
 	if c.IsMMIO != nil && !c.Mem.Contains(gpa) && c.IsMMIO(gpa) {
-		ex, _ := c.guestTrap(isa.CauseInstrAccess, c.PC)
-		return 0, ex, false
+		return 0, c.guestTrap(isa.CauseInstrAccess, c.PC)
 	}
 	word, f := c.readMem(gpa, 4)
 	if f != nil {
 		if f.Kind == mem.FaultBeyondRAM {
-			ex, _ := c.guestTrap(isa.CauseInstrAccess, c.PC)
-			return 0, ex, false
+			return 0, c.guestTrap(isa.CauseInstrAccess, c.PC)
 		}
-		return 0, c.memFaultExit(c.PC, isa.AccExec, f), false
+		return 0, c.memFaultExit(c.PC, isa.AccExec, *f)
 	}
-	return uint32(word), Exit{}, true
+	return uint32(word), stOK
 }
 
 // readMem reads a naturally aligned size-byte little-endian value from
@@ -132,8 +127,9 @@ func (c *CPU) writeMem(gpa uint64, size int, v uint64) *mem.Fault {
 	return c.Mem.Write(gpa, buf[:size])
 }
 
-// execute runs one decoded instruction. done reports that Run must return ex.
-func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
+// execute runs one decoded instruction and returns its status: stOK,
+// stTrap, or stExit when the exit record is written.
+func (c *CPU) execute(in isa.Inst, raw uint32) int {
 	switch in.Op {
 	// ---- register-register ALU ----
 	case isa.OpADD:
@@ -214,12 +210,12 @@ func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
 	case isa.OpJAL:
 		c.SetReg(in.Rd, c.PC+4)
 		c.PC += uint64(int64(in.Imm))
-		return Exit{}, false
+		return stOK
 	case isa.OpJALR:
 		target := (c.X[in.Rs1] + uint64(int64(in.Imm))) &^ 1
 		c.SetReg(in.Rd, c.PC+4)
 		c.PC = target
-		return Exit{}, false
+		return stOK
 
 	// ---- system ----
 	case isa.OpECALL:
@@ -227,32 +223,31 @@ func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
 			// Native/HW-assist syscall: vectors straight into the guest
 			// kernel without VMM involvement.
 			c.InjectTrap(isa.CauseEcallU, 0)
-			return Exit{}, false
+			return stTrap
 		}
-		return c.vmExit(Exit{Reason: ExitEcall, From: c.Priv}), true
+		c.Exit = Exit{Reason: ExitEcall, From: c.Priv}
+		return c.vmExit()
 	case isa.OpEBREAK:
-		if e, exited := c.guestTrap(isa.CauseBreakpoint, c.PC); exited {
-			return e, true
-		}
-		return Exit{}, false
+		return c.guestTrap(isa.CauseBreakpoint, c.PC)
 	case isa.OpSRET:
 		if c.Priv != PrivS {
 			return c.illegal(raw)
 		}
 		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
+			return c.privExit(in)
 		}
 		c.ExecuteSRET()
-		return Exit{}, false
+		return stTrap
 	case isa.OpWFI:
 		if c.Priv != PrivS {
 			return c.illegal(raw)
 		}
 		c.PC += 4
 		if c.CSR.Sip&c.CSR.Sie != 0 {
-			return Exit{}, false // already pending: WFI is a no-op
+			return stOK // already pending: WFI is a no-op
 		}
-		return c.vmExit(Exit{Reason: ExitWFI}), true
+		c.Exit = Exit{Reason: ExitWFI}
+		return c.vmExit()
 	case isa.OpFENCE:
 		// No reordering to model.
 	case isa.OpSFENCE:
@@ -260,7 +255,7 @@ func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
 			return c.illegal(raw)
 		}
 		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
+			return c.privExit(in)
 		}
 		c.MMU.Flush(c.X[in.Rs1], uint16(c.X[in.Rs2]))
 	case isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC:
@@ -270,28 +265,22 @@ func (c *CPU) execute(in isa.Inst, raw uint32) (ex Exit, done bool) {
 			return c.illegal(raw)
 		}
 		c.PC += 4
-		return c.exit(Exit{Reason: ExitHalt, Code: uint16(in.Imm)}), true
+		c.Exit = Exit{Reason: ExitHalt, Code: uint16(in.Imm)}
+		return c.exit()
 	default:
 		return c.illegal(raw)
 	}
 	c.PC += 4
-	return Exit{}, false
+	return stOK
 }
 
-func (c *CPU) illegal(raw uint32) (Exit, bool) {
-	if e, exited := c.guestTrap(isa.CauseIllegal, uint64(raw)); exited {
-		return e, true
-	}
-	return Exit{}, false
-}
-
-func (c *CPU) branch(in isa.Inst, taken bool) (Exit, bool) {
+func (c *CPU) branch(in isa.Inst, taken bool) int {
 	if taken {
 		c.PC += uint64(int64(in.Imm))
 	} else {
 		c.PC += 4
 	}
-	return Exit{}, false
+	return stOK
 }
 
 func loadMeta(op isa.Op) (size int, signed bool) {
@@ -328,35 +317,26 @@ func storeSize(op isa.Op) int {
 
 // execLoad is the load rule: alignment check, translation, the device-window
 // test, then the access itself.
-func (c *CPU) execLoad(in isa.Inst) (Exit, bool) {
+func (c *CPU) execLoad(in isa.Inst) int {
 	size, signed := loadMeta(in.Op)
 	va := c.X[in.Rs1] + uint64(int64(in.Imm))
 	if va&uint64(size-1) != 0 {
-		if e, exited := c.guestTrap(isa.CauseLoadMisaligned, va); exited {
-			return e, true
-		}
-		return Exit{}, false
+		return c.guestTrap(isa.CauseLoadMisaligned, va)
 	}
-	gpa, ex, ok := c.translate(va, isa.AccRead)
-	if !ok {
-		return ex, ex.Reason != ExitNone
+	gpa, st := c.translate(va, isa.AccRead)
+	if st != stOK {
+		return st
 	}
 	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		return c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Rd: in.Rd, Signed: signed,
-		}}), true
+		return c.mmioExit(MMIOInfo{GPA: gpa, Size: uint8(size), Rd: in.Rd, Signed: signed})
 	}
 	c.Cycles += c.Costs.MemAccess
 	v, f := c.readMem(gpa, size)
 	if f != nil {
 		if f.Kind == mem.FaultBeyondRAM {
-			if e, exited := c.guestTrap(isa.CauseLoadAccess, va); exited {
-				return e, true
-			}
-			return Exit{}, false
+			return c.guestTrap(isa.CauseLoadAccess, va)
 		}
-		return c.memFaultExit(va, isa.AccRead, f), true
+		return c.memFaultExit(va, isa.AccRead, *f)
 	}
 	if signed {
 		switch size {
@@ -370,45 +350,36 @@ func (c *CPU) execLoad(in isa.Inst) (Exit, bool) {
 	}
 	c.SetReg(in.Rd, v)
 	c.PC += 4
-	return Exit{}, false
+	return stOK
 }
 
 // execStore is the store rule, the mirror of execLoad.
-func (c *CPU) execStore(in isa.Inst) (Exit, bool) {
+func (c *CPU) execStore(in isa.Inst) int {
 	size := storeSize(in.Op)
 	va := c.X[in.Rs1] + uint64(int64(in.Imm))
 	val := c.X[in.Rs2]
 	if va&uint64(size-1) != 0 {
-		if e, exited := c.guestTrap(isa.CauseStoreMisaligned, va); exited {
-			return e, true
-		}
-		return Exit{}, false
+		return c.guestTrap(isa.CauseStoreMisaligned, va)
 	}
-	gpa, ex, ok := c.translate(va, isa.AccWrite)
-	if !ok {
-		return ex, ex.Reason != ExitNone
+	gpa, st := c.translate(va, isa.AccWrite)
+	if st != stOK {
+		return st
 	}
 	if !c.Mem.Contains(gpa) && c.IsMMIO != nil && c.IsMMIO(gpa) {
-		c.PC += 4
-		return c.vmExit(Exit{Reason: ExitMMIO, MMIO: MMIOInfo{
-			GPA: gpa, Size: uint8(size), Write: true, Value: val,
-		}}), true
+		return c.mmioExit(MMIOInfo{GPA: gpa, Size: uint8(size), Write: true, Value: val})
 	}
 	c.Cycles += c.Costs.MemAccess
 	if f := c.writeMem(gpa, size, val); f != nil {
 		if f.Kind == mem.FaultBeyondRAM {
-			if e, exited := c.guestTrap(isa.CauseStoreAccess, va); exited {
-				return e, true
-			}
-			return Exit{}, false
+			return c.guestTrap(isa.CauseStoreAccess, va)
 		}
-		return c.memFaultExit(va, isa.AccWrite, f), true
+		return c.memFaultExit(va, isa.AccWrite, *f)
 	}
 	c.PC += 4
-	return Exit{}, false
+	return stOK
 }
 
-func (c *CPU) execCSR(in isa.Inst, raw uint32) (Exit, bool) {
+func (c *CPU) execCSR(in isa.Inst, raw uint32) int {
 	addr := uint16(in.Imm)
 	// Unprivileged counters execute directly in every regime.
 	if !isa.IsUserCSR(addr) {
@@ -416,7 +387,7 @@ func (c *CPU) execCSR(in isa.Inst, raw uint32) (Exit, bool) {
 			return c.illegal(raw)
 		}
 		if c.Deprivileged {
-			return c.vmExit(Exit{Reason: ExitPriv, Inst: in}), true
+			return c.privExit(in)
 		}
 	}
 	old, known := c.ReadCSR(addr)
@@ -443,5 +414,5 @@ func (c *CPU) execCSR(in isa.Inst, raw uint32) (Exit, bool) {
 	}
 	c.SetReg(in.Rd, old)
 	c.PC += 4
-	return Exit{}, false
+	return stOK
 }

@@ -70,8 +70,9 @@ func (c *CPU) blockAdmissible(n, memOps, deadline uint64) bool {
 // this instruction's fetch translation and event checks. dispatched reports
 // whether the block was entered at all; when false nothing happened and the
 // caller must execute the instruction on the single-instruction path. When
-// done is true, Run must return ex; otherwise the outer loop resumes at the
-// current PC (which may be mid-block after a bail, or the terminator).
+// done is true, the exit record is written and Run must return its reason;
+// otherwise the outer loop resumes at the current PC (which may be mid-block
+// after a bail, or the terminator).
 //
 // Cross-page continuation: a run cut by the page boundary rather than a
 // terminator may continue into the successor page when the boundary's chain
@@ -83,11 +84,11 @@ func (c *CPU) blockAdmissible(n, memOps, deadline uint64) bool {
 // make, and the entry admission proves no loop-top event (quantum, timer
 // latch, interrupt window) could have fired at the boundary, so event
 // boundaries land on exactly the same instruction as the unchained run.
-func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done, dispatched bool) {
+func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (done, dispatched bool) {
 	n := uint64(p.blkLen[idx])
 	memOps := uint64(p.blkMem[idx])
 	if !c.blockAdmissible(n, memOps, deadline) {
-		return Exit{}, false, false
+		return false, false
 	}
 
 	instr := c.Costs.Instr
@@ -100,7 +101,7 @@ func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done
 		c.Instret += retired
 		if st == stExit {
 			c.codeGfn = mem.NoFrame
-			return c.pendExit, true, true
+			return true, true
 		}
 		if st != stOK || idx+n < instPerPage {
 			break
@@ -125,7 +126,7 @@ func (c *CPU) runBlock(p *decodedPage, idx, gfn, deadline uint64) (ex Exit, done
 		c.codeGfn = gfn
 	}
 	c.codeGfn = mem.NoFrame
-	return Exit{}, false, true
+	return false, true
 }
 
 // stBail is a retireRun-local status: the fetch replay could not prove the
@@ -140,7 +141,7 @@ const stBail = -1
 // replayed) the fetch translation of the first instruction; subsequent
 // fetches replay through mmu.Context.ReplayFetchSpan. The caller batches the
 // cycle/instret accounting for the retired count. Status is stOK when all n
-// retired cleanly, stExit when Run must return c.pendExit, stTrap/stSMC when
+// retired cleanly, stExit when the exit record is written, stTrap/stSMC when
 // the run ended early at an instruction boundary (guest trap redirected
 // control / the body stored into its own code page — both counted in
 // retired), or stBail when the fetch replay failed before the slot retired.
@@ -181,7 +182,7 @@ func (c *CPU) retireRun(p *decodedPage, idx, n uint64, memless bool) (retired ui
 		retired++
 		// Block-specialized execution: every instruction — stores included
 		// — runs the slot's decode-time-resolved executor. Statuses stay
-		// small ints and the rare Exit goes through c.pendExit, keeping the
+		// small ints and the rare exit goes to the exit record, keeping the
 		// large Exit struct out of the per-instruction return path.
 		if st := p.fn[j](c, in, p.raw[j]); st != stOK {
 			// stExit, stTrap (control redirected) or stSMC (the run wrote

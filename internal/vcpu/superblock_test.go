@@ -25,6 +25,9 @@ func compareCPUs(t *testing.T, label string, a, b *CPU) {
 	if a.Stats != b.Stats {
 		t.Errorf("%s: exit stats diverged: %+v vs %+v", label, a.Stats, b.Stats)
 	}
+	if a.Exit != b.Exit {
+		t.Errorf("%s: exit record diverged: %+v vs %+v", label, a.Exit, b.Exit)
+	}
 	if a.MMU.Stats != b.MMU.Stats {
 		t.Errorf("%s: MMU stats diverged: %+v vs %+v", label, a.MMU.Stats, b.MMU.Stats)
 	}
@@ -68,8 +71,8 @@ func TestSuperblockQuantumFallback(t *testing.T) {
 	for budget := uint64(1); budget < 160; budget += 3 {
 		blocks, slow := newCPUPair(t, img, nil)
 		for {
-			exB := blocks.Run(budget)
-			exS := slow.Run(budget)
+			exB := runRecord(t, blocks, budget)
+			exS := runRecord(t, slow, budget)
 			if exB.Reason != exS.Reason {
 				t.Fatalf("budget %d: exit diverged: blocks %v slow %v (pc %#x vs %#x)",
 					budget, exB, exS, blocks.PC, slow.PC)
@@ -118,8 +121,8 @@ func TestSuperblockStimecmpFallback(t *testing.T) {
 			}
 			blocks, slow := newCPUPair(t, img, tweak)
 			for {
-				exB := blocks.Run(1_000_000)
-				exS := slow.Run(1_000_000)
+				exB := runRecord(t, blocks, 1_000_000)
+				exS := runRecord(t, slow, 1_000_000)
 				if exB.Reason != exS.Reason {
 					t.Fatalf("irq=%v cmp %d: exit diverged: %v vs %v", enableIRQ, cmp, exB, exS)
 				}
@@ -155,8 +158,8 @@ func TestSuperblockInterruptWindowFallback(t *testing.T) {
 		raised := false
 		for {
 			budget := uint64(25)
-			exB := blocks.Run(budget)
-			exS := slow.Run(budget)
+			exB := runRecord(t, blocks, budget)
+			exS := runRecord(t, slow, budget)
 			if exB.Reason != exS.Reason {
 				t.Fatalf("raiseAt %d: exit diverged: %v vs %v (pc %#x vs %#x)",
 					raiseAt, exB, exS, blocks.PC, slow.PC)
@@ -213,7 +216,7 @@ func TestSuperblockSelfModifyingCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks, slow := newCPUPair(t, img, nil)
-	exB, exS := blocks.Run(1_000_000), slow.Run(1_000_000)
+	exB, exS := runRecord(t, blocks, 1_000_000), runRecord(t, slow, 1_000_000)
 	if exB.Reason != ExitHalt || exS.Reason != ExitHalt {
 		t.Fatalf("exits: blocks %v slow %v", exB, exS)
 	}
@@ -305,7 +308,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 	for _, c := range []*CPU{cached, plain} {
 		c.Cycles = ^uint64(0) - delta
 	}
-	exC, exP := cached.Run(budget), plain.Run(budget)
+	exC, exP := runRecord(t, cached, budget), runRecord(t, plain, budget)
 	if exC.Reason != ExitQuantum || exP.Reason != ExitQuantum {
 		t.Fatalf("exits: cached %v plain %v, want ExitQuantum (wrapped horizon admitted the block?)", exC, exP)
 	}
@@ -322,7 +325,7 @@ func TestBlockHorizonSaturatedCycles(t *testing.T) {
 		c.Cycles = ^uint64(0) - span - span/4
 		c.CSR.Stimecmp = c.Cycles + delta
 	}
-	exC2, exP2 := cached2.Run(span*2), plain2.Run(span*2)
+	exC2, exP2 := runRecord(t, cached2, span*2), runRecord(t, plain2, span*2)
 	if exC2.Reason != exP2.Reason {
 		t.Fatalf("stimecmp exits diverged: cached %v plain %v", exC2, exP2)
 	}
@@ -368,8 +371,8 @@ func TestBlockChainCrossPageLoop(t *testing.T) {
 	for budget := uint64(97); budget < 4000; budget += 449 {
 		chained, unchained := newCPUPair(t, img, nil)
 		for {
-			exC := chained.Run(budget)
-			exU := unchained.Run(budget)
+			exC := runRecord(t, chained, budget)
+			exU := runRecord(t, unchained, budget)
 			if exC.Reason != exU.Reason {
 				t.Fatalf("budget %d: exit diverged: chained %v unchained %v (pc %#x vs %#x)",
 					budget, exC, exU, chained.PC, unchained.PC)
@@ -434,7 +437,7 @@ func TestBlockChainSMCAndFlushInvalidation(t *testing.T) {
 	for _, sfence := range []bool{false, true} {
 		img := build(sfence)
 		chained, unchained := newCPUPair(t, img, nil)
-		exC, exU := chained.Run(10_000_000), unchained.Run(10_000_000)
+		exC, exU := runRecord(t, chained, 10_000_000), runRecord(t, unchained, 10_000_000)
 		if exC.Reason != ExitHalt || exU.Reason != ExitHalt {
 			t.Fatalf("sfence=%v exits: chained %v unchained %v", sfence, exC, exU)
 		}
@@ -546,7 +549,7 @@ func TestBlockChainRemapFlushExact(t *testing.T) {
 
 	chained, plain := build(New), build(NewReference)
 	for name, c := range map[string]*CPU{"chained": chained, "plain": plain} {
-		if ex := c.Run(10_000_000); ex.Reason != ExitHalt {
+		if ex := runRecord(t, c, 10_000_000); ex.Reason != ExitHalt {
 			t.Fatalf("%s: exit %v (pc=%#x)", name, ex, c.PC)
 		}
 	}

@@ -209,14 +209,15 @@ func (c *CPU) formTrace(l *chainLink) {
 // check that no longer validates (dispatched false — the block path runs
 // this dispatch, nothing perturbed), or a pass that left the trace at an
 // inner hop (dispatched true). traceFailLimit failures without a completed
-// pass in between drop the trace.
-func (c *CPU) traceFail(tr *trace, dispatched bool) (Exit, bool, bool) {
+// pass in between drop the trace. It returns runTrace's results: not done,
+// and dispatched as given.
+func (c *CPU) traceFail(tr *trace, dispatched bool) (bool, bool) {
 	c.ICache.Stats.TraceDemotions++
 	tr.fails++
 	if tr.fails >= traceFailLimit {
 		c.ICache.dropTrace(tr)
 	}
-	return Exit{}, false, dispatched
+	return false, dispatched
 }
 
 // traceTerm statuses.
@@ -224,7 +225,7 @@ const (
 	termOK      = iota // terminator retired and control went where expected
 	termBail           // fetch replay failed; the terminator did not retire
 	termDiverge        // terminator retired but control left the trace
-	termExit           // Run must return c.pendExit
+	termExit           // the exit record is written
 )
 
 // traceTerm retires one inline terminator (slot term of page p, the current
@@ -263,8 +264,9 @@ func (c *CPU) traceTerm(p *decodedPage, term uint64, expectPC uint64) int {
 // consume the outer loop just performed through tr.headLink. dispatched
 // reports whether the trace ran at all; when false nothing was perturbed
 // and the caller falls through to the superblock path. When done is true,
-// Run must return ex; otherwise the outer loop resumes at the current PC.
-func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bool) {
+// the exit record is written and Run must return its reason; otherwise the
+// outer loop resumes at the current PC.
+func (c *CPU) runTrace(tr *trace, deadline uint64) (done, dispatched bool) {
 	ic := c.ICache
 	nh := len(tr.hops)
 
@@ -324,7 +326,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		// Not staleness — the quantum or timer horizon is too close for a
 		// whole pass. The block path runs this dispatch and event
 		// boundaries land exactly where the untraced run puts them.
-		return Exit{}, false, false
+		return false, false
 	}
 	tr.lastUse = ic.tick
 	ic.Stats.TraceEntries++
@@ -348,12 +350,12 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 			if st != stOK {
 				flushExit(retired)
 				if st == stExit {
-					return c.pendExit, true, true
+					return true, true
 				}
 				// Guest trap, SMC into this page, or a TLB generation
 				// change under the fetch stream: demote in place.
 				ic.Stats.TraceDemotions++
-				return Exit{}, false, true
+				return false, true
 			}
 			if k == nh-1 {
 				break
@@ -367,7 +369,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				if !c.followLink(next.link) {
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
-					return Exit{}, false, true
+					return false, true
 				}
 				ic.Stats.Crossings++
 			} else {
@@ -375,11 +377,11 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				case termBail:
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
-					return Exit{}, false, true
+					return false, true
 				case termExit:
 					retired++
 					flushExit(retired)
-					return c.pendExit, true, true
+					return true, true
 				case termDiverge:
 					// Control left the trace mid-pass (a branch changed
 					// polarity). Arm the source so the outer loop records
@@ -398,7 +400,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 				if !c.followLink(next.link) {
 					flushExit(retired)
 					ic.Stats.TraceDemotions++
-					return Exit{}, false, true
+					return false, true
 				}
 			}
 		}
@@ -420,11 +422,11 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 		case termBail:
 			flushExit(retired)
 			ic.Stats.TraceDemotions++
-			return Exit{}, false, true
+			return false, true
 		case termExit:
 			retired++
 			flushExit(retired)
-			return c.pendExit, true, true
+			return true, true
 		case termDiverge:
 			// The loop exited through its tail branch — a normal trace
 			// end, not a demotion. Arm the source so the outer loop
@@ -432,7 +434,7 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 			retired++
 			c.chainPage, c.chainSlot, c.chainArmed = last.p, uint16(last.term), true
 			flushExit(retired)
-			return Exit{}, false, true
+			return false, true
 		}
 		retired++
 		// Flush before re-admission so the horizon compares against the
@@ -446,11 +448,11 @@ func (c *CPU) runTrace(tr *trace, deadline uint64) (ex Exit, done, dispatched bo
 			// the head boundary; the outer loop's event checks and chain
 			// consume take over at the same instruction.
 			c.codeGfn = mem.NoFrame
-			return Exit{}, false, true
+			return false, true
 		}
 		tr.lastUse = ic.tick
 		ic.Stats.TraceEntries++
 	}
 	flushExit(retired)
-	return Exit{}, false, true
+	return false, true
 }

@@ -13,7 +13,7 @@ import (
 // runPairToHalt drives both engines to halt and asserts byte-identical state.
 func runPairToHalt(t *testing.T, label string, traced, plain *CPU) {
 	t.Helper()
-	exT, exP := traced.Run(50_000_000), plain.Run(50_000_000)
+	exT, exP := runRecord(t, traced, 50_000_000), runRecord(t, plain, 50_000_000)
 	if exT.Reason != ExitHalt || exP.Reason != ExitHalt {
 		t.Fatalf("%s: exits: traced %v plain %v (pc %#x vs %#x)", label, exT, exP, traced.PC, plain.PC)
 	}
@@ -169,8 +169,8 @@ func TestTraceQuantumFallback(t *testing.T) {
 	for budget := uint64(97); budget < 4000; budget += 449 {
 		traced, plain := newCPUPair(t, img, nil)
 		for {
-			exT := traced.Run(budget)
-			exP := plain.Run(budget)
+			exT := runRecord(t, traced, budget)
+			exP := runRecord(t, plain, budget)
 			if exT.Reason != exP.Reason {
 				t.Fatalf("budget %d: exit diverged: traced %v plain %v (pc %#x vs %#x)",
 					budget, exT, exP, traced.PC, plain.PC)
@@ -460,7 +460,7 @@ func TestTraceFailedFormationAllocatesNothing(t *testing.T) {
 	// Stop mid-loop with the back edge hot. (Its link would outlive the
 	// loop's exit too: the exit edge is recorded in the branch's other way.)
 	c := newCPU(t, New, img, 0x1000)
-	if ex := c.Run(2000); ex.Reason != ExitQuantum {
+	if ex := runRecord(t, c, 2000); ex.Reason != ExitQuantum {
 		t.Fatalf("exit = %v (pc=%#x)", ex, c.PC)
 	}
 	page := c.ICache.pages[back>>isa.PageShift]
