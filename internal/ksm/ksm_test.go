@@ -1,6 +1,7 @@
 package ksm
 
 import (
+	"bytes"
 	"testing"
 
 	"govisor/internal/isa"
@@ -254,5 +255,69 @@ func TestStaleCanonOwnerAfterFrameReuse(t *testing.T) {
 	}
 	if got, f := victim.ReadUint(2<<isa.PageShift, 8); f != nil || got != 0x7777777777777777 {
 		t.Fatalf("victim reads %#x (fault %v) after another VM's store: cross-VM corruption", got, f)
+	}
+}
+
+// TestKeptScannerSkipsRecycledCanonFrame: the pool recycles both frame
+// numbers and their backing arrays, so a canon entry kept by a long-lived
+// scanner can name a frame that now holds another VM's page, in the very
+// array the canonical page used to live in. The second pass must see that
+// the recorded owner no longer maps the frame, and must not merge onto it;
+// no page's content may change.
+func TestKeptScannerSkipsRecycledCanonFrame(t *testing.T) {
+	pool := mem.NewPool(64) // one shard: frame numbers and arrays come back LIFO
+	owner := newVMSpace(t, pool, 4)
+	fillPage(owner, 1, 0x77)
+	s := NewScanner(pool)
+	s.ScanVM(owner) // records (frame, owner, gfn 1) as the canonical 0x77 page
+	frame := owner.Frame(1)
+	array := &pool.Data(frame)[0]
+
+	// Between the passes the owner balloons the page out, and another VM
+	// gets the frame number and its array back for the same content.
+	owner.Unmap(1)
+	reuser := mem.NewGuestPhys(pool, 4*isa.PageSize)
+	if err := reuser.Populate(0); err != nil {
+		t.Fatal(err)
+	}
+	fillPage(reuser, 0, 0x77)
+	if reuser.Frame(0) != frame || &pool.Data(frame)[0] != array {
+		t.Fatal("the pool did not hand the freed frame and its array to the next VM — the test lost its premise")
+	}
+	victim := newVMSpace(t, pool, 4)
+	fillPage(victim, 2, 0x77)
+
+	spaces := []*mem.GuestPhys{owner, reuser, victim}
+	before := make([][]byte, 0, 12)
+	for _, g := range spaces {
+		for gfn := uint64(0); gfn < g.Pages(); gfn++ {
+			buf := make([]byte, isa.PageSize)
+			g.ReadRaw(gfn, buf)
+			before = append(before, buf)
+		}
+	}
+
+	s.ScanVM(victim)
+	if victim.Frame(2) == frame || pool.RefCount(frame) != 1 || reuser.IsCOW(0) {
+		t.Fatalf("second pass merged onto the recycled frame %d (victim maps %d, refcount %d)",
+			frame, victim.Frame(2), pool.RefCount(frame))
+	}
+	buf := make([]byte, isa.PageSize)
+	i := 0
+	for _, g := range spaces {
+		for gfn := uint64(0); gfn < g.Pages(); gfn++ {
+			g.ReadRaw(gfn, buf)
+			if !bytes.Equal(buf, before[i]) {
+				t.Fatalf("page %d of space %d changed across the scan", gfn, i/4)
+			}
+			i++
+		}
+	}
+	// The frame's real owner stays private: its store lands in its page only.
+	if f := reuser.WriteUint(0, 8, 0xdeadbeef); f != nil {
+		t.Fatal(f)
+	}
+	if got, f := victim.ReadUint(2<<isa.PageShift, 8); f != nil || got != 0x7777777777777777 {
+		t.Fatalf("victim reads %#x (fault %v) after another VM's store", got, f)
 	}
 }

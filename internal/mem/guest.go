@@ -628,7 +628,7 @@ func (g *GuestPhys) WriteUint(gpa uint64, size int, v uint64) *Fault {
 	if k != FaultNone {
 		return faultOf(k, gpa, isa.AccWrite)
 	}
-	writeUintTo(g.pool.writable(hfn), gpa&isa.PageMask, size, v)
+	writeUintTo(g.pool.writable(hfn, false), gpa&isa.PageMask, size, v)
 	return nil
 }
 
@@ -708,7 +708,7 @@ func (g *GuestPhys) WriteUintFill(gpa uint64, size int, v uint64) FaultKind {
 	if k != FaultNone {
 		return k
 	}
-	data := g.pool.writable(hfn)
+	data := g.pool.writable(hfn, false)
 	g.writeFill(gpa>>isa.PageShift, data)
 	g.WMemoFills++
 	writeUintTo(data, gpa&isa.PageMask, size, v)

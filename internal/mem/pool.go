@@ -21,6 +21,19 @@
 // race. Each GuestPhys remains single-writer — only its VM's currently
 // leased worker may access it during an epoch; cross-VM services (dedup,
 // ballooning, migration) run serially at epoch barriers.
+//
+// Backing arrays are recycled: when a frame's last reference goes, DecRef
+// retires its array onto the shard's bounded stack, and the next frame of
+// that shard to be materialized takes it back (a KSM merge frees the very
+// array the next COW break needs). Retired arrays move between workers only
+// through the shard mutex — pushed by DecRef and popped by writable while
+// holding it — so the lock orders the last use of an array under its old
+// frame before its first use under the new one. An array is reachable only
+// from a frame with refcount > 0; every holder of a page slice outside the
+// pool (the GuestPhys read, write and span memos, which the icache's page
+// capture reads through) is invalidated by the page-version or write-epoch
+// bump of the unmap or remap that dropped the reference, before the array
+// can be handed on.
 package mem
 
 import (
@@ -48,18 +61,27 @@ const defaultShards = 8
 // smallPoolFrames is the capacity below which a pool defaults to one shard.
 const smallPoolFrames = 256
 
+// retireCap bounds each shard's stack of retired backing arrays (8 shards ⇒
+// at most 32 MiB held per pool). A fleet's merge-to-COW-break churn is served
+// almost entirely at this depth; a deeper stack measured no further gain.
+const retireCap = 1024
+
 // poolShard is one lock stripe of the pool. A shard owns every frame number
 // congruent to its index modulo the shard count; its frame and refcount
 // tables are preallocated to the shard's exact capacity so the slice headers
 // never change after construction — element accesses from concurrent workers
 // need no lock.
 type poolShard struct {
-	mu     sync.Mutex
-	cap    uint64   // frame numbers owned by this shard
-	next   uint64   // bump watermark: locals never yet handed out
-	free   []uint64 // recycled locals
-	frames [][]byte // local → backing bytes; nil ⇒ logically zero or free
-	refcnt []uint32 // local → reference count (atomic access)
+	mu   sync.Mutex
+	cap  uint64   // frame numbers owned by this shard
+	next uint64   // bump watermark: locals never yet handed out
+	free []uint64 // recycled locals
+	// frames maps local → backing bytes; nil ⇒ logically zero or free. A
+	// non-nil array belongs to exactly one frame with refcount > 0: DecRef
+	// moves it to retired (under mu) when the count reaches zero.
+	frames  [][]byte
+	retired [][]byte // arrays of freed frames awaiting reuse, ≤ retireCap (guarded by mu)
+	refcnt  []uint32 // local → reference count (atomic access)
 }
 
 // Pool is a host physical memory: a fixed budget of 4 KiB frames with
@@ -76,6 +98,7 @@ type Pool struct {
 
 	// Stats.
 	allocs, frees, cowBreaks, sharedMerges atomic.Uint64
+	recycled, retireDrops                  atomic.Uint64
 }
 
 // NewPool creates a host pool with the given capacity in frames, striped
@@ -132,6 +155,14 @@ func (p *Pool) COWBreaks() uint64 { return p.cowBreaks.Load() }
 
 // Merges returns how many frames have been merged by sharing.
 func (p *Pool) Merges() uint64 { return p.sharedMerges.Load() }
+
+// Recycled returns how many frames were materialized with a retired backing
+// array instead of a fresh allocation.
+func (p *Pool) Recycled() uint64 { return p.recycled.Load() }
+
+// RetireDrops returns how many freed backing arrays found their shard's
+// retire stack full and were left to the garbage collector.
+func (p *Pool) RetireDrops() uint64 { return p.retireDrops.Load() }
 
 // Alloc reserves a zero-filled frame and returns its frame number.
 func (p *Pool) Alloc() (uint64, error) {
@@ -228,7 +259,14 @@ func (p *Pool) DecRef(hfn uint64) {
 		return
 	}
 	atomic.StoreUint32(&sh.refcnt[local], 0)
-	sh.frames[local] = nil
+	if b := sh.frames[local]; b != nil {
+		if len(sh.retired) < retireCap {
+			sh.retired = append(sh.retired, b)
+		} else {
+			p.retireDrops.Add(1)
+		}
+		sh.frames[local] = nil
+	}
 	sh.free = append(sh.free, local)
 	sh.mu.Unlock()
 	// Publish the slot before releasing the budget unit, so an allocator
@@ -258,13 +296,32 @@ func (p *Pool) Data(hfn uint64) []byte {
 // writable returns a materialized, mutable backing array for hfn. Callers
 // hold the frame's sole reference (shared writes panic in WriteAt before
 // reaching here), so the element store cannot race a legitimate reader.
-func (p *Pool) writable(hfn uint64) []byte {
+// A logically-zero frame is materialized with a retired array when its
+// shard has one, else a fresh one. whole says the caller overwrites the
+// entire page at once, so a retired array's old content need not be
+// cleared; otherwise it is, and the page reads as zeros until written.
+func (p *Pool) writable(hfn uint64, whole bool) []byte {
 	sh, local := p.shardOf(hfn)
-	b := sh.frames[local]
+	if b := sh.frames[local]; b != nil {
+		return b
+	}
+	var b []byte
+	sh.mu.Lock()
+	if n := len(sh.retired); n > 0 {
+		b = sh.retired[n-1]
+		sh.retired[n-1] = nil
+		sh.retired = sh.retired[:n-1]
+	}
+	sh.mu.Unlock()
 	if b == nil {
 		b = make([]byte, isa.PageSize)
-		sh.frames[local] = b
+	} else {
+		p.recycled.Add(1)
+		if !whole {
+			clear(b)
+		}
 	}
+	sh.frames[local] = b
 	return b
 }
 
@@ -286,7 +343,8 @@ func (p *Pool) WriteAt(hfn uint64, off int, buf []byte) {
 	if p.rc(hfn) > 1 {
 		panic(fmt.Sprintf("mem: write to shared frame %d without COW break", hfn))
 	}
-	copy(p.writable(hfn)[off:], buf)
+	whole := off == 0 && len(buf) >= isa.PageSize
+	copy(p.writable(hfn, whole)[off:], buf)
 }
 
 // BreakCOW gives the caller a private copy of hfn: if the frame is shared, a
@@ -308,7 +366,7 @@ func (p *Pool) BreakCOWNear(hfn uint64, hint int) (uint64, error) {
 	// Reading the shared source unlocked is safe: every other holder may
 	// only read it too (a writer would have had to break COW first).
 	if src := p.Data(hfn); src != nil {
-		copy(p.writable(nfn), src)
+		copy(p.writable(nfn, true), src)
 	}
 	p.DecRef(hfn)
 	p.cowBreaks.Add(1)

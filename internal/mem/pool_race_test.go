@@ -42,15 +42,17 @@ func TestShardedPoolExactCapacity(t *testing.T) {
 // TestShardedPoolRaceStress hammers one pool from many goroutines the way a
 // parallel host does: each goroutine owns a GuestPhys (single-owner, as the
 // epoch protocol guarantees) and churns demand fills, stores, unmaps and
-// COW breaks of frames pre-shared across all spaces. Run under -race this is
-// the data-race proof for the shard locking, the atomic budget, and the
-// atomic page-version counters.
+// COW breaks of frames pre-shared across all spaces. Workers w and w+4 share
+// a stripe, so one's DecRef-to-zero retires backing arrays while the other's
+// materializing writes pop them. Run under -race this is the data-race proof
+// for the shard locking, the atomic budget, the atomic page-version counters
+// and the hand-over of recycled arrays.
 func TestShardedPoolRaceStress(t *testing.T) {
 	const (
 		workers  = 8
 		pages    = 64
 		rounds   = 400
-		capacity = workers*pages + 128
+		capacity = workers*pages + 128 + workers
 	)
 	p := NewPoolSharded(capacity, 4)
 	spaces := make([]*GuestPhys, workers)
@@ -72,6 +74,7 @@ func TestShardedPoolRaceStress(t *testing.T) {
 	}
 	p.DecRef(canonical) // spaces now hold the only references
 
+	dirt := fullPage(0xEE)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -101,10 +104,30 @@ func TestShardedPoolRaceStress(t *testing.T) {
 				if r%7 == 0 {
 					g.Unmap(gfn) // exercise free-list churn across shards
 				}
+				// Same-stripe churn: a partial write pops a retired array
+				// (the partner's or our own), which must read as zeros
+				// around the byte written; the free retires it again.
+				hfn, err := p.AllocNear(w)
+				if err != nil {
+					t.Errorf("worker %d: alloc: %v", w, err)
+					return
+				}
+				p.WriteAt(hfn, 8, []byte{byte(r) | 1})
+				var got [16]byte
+				p.ReadAt(hfn, 0, got[:])
+				if got != [16]byte{8: byte(r) | 1} {
+					t.Errorf("worker %d: recycled frame reads %v", w, got)
+					return
+				}
+				p.WriteAt(hfn, 0, dirt) // retire an array the next pop must clear
+				p.DecRef(hfn)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if p.Recycled() == 0 {
+		t.Fatal("no backing array was ever recycled — the stress lost its teeth")
+	}
 
 	// Every space must own a private copy of page 0 with its own last value.
 	for w, g := range spaces {

@@ -62,7 +62,7 @@ func (g *GuestPhys) WriteSpan(gpa uint64, buf []byte) *Fault {
 			if k != FaultNone {
 				return faultOf(k, gpa, isa.AccWrite)
 			}
-			data = g.pool.writable(hfn)
+			data = g.pool.writable(hfn, false)
 			g.writeFill(gpa>>isa.PageShift, data)
 		}
 		copy(data[off:], buf[:n])
