@@ -79,8 +79,8 @@ func TestControllerRebalancePushesTargets(t *testing.T) {
 
 type nopOps struct{}
 
-func (nopOps) ReclaimPage(uint64) {}
-func (nopOps) ReturnPage(uint64)  {}
+func (nopOps) ReclaimPage(uint64) bool { return true }
+func (nopOps) ReturnPage(uint64)       {}
 
 func TestReclaimOnePrefersClean(t *testing.T) {
 	pool := mem.NewPool(64)

@@ -10,6 +10,7 @@ import (
 	"govisor/internal/mem"
 	"govisor/internal/mmu"
 	"govisor/internal/sched"
+	"govisor/internal/virtio"
 )
 
 const (
@@ -277,6 +278,57 @@ func TestBalloonReclaimAndReturn(t *testing.T) {
 		t.Fatal("return did not remap")
 	}
 	_ = bal
+}
+
+// TestBalloonRefusesVMMPages: a guest that inflates its balloon over pages
+// the VMM holds — a ModePara page-table page (pinned and write-protected)
+// and a kernel page (pinned) — gets neither. Both stay mapped and protected,
+// and the balloon leases nothing. Reclaiming the table page used to clear
+// its write protection, so the next demand fill handed the guest a writable
+// table.
+func TestBalloonRefusesVMMPages(t *testing.T) {
+	vm := newTestVM(t, ModePara)
+	bal, dev, err := vm.AttachVirtioBalloon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Boot(miniProgram(t, func(b *asm.Builder) { b.Halt(0) })); err != nil {
+		t.Fatal(err)
+	}
+	table, kernel := vm.tb.RootPPN, uint64(gabi.KernelBase>>isa.PageShift)
+	if !vm.Mem.Pinned(table) || !vm.Mem.WriteProtected(table) || !vm.Mem.Pinned(kernel) {
+		t.Fatal("boot did not protect the table and kernel pages")
+	}
+	heap := vm.Params[gabi.PHeapBase]
+	for gfn := heap; gfn < heap+2; gfn++ { // the ring and the page array
+		if err := vm.Mem.Populate(gfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drv, buf, err := virtio.NewDriver(vm.Mem, dev, virtio.BalloonInflateQueue, heap<<isa.PageShift, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.Mem.WriteUintPriv(buf, 8, table)
+	vm.Mem.WriteUintPriv(buf+8, 8, kernel)
+	if _, err := drv.Submit([]virtio.DescBuf{{Addr: buf, Len: 16}}); err != nil {
+		t.Fatal(err)
+	}
+	drv.Kick()
+	if _, _, ok := drv.PollUsed(); !ok {
+		t.Fatal("inflate request never completed")
+	}
+	for _, gfn := range []uint64{table, kernel} {
+		if vm.Mem.Frame(gfn) == mem.NoFrame || !vm.Mem.Pinned(gfn) {
+			t.Errorf("gfn %#x reclaimed: mapped=%v pinned=%v", gfn, vm.Mem.Frame(gfn) != mem.NoFrame, vm.Mem.Pinned(gfn))
+		}
+	}
+	if !vm.Mem.WriteProtected(table) {
+		t.Error("table page lost its write protection")
+	}
+	if bal.Actual() != 0 || bal.Inflations != 0 {
+		t.Errorf("actual = %d, inflations = %d, want 0/0", bal.Actual(), bal.Inflations)
+	}
 }
 
 func TestReclaimHookRetriesAllocation(t *testing.T) {

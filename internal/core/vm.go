@@ -374,8 +374,18 @@ func (vm *VM) AttachVirtioConsole() (*virtio.Console, *virtio.MMIODev, error) {
 // balloonOps adapts the VM's memory to the virtio-balloon device.
 type balloonOps struct{ vm *VM }
 
-func (b balloonOps) ReclaimPage(gfn uint64) { b.vm.Mem.Unmap(gfn) }
-func (b balloonOps) ReturnPage(gfn uint64)  { _ = b.vm.Mem.Populate(gfn) }
+// ReclaimPage refuses gfns beyond RAM and pages the VMM holds, pinned or
+// write-protected: unmapping a guarded table page would clear its protection.
+func (b balloonOps) ReclaimPage(gfn uint64) bool {
+	m := b.vm.Mem
+	if gfn >= m.Pages() || m.Pinned(gfn) || m.WriteProtected(gfn) {
+		return false
+	}
+	m.Unmap(gfn)
+	return true
+}
+
+func (b balloonOps) ReturnPage(gfn uint64) { _ = b.vm.Mem.Populate(gfn) }
 
 // AttachVirtioBalloon wires a balloon device driving this VM's memory.
 func (vm *VM) AttachVirtioBalloon() (*virtio.Balloon, *virtio.MMIODev, error) {

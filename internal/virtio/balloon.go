@@ -11,8 +11,10 @@ const (
 // BalloonOps is the host memory-management hook the balloon drives;
 // implemented by the VMM over mem.GuestPhys.
 type BalloonOps interface {
-	// ReclaimPage releases the host frame behind gfn.
-	ReclaimPage(gfn uint64)
+	// ReclaimPage releases the host frame behind gfn and reports whether it
+	// did: a page the host must keep (pinned, write-protected, beyond RAM)
+	// is refused and stays leased to the guest.
+	ReclaimPage(gfn uint64) bool
 	// ReturnPage re-establishes gfn (zero-filled on next touch).
 	ReturnPage(gfn uint64)
 }
@@ -28,7 +30,8 @@ type Balloon struct {
 	targetPages uint64 // host-requested balloon size
 	actualPages uint64 // currently leased
 
-	// Dropped counts descriptors refused for their length.
+	// Inflations counts pages reclaimed; Dropped counts descriptors refused
+	// for their length or lost to a DMA fault.
 	Inflations, Deflations, Dropped uint64
 }
 
@@ -70,33 +73,27 @@ func (b *Balloon) Target() uint64 { return b.targetPages }
 // Actual returns the number of pages currently leased to the host.
 func (b *Balloon) Actual() uint64 { return b.actualPages }
 
-// Process implements Backend.
+// Process implements Backend. Each page-array descriptor is gathered on
+// its own, so one refused or faulting descriptor costs only its own pages.
 func (b *Balloon) Process(q *Queue, qi int) {
-	completed := false
-	for {
-		ch, ok := q.Pop()
-		if !ok {
-			break
-		}
-		for _, d := range ch.Buf {
-			if d.Device || d.Len%8 != 0 {
+	q.serve(func(ch Chain) uint32 {
+		for i, d := range ch.Buf {
+			if d.Len%8 != 0 {
 				continue
 			}
-			if d.Len > maxDescRead {
+			buf, ok := q.gather(ch.Buf[i : i+1])
+			if !ok {
 				b.Dropped++
-				continue
-			}
-			buf := make([]byte, d.Len)
-			if err := q.ReadFrom(d, buf); err != nil {
 				continue
 			}
 			for off := 0; off+8 <= len(buf); off += 8 {
 				gfn := binary.LittleEndian.Uint64(buf[off:])
 				switch qi {
 				case BalloonInflateQueue:
-					b.ops.ReclaimPage(gfn)
-					b.actualPages++
-					b.Inflations++
+					if b.ops.ReclaimPage(gfn) {
+						b.actualPages++
+						b.Inflations++
+					}
 				case BalloonDeflateQueue:
 					b.ops.ReturnPage(gfn)
 					if b.actualPages > 0 {
@@ -106,10 +103,6 @@ func (b *Balloon) Process(q *Queue, qi int) {
 				}
 			}
 		}
-		q.Push(ch.Head, 0)
-		completed = true
-	}
-	if completed && b.dev != nil {
-		b.dev.SignalUsed()
-	}
+		return 0
+	})
 }

@@ -33,7 +33,6 @@ type BlockBackend interface {
 // header / data... / status descriptor chains.
 type Blk struct {
 	img BlockBackend
-	dev *MMIODev
 
 	// sector stages one sector between the image and guest memory: a data
 	// descriptor streams through it, so its guest-written length never
@@ -47,8 +46,10 @@ type Blk struct {
 // NewBlk creates the model; call Attach to get its MMIO transport.
 func NewBlk(img BlockBackend) *Blk { return &Blk{img: img} }
 
-// Bind attaches the transport (done by core when wiring the machine).
-func (b *Blk) Bind(dev *MMIODev) { b.dev = dev }
+// Bind is the wiring step every backend shares (core calls it when wiring
+// the machine). Blk keeps no reference to the transport: it completes only
+// inside a kick, and the transport interrupts for those completions.
+func (b *Blk) Bind(dev *MMIODev) {}
 
 // DeviceID implements Backend.
 func (b *Blk) DeviceID() uint32 { return IDBlock }
@@ -66,19 +67,7 @@ func (b *Blk) ReadConfig(off uint64, size int) uint64 {
 
 // Process implements Backend: drain the request queue.
 func (b *Blk) Process(q *Queue, qi int) {
-	completed := false
-	for {
-		ch, ok := q.Pop()
-		if !ok {
-			break
-		}
-		written := b.handle(q, ch)
-		q.Push(ch.Head, written)
-		completed = true
-	}
-	if completed && b.dev != nil {
-		b.dev.SignalUsed()
-	}
+	q.serve(func(ch Chain) uint32 { return b.handle(q, ch) })
 }
 
 // handle executes one request chain and returns the device-written byte

@@ -15,10 +15,6 @@ type Console struct {
 	out bytes.Buffer
 	in  []byte
 
-	// txBuf stages one TX descriptor between guest memory and out. It grows
-	// to the longest descriptor served, at most maxDescRead.
-	txBuf []byte
-
 	// TxDropped counts TX descriptors refused for their length or lost to a
 	// DMA fault.
 	TxBytes, RxBytes, TxDropped uint64
@@ -39,61 +35,41 @@ func (c *Console) NumQueues() int { return 2 }
 // ReadConfig implements Backend.
 func (c *Console) ReadConfig(off uint64, size int) uint64 { return 0 }
 
-// Process implements Backend.
+// Process implements Backend. TX descriptors are gathered one at a time, so
+// a refused or faulting descriptor drops only its own bytes.
 func (c *Console) Process(q *Queue, qi int) {
 	switch qi {
 	case ConsoleTXQueue:
-		completed := false
-		for {
-			ch, ok := q.Pop()
-			if !ok {
-				break
-			}
-			for _, d := range ch.Buf {
-				if d.Device {
-					continue
-				}
-				if d.Len > maxDescRead {
-					c.TxDropped++
-					continue
-				}
-				if int(d.Len) > len(c.txBuf) {
-					c.txBuf = make([]byte, d.Len)
-				}
-				buf := c.txBuf[:d.Len]
-				if q.ReadFrom(d, buf) != nil {
+		q.serve(func(ch Chain) uint32 {
+			for i := range ch.Buf {
+				buf, ok := q.gather(ch.Buf[i : i+1])
+				if !ok {
 					c.TxDropped++
 					continue
 				}
 				c.out.Write(buf)
-				c.TxBytes += uint64(d.Len)
+				c.TxBytes += uint64(len(buf))
 			}
-			q.Push(ch.Head, 0)
-			completed = true
-		}
-		if completed && c.dev != nil {
-			c.dev.SignalUsed()
-		}
+			return 0
+		})
 	case ConsoleRXQueue:
-		c.flushInput()
+		c.flushInput(q)
 	}
 }
 
 // Feed queues host→guest input bytes and delivers into posted RX buffers.
 func (c *Console) Feed(data []byte) {
 	c.in = append(c.in, data...)
-	c.flushInput()
+	if c.dev == nil {
+		return
+	}
+	if q := c.dev.Queue(ConsoleRXQueue); q.Ready() {
+		c.flushInput(q)
+		c.dev.notify(q)
+	}
 }
 
-func (c *Console) flushInput() {
-	if c.dev == nil || len(c.in) == 0 {
-		return
-	}
-	q := c.dev.Queue(ConsoleRXQueue)
-	if q == nil || !q.Ready() {
-		return
-	}
-	delivered := false
+func (c *Console) flushInput(q *Queue) {
 	for len(c.in) > 0 {
 		ch, ok := q.Pop()
 		if !ok {
@@ -115,10 +91,6 @@ func (c *Console) flushInput() {
 			c.RxBytes += uint64(n)
 		}
 		q.Push(ch.Head, written)
-		delivered = true
-	}
-	if delivered {
-		c.dev.SignalUsed()
 	}
 }
 

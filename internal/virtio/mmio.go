@@ -43,7 +43,9 @@ type Backend interface {
 	DeviceID() uint32
 	// NumQueues returns how many virtqueues the device exposes.
 	NumQueues() int
-	// Process drains one queue after a guest kick.
+	// Process drains one queue after a guest kick. It pushes completions
+	// and leaves the interrupt to the transport, which raises it once if
+	// the kicked queue's used ring moved (see MMIODev.notify).
 	Process(q *Queue, qi int)
 	// ReadConfig reads device-specific configuration space.
 	ReadConfig(off uint64, size int) uint64
@@ -100,13 +102,26 @@ func (d *MMIODev) Queue(qi int) *Queue {
 // InterruptPending reports unacknowledged interrupt bits.
 func (d *MMIODev) InterruptPending() bool { return d.intStatus != 0 }
 
-// SignalUsed marks a used-ring update and raises the device IRQ; device
-// models call it after pushing completions.
+// SignalUsed sets the used-buffer interrupt bit and raises the device IRQ.
+// Completions reach it through notify; a backend calls it directly only for
+// an event no used ring records (the balloon's config-change notice).
 func (d *MMIODev) SignalUsed() {
 	d.intStatus |= 1
 	d.IRQs++
 	if d.raise != nil {
 		d.raise()
+	}
+}
+
+// notify is the one completion rule: it raises the used-buffer interrupt
+// once if q's used ring moved since the last notify, whichever chains moved
+// it — served, or malformed and completed inside Pop. It runs after every
+// kick and at the end of every host-side delivery, so a driver sleeping on
+// the used ring never misses a completion.
+func (d *MMIODev) notify(q *Queue) {
+	if q.usedIdx != q.notified {
+		q.notified = q.usedIdx
+		d.SignalUsed()
 	}
 }
 
@@ -158,16 +173,8 @@ func (d *MMIODev) MMIOWrite(off uint64, size int, v uint64) {
 			d.Notifies++
 			q := &d.queues[qi]
 			q.Kicks++
-			before := q.usedIdx
 			d.backend.Process(q, qi)
-			// Completions the backend did not signal — malformed chains
-			// finished inside Pop on a kick whose every chain was bad —
-			// must still interrupt the guest, or a driver sleeping on the
-			// used ring hangs forever. Idempotent when the bit is already
-			// pending.
-			if q.usedIdx != before && d.intStatus&1 == 0 {
-				d.SignalUsed()
-			}
+			d.notify(q)
 		}
 	case RegIntAck:
 		d.intStatus &^= v

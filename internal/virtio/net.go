@@ -27,10 +27,6 @@ type Net struct {
 	link NetBackend
 	dev  *MMIODev
 
-	// txBuf gathers one TX chain (header + frame) at a time. It grows to
-	// the largest chain seen, which maxTxFrame bounds.
-	txBuf []byte
-
 	// rxBacklog is a ring of rxLen frames starting at rxHead, oldest first.
 	// A slot keeps its buffer when its frame leaves, so a backlog that has
 	// seen its largest frames stops allocating.
@@ -42,11 +38,6 @@ type Net struct {
 }
 
 const netBacklogDepth = 256
-
-// maxTxFrame bounds one TX chain's readable bytes (64 KiB covers the largest
-// TSO-style frame). A malformed descriptor advertising a multi-gigabyte
-// length must not size a host allocation.
-const maxTxFrame = 64 << 10
 
 // zeroNetHeader is the header the device writes ahead of every RX frame.
 var zeroNetHeader [NetHeaderSize]byte
@@ -76,68 +67,29 @@ func (n *Net) ReadConfig(off uint64, size int) uint64 { return 0 }
 func (n *Net) Process(q *Queue, qi int) {
 	switch qi {
 	case NetTXQueue:
-		n.processTX(q)
+		q.serve(func(ch Chain) uint32 { return n.transmit(q, ch) })
 	case NetRXQueue:
 		// Fresh RX buffers posted: drain any backlog into them.
-		n.flushBacklog()
+		n.flushBacklog(q)
 	}
 }
 
-func (n *Net) processTX(q *Queue) {
-	completed := false
-	for {
-		ch, ok := q.Pop()
-		if !ok {
-			break
+// transmit gathers one TX chain (header + frame) and sends the frame. A
+// chain past maxStage, or one with a descriptor aimed at faulting memory, is
+// dropped: it must neither size a host allocation nor put bytes the guest
+// never wrote on the wire. The chain completes either way.
+func (n *Net) transmit(q *Queue, ch Chain) uint32 {
+	buf, ok := q.gather(ch.Buf)
+	switch {
+	case !ok:
+		n.TxDropped++
+	case len(buf) > NetHeaderSize:
+		if n.link != nil {
+			n.link.Send(buf[NetHeaderSize:])
 		}
-		total := ch.ReadLen()
-		switch {
-		case total > maxTxFrame:
-			// Malformed length: a guest-advertised multi-gigabyte chain must
-			// neither size a host allocation nor reach the wire.
-			n.TxDropped++
-		case total > NetHeaderSize:
-			if int(total) > len(n.txBuf) {
-				n.txBuf = make([]byte, total)
-			}
-			buf := n.txBuf[:total]
-			off := 0
-			faulted := false
-			for _, d := range ch.Buf {
-				if d.Device {
-					continue
-				}
-				nb := int(d.Len)
-				if nb > len(buf)-off {
-					// The uint32 length sum wrapped: individual descriptors
-					// carry more bytes than the chain's total claims.
-					faulted = true
-					break
-				}
-				if err := q.ReadFrom(d, buf[off:off+nb]); err != nil {
-					faulted = true
-					break
-				}
-				off += nb
-			}
-			if faulted {
-				// A descriptor aimed at faulting memory: transmitting the
-				// unread remainder would put a frame the guest never wrote
-				// on the wire. Drop it; the chain still completes.
-				n.TxDropped++
-			} else {
-				if n.link != nil {
-					n.link.Send(buf[NetHeaderSize:])
-				}
-				n.TxFrames++
-			}
-		}
-		q.Push(ch.Head, 0)
-		completed = true
+		n.TxFrames++
 	}
-	if completed && n.dev != nil {
-		n.dev.SignalUsed()
-	}
+	return 0
 }
 
 // rxQueue returns the RX queue once the guest has configured it.
@@ -145,7 +97,7 @@ func (n *Net) rxQueue() *Queue {
 	if n.dev == nil {
 		return nil
 	}
-	if q := n.dev.Queue(NetRXQueue); q != nil && q.Ready() {
+	if q := n.dev.Queue(NetRXQueue); q.Ready() {
 		return q
 	}
 	return nil
@@ -155,19 +107,20 @@ func (n *Net) rxQueue() *Queue {
 // receive returns. Behind a backlog the frame queues, to keep arrival order;
 // otherwise it goes straight into a posted RX buffer when there is one.
 func (n *Net) receive(frame []byte) {
-	if n.rxLen > 0 {
+	q := n.rxQueue()
+	if q == nil {
 		n.enqueue(frame)
-		n.flushBacklog()
 		return
 	}
-	if q := n.rxQueue(); q != nil {
-		if ch, ok := q.Pop(); ok {
-			n.fillRX(q, ch, frame)
-			n.dev.SignalUsed()
-			return
-		}
+	if n.rxLen > 0 {
+		n.enqueue(frame)
+		n.flushBacklog(q)
+	} else if ch, ok := q.Pop(); ok {
+		n.fillRX(q, ch, frame)
+	} else {
+		n.enqueue(frame)
 	}
-	n.enqueue(frame)
+	n.dev.notify(q)
 }
 
 // enqueue copies frame onto the tail of the backlog. A full backlog drops
@@ -183,12 +136,7 @@ func (n *Net) enqueue(frame []byte) {
 	n.rxLen++
 }
 
-func (n *Net) flushBacklog() {
-	q := n.rxQueue()
-	if q == nil {
-		return
-	}
-	delivered := false
+func (n *Net) flushBacklog(q *Queue) {
 	for n.rxLen > 0 {
 		ch, ok := q.Pop()
 		if !ok {
@@ -197,13 +145,9 @@ func (n *Net) flushBacklog() {
 		n.fillRX(q, ch, n.rxBacklog[n.rxHead])
 		n.rxHead = (n.rxHead + 1) % netBacklogDepth
 		n.rxLen--
-		delivered = true
 	}
 	if n.rxLen == 0 {
 		n.rxHead = 0 // refill the slots that already own buffers
-	}
-	if delivered {
-		n.dev.SignalUsed()
 	}
 }
 

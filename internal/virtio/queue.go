@@ -47,11 +47,11 @@ type DescBuf struct {
 	Device bool // device-writable (DescWrite)
 }
 
-// maxDescRead bounds the guest-readable descriptor a backend reads in one
-// piece (console bytes, a balloon page array of 8192 frame numbers), as
-// maxTxFrame bounds a net chain: the length is a guest-written uint32 and
-// must not size a host allocation. Longer descriptors are refused unread.
-const maxDescRead = 64 << 10
+// maxStage bounds the guest-readable bytes a backend stages in one gather
+// (see Queue.gather): 64 KiB covers the largest TSO-style frame, a console
+// write, and a balloon page array of 8192 frame numbers. A descriptor length
+// is a guest-written uint32 and must not size a host allocation.
+const maxStage = 64 << 10
 
 // Chain is one request: the head descriptor index plus resolved buffers.
 // Buf is the queue's own scratch, so a Chain is valid until the next Pop on
@@ -60,26 +60,6 @@ const maxDescRead = 64 << 10
 type Chain struct {
 	Head uint16
 	Buf  []DescBuf
-}
-
-// ReadLen sums guest-readable buffer lengths.
-func (c *Chain) ReadLen() (n uint32) {
-	for _, b := range c.Buf {
-		if !b.Device {
-			n += b.Len
-		}
-	}
-	return n
-}
-
-// WriteLen sums device-writable buffer lengths.
-func (c *Chain) WriteLen() (n uint32) {
-	for _, b := range c.Buf {
-		if b.Device {
-			n += b.Len
-		}
-	}
-	return n
 }
 
 // Queue is the device-side view of one virtqueue.
@@ -101,8 +81,16 @@ type Queue struct {
 	// out on each Push.
 	usedIdx uint16
 
+	// notified is usedIdx as of the last used-buffer interrupt decision
+	// (MMIODev.notify).
+	notified uint16
+
 	// chainBuf backs the Buf of the Chain the latest Pop returned.
 	chainBuf []DescBuf
+
+	// stage backs the bytes the latest gather returned. It grows to the
+	// largest gather served, which maxStage bounds.
+	stage []byte
 
 	// Stats.
 	Kicks, Chains, Malformed uint64
@@ -119,6 +107,7 @@ func (q *Queue) Configure(g *mem.GuestPhys, num uint16, desc, avail, used uint64
 	q.ready = true
 	q.lastAvail = 0
 	q.usedIdx = 0
+	q.notified = 0
 	return nil
 }
 
@@ -163,6 +152,18 @@ func (q *Queue) Pop() (Chain, bool) {
 		q.Push(head, 0)
 	}
 	return Chain{}, false
+}
+
+// serve drains the queue: each chain Pop returns is handled, then pushed
+// with the device-written byte count handle returns.
+func (q *Queue) serve(handle func(Chain) uint32) {
+	for {
+		ch, ok := q.Pop()
+		if !ok {
+			return
+		}
+		q.Push(ch.Head, handle(ch))
+	}
 }
 
 // resolve walks one descriptor chain from head. A chain may reference each
@@ -233,6 +234,38 @@ func (q *Queue) ReadFrom(b DescBuf, buf []byte) error {
 		return f
 	}
 	return nil
+}
+
+// gather copies the guest-readable buffers of bufs, in order, into the
+// queue's staging buffer and returns the bytes, valid until the next gather
+// on q. It reports false, reading nothing, when the readable lengths sum
+// past maxStage, and false when a read faults: a caller must not act on
+// bytes the guest never wrote.
+func (q *Queue) gather(bufs []DescBuf) ([]byte, bool) {
+	var total uint64
+	for _, b := range bufs {
+		if !b.Device {
+			total += uint64(b.Len)
+		}
+	}
+	if total > maxStage {
+		return nil, false
+	}
+	if int(total) > len(q.stage) {
+		q.stage = make([]byte, total)
+	}
+	buf := q.stage[:total]
+	off := uint32(0)
+	for _, b := range bufs {
+		if b.Device {
+			continue
+		}
+		if q.ReadFrom(b, buf[off:off+b.Len]) != nil {
+			return nil, false
+		}
+		off += b.Len
+	}
+	return buf, true
 }
 
 // WriteTo copies data into a device-writable buffer through the write memo

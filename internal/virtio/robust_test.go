@@ -428,7 +428,7 @@ func TestBlkGuestSizedDescriptor(t *testing.T) {
 }
 
 // TestConsoleGuestSizedDescriptor: a TX descriptor longer than
-// maxDescRead is refused unread and counted, the chain completes, and the
+// maxStage is refused unread and counted, the chain completes, and the
 // descriptors around it still reach the output.
 func TestConsoleGuestSizedDescriptor(t *testing.T) {
 	g := newGuest(t, 64)
@@ -457,17 +457,17 @@ func TestConsoleGuestSizedDescriptor(t *testing.T) {
 		t.Fatalf("output=%q dropped=%d bytes=%d", con.Output(), con.TxDropped, con.TxBytes)
 	}
 	// The bound itself is not refused.
-	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: maxDescRead}}); err != nil {
+	if _, err := drv.Submit([]DescBuf{{Addr: buf, Len: maxStage}}); err != nil {
 		t.Fatal(err)
 	}
 	drv.Kick()
-	if con.TxDropped != 1 || con.TxBytes != 12+maxDescRead {
-		t.Fatalf("a %d-byte descriptor: dropped=%d bytes=%d", maxDescRead, con.TxDropped, con.TxBytes)
+	if con.TxDropped != 1 || con.TxBytes != 12+maxStage {
+		t.Fatalf("a %d-byte descriptor: dropped=%d bytes=%d", maxStage, con.TxDropped, con.TxBytes)
 	}
 }
 
 // TestBalloonGuestSizedDescriptor: a page-array descriptor longer than
-// maxDescRead is refused unread and counted — no page is reclaimed on its
+// maxStage is refused unread and counted — no page is reclaimed on its
 // say-so — while the chain completes and its well-formed neighbour is served.
 func TestBalloonGuestSizedDescriptor(t *testing.T) {
 	g := newGuest(t, 64)
@@ -584,5 +584,48 @@ func TestBlkStatusFaultNotCounted(t *testing.T) {
 	}
 	if blk.Requests != 2 {
 		t.Fatalf("Requests = %d, want 2", blk.Requests)
+	}
+}
+
+// TestMalformedOnlyDeliveryInterrupts: a host-side delivery that completes
+// nothing but a malformed RX chain still advances the used ring, and so must
+// interrupt the guest, or a driver sleeping on that ring never wakes. Pop
+// completes a cyclic chain itself; the delivery used to raise only when it
+// filled a good one.
+func TestMalformedOnlyDeliveryInterrupts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(g *mem.GuestPhys) (*MMIODev, func())
+	}{
+		{"net receive", func(g *mem.GuestPhys) (*MMIODev, func()) {
+			n := NewNet(nil)
+			d := NewMMIODev("vnet", n, g, nil)
+			n.Bind(d)
+			return d, func() { n.receive(make([]byte, 64)) }
+		}},
+		{"console feed", func(g *mem.GuestPhys) (*MMIODev, func()) {
+			c := NewConsole()
+			d := NewMMIODev("vcon", c, g, nil)
+			c.Bind(d)
+			return d, func() { c.Feed([]byte("hi")) }
+		}},
+	} {
+		g := newGuest(t, 64)
+		d, deliver := tc.setup(g)
+		// Both backends receive on queue 0.
+		if _, err := d.SetupQueue(0, 0x1000, 4); err != nil {
+			t.Fatal(err)
+		}
+		q := d.Queue(0)
+		var availIdx uint16
+		writeDesc(g, q.desc, 0, 0x8000, 16, DescNext, 0)
+		postChain(g, q.avail, &availIdx, 0, 4)
+		deliver()
+		if q.UsedIdx() != 1 || q.Malformed != 1 {
+			t.Errorf("%s: used idx = %d, malformed = %d, want 1/1", tc.name, q.UsedIdx(), q.Malformed)
+		}
+		if !d.InterruptPending() {
+			t.Errorf("%s: the used ring advanced without an interrupt", tc.name)
+		}
 	}
 }

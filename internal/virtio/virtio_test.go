@@ -509,6 +509,69 @@ func TestNetFramePathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRequestPathAllocatesNothing pins the other three backends to the same
+// budget as the net frame path: once warm, a blk write request, a console TX
+// chain and a balloon inflate allocate nothing on the host.
+func TestRequestPathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		qi   int
+		// setup wires the backend to g and lays a request out in guest
+		// memory at buf, returning its transport and the chain.
+		setup func(g *mem.GuestPhys, buf uint64) (*MMIODev, []DescBuf)
+	}{
+		{"blk write", 0, func(g *mem.GuestPhys, buf uint64) (*MMIODev, []DescBuf) {
+			b := NewBlk(storage.NewRaw(8))
+			d := NewMMIODev("vblk", b, g, nil)
+			b.Bind(d)
+			var hdr [BlkHeaderSize]byte
+			binary.LittleEndian.PutUint32(hdr[0:], BlkTOut)
+			binary.LittleEndian.PutUint64(hdr[8:], 1)
+			g.Write(buf, hdr[:])
+			return d, []DescBuf{{Addr: buf, Len: BlkHeaderSize}, {Addr: buf + 0x200, Len: SectorSize}, {Addr: buf + 0x100, Len: 1, Device: true}}
+		}},
+		{"console tx", ConsoleTXQueue, func(g *mem.GuestPhys, buf uint64) (*MMIODev, []DescBuf) {
+			c := NewConsole()
+			c.out.Grow(64 << 10) // the output itself is kept, not garbage
+			d := NewMMIODev("vcon", c, g, nil)
+			c.Bind(d)
+			g.Write(buf, []byte("hello from guest"))
+			return d, []DescBuf{{Addr: buf, Len: 5}, {Addr: buf + 5, Len: 11}}
+		}},
+		{"balloon inflate", BalloonInflateQueue, func(g *mem.GuestPhys, buf uint64) (*MMIODev, []DescBuf) {
+			b := NewBalloon(parityBalloonOps{})
+			d := NewMMIODev("vballoon", b, g, nil)
+			b.Bind(d)
+			g.WriteUintPriv(buf, 8, 30)
+			g.WriteUintPriv(buf+8, 8, 32)
+			return d, []DescBuf{{Addr: buf, Len: 8}, {Addr: buf + 8, Len: 8}}
+		}},
+	} {
+		g := newGuest(t, 64)
+		d, chain := tc.setup(g, 0xA000)
+		drv, _, err := NewDriver(g, d, tc.qi, 0x8000, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			if _, err := drv.Submit(chain); err != nil {
+				t.Fatal(err)
+			}
+			drv.Kick()
+			if _, _, ok := drv.PollUsed(); !ok {
+				t.Fatalf("%s: request never completed", tc.name)
+			}
+			drv.AckInterrupt()
+		}
+		if a := testing.AllocsPerRun(50, round); a != 0 {
+			t.Errorf("%s: %v allocations per request, want 0", tc.name, a)
+		}
+	}
+}
+
 func TestConsoleEcho(t *testing.T) {
 	g := newGuest(t, 64)
 	con := NewConsole()
@@ -546,8 +609,18 @@ func TestConsoleEcho(t *testing.T) {
 
 type fakeBalloonOps struct{ reclaimed, returned []uint64 }
 
-func (f *fakeBalloonOps) ReclaimPage(gfn uint64) { f.reclaimed = append(f.reclaimed, gfn) }
-func (f *fakeBalloonOps) ReturnPage(gfn uint64)  { f.returned = append(f.returned, gfn) }
+func (f *fakeBalloonOps) ReclaimPage(gfn uint64) bool {
+	f.reclaimed = append(f.reclaimed, gfn)
+	return true
+}
+func (f *fakeBalloonOps) ReturnPage(gfn uint64) { f.returned = append(f.returned, gfn) }
+
+// parityBalloonOps reclaims even gfns and refuses odd ones, keeping no
+// record, so it neither allocates nor grows with the traffic it sees.
+type parityBalloonOps struct{}
+
+func (parityBalloonOps) ReclaimPage(gfn uint64) bool { return gfn%2 == 0 }
+func (parityBalloonOps) ReturnPage(uint64)           {}
 
 func TestBalloonInflateDeflate(t *testing.T) {
 	g := newGuest(t, 64)
