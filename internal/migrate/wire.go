@@ -48,6 +48,11 @@ const (
 	framePageCap = 128     // data pages per ftPages frame
 	maxFrameRuns = 1024    // runs per ftPages frame
 	runHdr       = 13      // u64 start | u32 count | u8 zero
+
+	// pagesFrame is the largest legal ftPages frame: framePageCap data
+	// pages and maxFrameRuns run headers, framed. A read buffer that
+	// outgrows a page grows to hold it at once.
+	pagesFrame = headerSize + maxFrameRuns*runHdr + framePageCap*isa.PageSize + trailerSize
 )
 
 // frameType tags one wire message.
@@ -170,7 +175,11 @@ func (w *wireConn) readFrame() (frameType, []byte, error) {
 	}
 	n := int(plen) + trailerSize
 	if cap(w.rbuf) < n {
-		w.rbuf = make([]byte, min(max(n, 2*cap(w.rbuf)), maxPayload+trailerSize))
+		size := max(n, 2*cap(w.rbuf))
+		if size > isa.PageSize {
+			size = max(n, pagesFrame)
+		}
+		w.rbuf = make([]byte, size)
 	}
 	rest := w.rbuf[:n]
 	if _, err := io.ReadFull(w.rw, rest); err != nil {

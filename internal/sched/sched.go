@@ -34,6 +34,8 @@ type baseScheduler struct {
 
 	leased        map[int]bool // excluded from Next until EndLease
 	removePending map[int]bool // Remove arrived while leased; applied at EndLease
+
+	run []*Entity // runnable's result, refilled by every call
 }
 
 func newBase() baseScheduler {
@@ -132,14 +134,16 @@ func (b *baseScheduler) Shares() []float64 {
 	return out
 }
 
+// runnable lists the entities Next may pick, in registration order. The
+// slice is the scheduler's own and valid only until the next call.
 func (b *baseScheduler) runnable() []*Entity {
-	out := make([]*Entity, 0, len(b.order))
+	b.run = b.run[:0]
 	for _, id := range b.order {
 		if e := b.entities[id]; e != nil && !e.Blocked && !b.leased[id] {
-			out = append(out, e)
+			b.run = append(b.run, e)
 		}
 	}
-	return out
+	return b.run
 }
 
 // RoundRobin is the baseline policy: equal quanta in registration order,

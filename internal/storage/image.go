@@ -24,11 +24,62 @@ type Image interface {
 	Sectors() uint64
 }
 
-// Raw is a flat in-memory image. Sectors are allocated lazily so a large
-// empty disk costs nothing; unwritten sectors read as zeros.
+// extentSectors is the number of sectors in an extent, the unit in which an
+// image allocates host memory: 8 sectors, 4 KiB.
+const extentSectors = 8
+
+// extent is one 4 KiB run of sectors and the mask of those materialized. A
+// sector that is not materialized reads as zeros.
+type extent struct {
+	present uint8
+	data    *[extentSectors * SectorSize]byte
+}
+
+// sectorStore holds the sectors an image has materialized, an extent at a
+// time, so a run of written sectors costs one allocation and one map entry
+// per 8 sectors. Its zero value is empty.
+type sectorStore struct {
+	extents map[uint64]extent
+	n       uint64 // materialized sectors
+}
+
+// sector returns lba's bytes, or nil if lba is not materialized.
+func (s *sectorStore) sector(lba uint64) []byte {
+	e := s.extents[lba/extentSectors]
+	if e.present&(1<<(lba%extentSectors)) == 0 {
+		return nil
+	}
+	off := lba % extentSectors * SectorSize
+	return e.data[off : off+SectorSize]
+}
+
+// write copies buf over lba's bytes (those of a fresh sector are zero) and
+// reports whether it materialized the sector.
+func (s *sectorStore) write(lba uint64, buf []byte) (fresh bool) {
+	k, bit := lba/extentSectors, uint8(1)<<(lba%extentSectors)
+	e := s.extents[k]
+	if fresh = e.present&bit == 0; fresh {
+		if s.extents == nil {
+			s.extents = make(map[uint64]extent)
+		}
+		if e.data == nil {
+			e.data = new([extentSectors * SectorSize]byte)
+		}
+		e.present |= bit
+		s.extents[k] = e
+		s.n++
+	}
+	off := lba % extentSectors * SectorSize
+	copy(e.data[off:off+SectorSize], buf)
+	return fresh
+}
+
+// Raw is a flat in-memory image. Sectors are allocated lazily, an extent at
+// a time, so a large empty disk costs nothing; unwritten sectors read as
+// zeros.
 type Raw struct {
 	sectors uint64
-	data    map[uint64][]byte
+	store   sectorStore
 
 	// Stats.
 	Reads, Writes uint64
@@ -36,7 +87,7 @@ type Raw struct {
 
 // NewRaw creates a raw image with the given capacity.
 func NewRaw(sectors uint64) *Raw {
-	return &Raw{sectors: sectors, data: make(map[uint64][]byte)}
+	return &Raw{sectors: sectors}
 }
 
 // Sectors implements Image.
@@ -48,13 +99,11 @@ func (r *Raw) ReadSector(lba uint64, buf []byte) error {
 		return fmt.Errorf("%w: lba %d of %d", ErrOutOfRange, lba, r.sectors)
 	}
 	r.Reads++
-	if s, ok := r.data[lba]; ok {
+	if s := r.store.sector(lba); s != nil {
 		copy(buf, s)
 		return nil
 	}
-	for i := range buf[:min(len(buf), SectorSize)] {
-		buf[i] = 0
-	}
+	clear(buf[:min(len(buf), SectorSize)])
 	return nil
 }
 
@@ -64,17 +113,12 @@ func (r *Raw) WriteSector(lba uint64, buf []byte) error {
 		return fmt.Errorf("%w: lba %d of %d", ErrOutOfRange, lba, r.sectors)
 	}
 	r.Writes++
-	s, ok := r.data[lba]
-	if !ok {
-		s = make([]byte, SectorSize)
-		r.data[lba] = s
-	}
-	copy(s, buf)
+	r.store.write(lba, buf)
 	return nil
 }
 
 // Allocated returns the number of materialized sectors.
-func (r *Raw) Allocated() uint64 { return uint64(len(r.data)) }
+func (r *Raw) Allocated() uint64 { return r.store.n }
 
 // COW is a copy-on-write image layered over a backing image. Reads fall
 // through the chain to the deepest layer that has the sector; the first
@@ -85,7 +129,7 @@ func (r *Raw) Allocated() uint64 { return uint64(len(r.data)) }
 // freezes the current layer and returns a fresh writable top.
 type COW struct {
 	backing Image
-	delta   map[uint64][]byte
+	delta   sectorStore
 	sectors uint64
 	frozen  bool
 
@@ -95,11 +139,7 @@ type COW struct {
 
 // NewCOW creates a writable COW layer over backing.
 func NewCOW(backing Image) *COW {
-	return &COW{
-		backing: backing,
-		delta:   make(map[uint64][]byte),
-		sectors: backing.Sectors(),
-	}
+	return &COW{backing: backing, sectors: backing.Sectors()}
 }
 
 // Sectors implements Image.
@@ -128,7 +168,7 @@ func (c *COW) ReadSector(lba uint64, buf []byte) error {
 		return fmt.Errorf("%w: lba %d of %d", ErrOutOfRange, lba, c.sectors)
 	}
 	c.Reads++
-	if s, ok := c.delta[lba]; ok {
+	if s := c.delta.sector(lba); s != nil {
 		copy(buf, s)
 		return nil
 	}
@@ -145,18 +185,14 @@ func (c *COW) WriteSector(lba uint64, buf []byte) error {
 		return fmt.Errorf("%w: lba %d of %d", ErrOutOfRange, lba, c.sectors)
 	}
 	c.Writes++
-	s, ok := c.delta[lba]
-	if !ok {
-		s = make([]byte, SectorSize)
-		c.delta[lba] = s
+	if c.delta.write(lba, buf) {
 		c.CopyUps++
 	}
-	copy(s, buf)
 	return nil
 }
 
 // Allocated returns the number of sectors materialized in this layer only.
-func (c *COW) Allocated() uint64 { return uint64(len(c.delta)) }
+func (c *COW) Allocated() uint64 { return c.delta.n }
 
 // Snapshot freezes this layer and returns a new writable layer on top.
 // The frozen layer keeps serving reads for sectors the new layer lacks.
@@ -191,11 +227,4 @@ func (c *COW) Flatten() (*Raw, error) {
 		}
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,16 +9,20 @@ import (
 
 // FuzzFlushOrder drives arbitrary (port, stamp, length) send sequences —
 // clocks stepping backwards, empty ports, single-port bursts, many epochs
-// through the same arenas — and checks Flush against the definition it
-// replaced: a stable sort of the epoch's sends by (stamp, port id, send
-// order), every frame delivered once with exactly the bytes that were sent.
+// through the same chunks, frames that close a chunk and frames longer than
+// one — and checks Flush against the definition it replaced: a stable sort
+// of the epoch's sends by (stamp, port id, send order), every frame
+// delivered once with exactly the bytes that were sent.
 //
-// Input: 4-byte records {port | flush<<7, stamp lo, stamp hi, payload len}.
+// Input: 4-byte records {port | flush<<7, stamp lo, stamp hi, size}. A
+// frame carries a 4 + size²·17/16-byte payload: size 10 is 110 bytes, 100 is
+// about a sixth of a chunk, and from 248 the frame outgrows a chunk.
 func FuzzFlushOrder(f *testing.F) {
 	f.Add([]byte{0, 200, 0, 8, 0, 250, 0, 0, 1, 100, 0, 40, 1, 200, 0, 3, 0x80, 0, 0, 0})
 	f.Add([]byte{2, 9, 0, 1, 2, 3, 0, 255, 2, 9, 0, 0, 0x82, 1, 0, 7, 3, 1, 0, 7, 0, 1, 0, 7})
 	f.Add([]byte{0x81, 0, 1, 64, 0x81, 0, 1, 64, 0x81, 0, 0, 64})
 	f.Add(bytes.Repeat([]byte{3, 5, 0, 200}, 40))
+	f.Add(bytes.Repeat([]byte{1, 5, 0, 255, 1, 6, 0, 30, 0x81, 7, 0, 180}, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const senders = 4
@@ -70,10 +74,13 @@ func FuzzFlushOrder(f *testing.F) {
 			}
 			epoch = epoch[:0]
 		}
-		for seq := 0; len(data) >= 4; seq, data = seq+1, data[4:] {
+		// A MiB of frames reaches every chunk path; more only costs memory.
+		for seq, sentBytes := 0, 0; len(data) >= 4 && sentBytes < 1<<20; seq, data = seq+1, data[4:] {
 			p := int(data[0] & (senders - 1))
 			stamp := uint64(binary.LittleEndian.Uint16(data[1:]))
-			payload := make([]byte, 4+int(data[3]))
+			size := int(data[3])
+			payload := make([]byte, 4+size*size*17/16)
+			sentBytes += len(payload)
 			binary.LittleEndian.PutUint32(payload, uint32(seq)) // every frame distinct
 			for i := 4; i < len(payload); i++ {
 				payload[i] = byte(seq + i)

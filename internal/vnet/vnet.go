@@ -16,10 +16,13 @@
 //     order — so it is invariant across RunParallel worker counts and
 //     matches what a serial run observes at the same simulated instant.
 //   - A deferred frame is copied once, into the sending port's epoch arena,
-//     and handed to receivers as a slice of that arena. Each port keeps its
-//     queue stamp-ordered as it sends, so Flush is a k-way merge over the
-//     ports rather than a sort, and the arenas are truncated — not freed —
-//     after delivery: in steady state neither Send nor Flush allocates.
+//     and handed to receivers as a slice of that arena. An arena is a list
+//     of fixed-size chunks; Flush hands a drained queue's chunks back to its
+//     port, and the port's next epoch fills them again, so a port holds one
+//     epoch's bytes whichever of its two queues is active. Each port keeps
+//     its queue stamp-ordered as it sends, so Flush is a k-way merge over
+//     the ports rather than a sort: in steady state neither Send nor Flush
+//     allocates.
 //   - The forwarding database is sharded by MAC and the port list is an
 //     atomic snapshot, so forwards from thousands of ports never serialize
 //     on one switch-wide mutex.
@@ -47,20 +50,26 @@ func MACForVM(id uint32) MAC {
 	return MAC{0x02, 0x67, 0x76, byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// frameRef locates one deferred frame in its queue's arena and carries the
-// simulated cycle at which its owner sent it. Refs are offsets, not slices,
-// so arena growth never invalidates them.
+// chunkSize is the capacity of one arena chunk. A frame never straddles two
+// chunks, and a frame longer than a chunk gets a chunk of its own size.
+const chunkSize = 64 << 10
+
+// frameRef locates one deferred frame in its queue's arena — the chunk and
+// the offset in it — and carries the simulated cycle at which its owner
+// sent it.
 type frameRef struct {
-	off, len int
-	stamp    uint64
+	chunk, off, len uint32
+	stamp           uint64
 }
 
 // epochQueue holds one epoch's deferred frames of one port: the bytes back
-// to back in arena, and refs in delivery order — stamp-ascending, send order
-// among equal stamps.
+// to back in chunks, and refs in delivery order — stamp-ascending, send
+// order among equal stamps. tail is the last chunk, filled so far; the
+// entries of chunks keep length zero, and Flush slices them by capacity.
 type epochQueue struct {
-	arena []byte
-	refs  []frameRef
+	chunks [][]byte
+	tail   []byte
+	refs   []frameRef
 }
 
 // Port is one switch attachment point. It satisfies dev.NetBackend.
@@ -72,10 +81,12 @@ type Port struct {
 
 	// Deferred frames. Send fills queues[active]; Flush flips active before
 	// it delivers out of the filled queue, so a Send made from inside a
-	// delivery lands in the other queue and waits for the next Flush. Both
-	// keep their capacity across epochs.
+	// delivery lands in the other queue and waits for the next Flush. Once
+	// Flush has drained a queue, its chunks go to spare, where the next
+	// Send that needs a chunk finds them.
 	queues [2]epochQueue
 	active int
+	spare  [][]byte
 
 	TxFrames, RxFrames uint64
 }
@@ -97,8 +108,13 @@ func (p *Port) Send(frame []byte) {
 		stamp = p.clock()
 	}
 	q := &p.queues[p.active]
-	ref := frameRef{off: len(q.arena), len: len(frame), stamp: stamp}
-	q.arena = append(q.arena, frame...)
+	if q.tail == nil || len(q.tail)+len(frame) > cap(q.tail) {
+		q.tail = p.chunk(len(frame))
+		q.chunks = append(q.chunks, q.tail)
+	}
+	ref := frameRef{chunk: uint32(len(q.chunks) - 1), off: uint32(len(q.tail)),
+		len: uint32(len(frame)), stamp: stamp}
+	q.tail = append(q.tail, frame...)
 	// Place the ref after the last one stamped no later than it, which is
 	// (stamp, send order) within the port. A simulated clock only moves
 	// forward, so this is one compare against the tail; a clock that steps
@@ -109,6 +125,33 @@ func (p *Port) Send(frame []byte) {
 		q.refs[i] = q.refs[i-1]
 	}
 	q.refs[i] = ref
+}
+
+// chunk returns an empty chunk that holds at least size bytes: a spare one
+// if the port has one, else a new one. A frame longer than chunkSize gets a
+// chunk of its own size, which is never recycled.
+func (p *Port) chunk(size int) []byte {
+	if size > chunkSize {
+		return make([]byte, 0, size)
+	}
+	if n := len(p.spare) - 1; n >= 0 {
+		c := p.spare[n]
+		p.spare = p.spare[:n]
+		return c
+	}
+	return make([]byte, 0, chunkSize)
+}
+
+// recycle empties a drained queue and gives its chunks of chunkSize to the
+// port's spare list. A chunk holds no frame once its queue is drained.
+func (p *Port) recycle(q *epochQueue) {
+	for _, c := range q.chunks {
+		if cap(c) == chunkSize {
+			p.spare = append(p.spare, c)
+		}
+	}
+	clear(q.chunks)
+	q.chunks, q.tail, q.refs = q.chunks[:0], nil, q.refs[:0]
 }
 
 // SetClock registers the simulated-cycle source used to stamp deferred
@@ -320,11 +363,12 @@ func siftDown(h []mergeCursor, i int) {
 // through a binary heap keyed on each one's next frame: O(F log P) compares,
 // no sort and — the heap and the arenas being reused — no allocation.
 //
-// Each port with frames queued is flipped to its spare queue before the
+// Each port with frames queued is flipped to its other queue before the
 // first delivery, so a receiver that Sends from inside a delivery queues for
 // the next Flush, never this one. Frames are delivered as slices of the
-// sender's arena, which is truncated once the port is drained (see
-// SetReceiver for what that asks of receivers).
+// sender's arena, whose chunks go back to the port once it is drained, to
+// be refilled by its next Sends (see SetReceiver for what that asks of
+// receivers).
 //
 // Flush must be called from the epoch barrier (or any other single-threaded
 // context), never from a receiver, and returns the number of frames
@@ -350,12 +394,12 @@ func (s *Switch) Flush() int {
 		c := &h[0]
 		r := c.q.refs[c.next]
 		end := r.off + r.len
-		s.forward(c.port, c.q.arena[r.off:end:end])
+		s.forward(c.port, c.q.chunks[r.chunk][r.off:end:end])
 		delivered++
 		if c.next++; c.next < len(c.q.refs) {
 			c.stamp = c.q.refs[c.next].stamp
 		} else {
-			c.q.arena, c.q.refs = c.q.arena[:0], c.q.refs[:0]
+			c.port.recycle(c.q)
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -70,6 +71,14 @@ func TestRuntFrameDropped(t *testing.T) {
 	a.Send([]byte{1, 2, 3})
 	if sw.Dropped != 1 {
 		t.Fatalf("dropped = %d", sw.Dropped)
+	}
+	// Deferred, an empty frame is queued like any other and dropped at
+	// the barrier.
+	sw.SetDeferred(true)
+	a.Send(nil)
+	a.Send([]byte{1, 2, 3})
+	if n := sw.Flush(); n != 2 || sw.Dropped != 3 {
+		t.Fatalf("deferred: flushed %d, dropped = %d", n, sw.Dropped)
 	}
 }
 
@@ -293,10 +302,11 @@ func TestLearnStaticEntry(t *testing.T) {
 }
 
 // TestSendFlushAllocatesNothing: the deferred path copies each frame into
-// its port's epoch arena and merges the ports' queues in place, and both the
-// arenas and the merge heap keep their capacity, so once an epoch of this
-// size has been through each of a port's two queues neither Send nor Flush
-// touches the heap.
+// its port's epoch arena and merges the ports' queues in place. A port's
+// chunks are allocated once, by the first epoch of this size, and come back
+// to it drained; each queue's ref and chunk lists and the merge heap keep
+// their capacity. So once an epoch of this size has been through each of a
+// port's two queues, neither Send nor Flush touches the heap.
 func TestSendFlushAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -454,5 +464,74 @@ func TestDeferredFloodIdenticalBytes(t *testing.T) {
 	}
 	if _, flooded, _ := sw.Stats(); flooded != 1 {
 		t.Fatalf("flooded = %d, want 1", flooded)
+	}
+}
+
+// TestPortFootprintBounded: a port holds one epoch's bytes, not one per
+// queue. After each of many epochs of at most E bytes in frames of at most F
+// bytes, the port holds at most ⌈E / (chunkSize − F)⌉ chunks, spare or
+// queued: every chunk but a queue's last was closed by a frame that did not
+// fit in it, so it holds more than chunkSize − F bytes. Two arenas that each
+// grow to the peak epoch hold at least 2E, which is more.
+func TestPortFootprintBounded(t *testing.T) {
+	const (
+		minE = 640 << 10 // an epoch sends at least this many bytes
+		maxF = 1514      // the largest frame
+	)
+	sw := NewSwitch()
+	p, sink := sw.NewPort(), sw.NewPort()
+	dst, src := MACForVM(2), MACForVM(1)
+	sw.Learn(dst, sink)
+	var rx int
+	sink.SetReceiver(func(f []byte) { rx += len(f) })
+	var cyc uint64
+	p.SetClock(func() uint64 { return cyc })
+	sw.SetDeferred(true)
+
+	maxE := 0 // the largest epoch so far
+	check := func(epoch int, when string) {
+		t.Helper()
+		// Count every chunk the port still references, once.
+		chunks, bytes := 0, 0
+		seen := map[*byte]bool{}
+		add := func(c []byte) {
+			if cap(c) > 0 && !seen[&c[:1][0]] {
+				seen[&c[:1][0]] = true
+				chunks, bytes = chunks+1, bytes+cap(c)
+			}
+		}
+		for _, c := range p.spare {
+			add(c)
+		}
+		for _, q := range p.queues {
+			for _, c := range q.chunks[:cap(q.chunks)] {
+				add(c)
+			}
+			add(q.tail)
+		}
+		limit := (maxE + chunkSize - maxF - 1) / (chunkSize - maxF)
+		if chunks > limit || bytes > limit*chunkSize {
+			t.Fatalf("epoch %d, %s: port holds %d chunks (%d bytes) for %d-byte epochs, want at most %d",
+				epoch, when, chunks, bytes, maxE, limit)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	payload := make([]byte, maxF-12)
+	for epoch := 0; epoch < 50; epoch++ {
+		e := 0
+		for e < minE {
+			n := 60 + rng.Intn(maxF-60+1)
+			cyc++
+			p.Send(BuildFrame(dst, src, payload[:n-12]))
+			e += n
+		}
+		maxE = max(maxE, e)
+		check(epoch, "before Flush")
+		rx = 0
+		sw.Flush()
+		if rx != e {
+			t.Fatalf("epoch %d: delivered %d bytes, sent %d", epoch, rx, e)
+		}
+		check(epoch, "after Flush")
 	}
 }
