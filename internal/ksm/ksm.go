@@ -51,14 +51,7 @@ func (s *Scanner) hashPage(hfn uint64) (uint64, bool) {
 	h := fnv.New64a()
 	h.Write(data)
 	s.Stats.HashBytes += uint64(len(data))
-	allZero := true
-	for _, b := range data {
-		if b != 0 {
-			allZero = false
-			break
-		}
-	}
-	return h.Sum64(), allZero
+	return h.Sum64(), mem.IsZeroPage(data)
 }
 
 // equalFrames confirms byte equality before merging (hash collisions must

@@ -7,7 +7,10 @@
 // cloning (internal/snapshot) and ballooning (internal/balloon). Frames are
 // allocated lazily: a frame with no backing storage reads as zeros, so
 // freshly booted VMs cost no host memory for untouched pages — mirroring how
-// a real hypervisor demand-populates guest RAM.
+// a real hypervisor demand-populates guest RAM. A whole-page write of zeros
+// into such a frame leaves it lazily zero, so a migrated or restored zero
+// page costs no host memory either; the same write into a frame that has
+// an array clears it in place.
 //
 // Concurrency model. The pool is shared by every VM on a host, and the
 // parallel execution engine (core.Host.RunParallel) runs VMs on concurrent
@@ -37,6 +40,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -338,12 +342,18 @@ func (p *Pool) ReadAt(hfn uint64, off int, buf []byte) {
 
 // WriteAt copies buf into the frame at off. The caller must have resolved
 // sharing first (see BreakCOW); writing a shared frame panics, because it
-// would corrupt other VMs.
+// would corrupt other VMs. A whole page of zeros written into a frame with
+// no backing array leaves it lazily zero: the frame already reads as that.
+// A frame that has an array keeps it and is cleared in place, because the
+// read, write and span memos may still point at the array.
 func (p *Pool) WriteAt(hfn uint64, off int, buf []byte) {
 	if p.rc(hfn) > 1 {
 		panic(fmt.Sprintf("mem: write to shared frame %d without COW break", hfn))
 	}
 	whole := off == 0 && len(buf) >= isa.PageSize
+	if whole && p.Data(hfn) == nil && IsZeroPage(buf[:isa.PageSize]) {
+		return
+	}
 	copy(p.writable(hfn, whole)[off:], buf)
 }
 
@@ -389,11 +399,18 @@ func (p *Pool) ShareInto(canonical, victim uint64) uint64 {
 // IsZero reports whether the frame currently holds all-zero content.
 func (p *Pool) IsZero(hfn uint64) bool {
 	b := p.Data(hfn)
-	if b == nil {
-		return true
+	return b == nil || IsZeroPage(b)
+}
+
+// IsZeroPage reports whether b is all zero, a word at a time.
+func IsZeroPage(b []byte) bool {
+	for i := 0; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != 0 {
+			return false
+		}
 	}
-	for _, v := range b {
-		if v != 0 {
+	for i := len(b) &^ 7; i < len(b); i++ {
+		if b[i] != 0 {
 			return false
 		}
 	}

@@ -163,6 +163,10 @@ func FuzzPoolInterleave(f *testing.F) {
 	f.Add([]byte{12, 20, 0, 0, 12, 21, 0, 0, 7, 20, 200, 9, 8, 20, 100, 200, 8, 21, 250, 1, 10, 20, 0, 0})
 	// Whole-page installs (WriteRaw) over shared and private pages.
 	f.Add([]byte{11, 1, 7, 0, 11, 0, 5, 0, 1, 0, 1, 0, 11, 0, 9, 0, 3, 1, 0, 0, 11, 1, 3, 0, 6, 1, 40, 2, 13, 1, 0, 0})
+	// Zero installs into a fresh page (it stays without an array), over a
+	// private page with content and over a shared one: the last two must
+	// clear what the frame held.
+	f.Add([]byte{11, 0, 0, 0, 12, 1, 0, 0, 11, 1, 0, 0, 11, 2, 7, 0, 1, 3, 2, 0, 11, 3, 0, 0, 5, 0, 8, 3, 9, 2, 0, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := newILMachine(t)
@@ -273,10 +277,13 @@ func (m *ilMachine) step(step int, op, a, b, c byte) {
 			}
 			p, got = p+uint64(k), got[k:]
 		}
-	case 11: // whole-page install (migration restore): populates, breaks COW
+	case 11: // whole-page install (migration restore): populates, breaks COW; b = 0 installs zeros
 		page := m.buf[:isa.PageSize]
-		for j := range page {
-			page[j] = byte(j*int(b|1)) ^ c
+		clear(page)
+		if b != 0 {
+			for j := range page {
+				page[j] = byte(j*int(b|1)) ^ c
+			}
 		}
 		if err := g.WriteRaw(gfn, page); err != nil {
 			m.t.Fatalf("step %d: WriteRaw: %v", step, err)

@@ -631,7 +631,7 @@ func (s *session) servePage(conn *wireConn, gfn uint64, buf []byte) error {
 	if gfn < s.src.Mem.Pages() && s.src.Mem.Frame(gfn) != mem.NoFrame {
 		s.src.Mem.ReadRaw(gfn, buf)
 		m.Have = true
-		if isZeroPage(buf) {
+		if mem.IsZeroPage(buf) {
 			m.Zero = true
 		} else {
 			m.Data = buf

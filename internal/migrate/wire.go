@@ -37,6 +37,7 @@ import (
 	"io"
 
 	"govisor/internal/isa"
+	"govisor/internal/mem"
 )
 
 const (
@@ -373,7 +374,7 @@ func writePages(conn *wireConn, gfns []uint64, read func(gfn uint64, buf []byte)
 		}
 		page := b[at : at+isa.PageSize]
 		read(gfn, page)
-		isZero := isZeroPage(page)
+		isZero := mem.IsZeroPage(page)
 		if isZero {
 			if contig && zero && count < maxRunPages {
 				count++
@@ -402,21 +403,6 @@ func writePages(conn *wireConn, gfns []uint64, read func(gfn uint64, buf []byte)
 		return err
 	}
 	return conn.sendFrame(ftPages, b)
-}
-
-// isZeroPage reports whether a page buffer is all zero.
-func isZeroPage(b []byte) bool {
-	for i := 0; i+8 <= len(b); i += 8 {
-		if binary.LittleEndian.Uint64(b[i:]) != 0 {
-			return false
-		}
-	}
-	for i := len(b) &^ 7; i < len(b); i++ {
-		if b[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 type commitMsg struct {

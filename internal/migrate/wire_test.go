@@ -41,7 +41,7 @@ func refWritePages(conn *wireConn, gfns []uint64, read func(uint64, []byte)) err
 	buf := make([]byte, isa.PageSize)
 	for _, gfn := range gfns {
 		read(gfn, buf)
-		zero := isZeroPage(buf)
+		zero := mem.IsZeroPage(buf)
 		if n := len(runs); n > 0 {
 			last := &runs[n-1]
 			if last.Zero == zero && last.Start+uint64(last.Count) == gfn &&

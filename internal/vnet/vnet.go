@@ -143,7 +143,9 @@ func (p *Port) chunk(size int) []byte {
 }
 
 // recycle empties a drained queue and gives its chunks of chunkSize to the
-// port's spare list. A chunk holds no frame once its queue is drained.
+// port's spare list. A chunk holds no frame once its queue is drained. If
+// the active queue is still empty, it takes whichever ref and chunk lists
+// are larger, so only one list of each per port ever grows.
 func (p *Port) recycle(q *epochQueue) {
 	for _, c := range q.chunks {
 		if cap(c) == chunkSize {
@@ -152,6 +154,14 @@ func (p *Port) recycle(q *epochQueue) {
 	}
 	clear(q.chunks)
 	q.chunks, q.tail, q.refs = q.chunks[:0], nil, q.refs[:0]
+	if a := &p.queues[p.active]; len(a.refs) == 0 {
+		if cap(a.refs) < cap(q.refs) {
+			a.refs, q.refs = q.refs, a.refs
+		}
+		if cap(a.chunks) < cap(q.chunks) {
+			a.chunks, q.chunks = q.chunks, a.chunks
+		}
+	}
 }
 
 // SetClock registers the simulated-cycle source used to stamp deferred

@@ -472,7 +472,8 @@ func TestDeferredFloodIdenticalBytes(t *testing.T) {
 // bytes, the port holds at most ⌈E / (chunkSize − F)⌉ chunks, spare or
 // queued: every chunk but a queue's last was closed by a frame that did not
 // fit in it, so it holds more than chunkSize − F bytes. Two arenas that each
-// grow to the peak epoch hold at least 2E, which is more.
+// grow to the peak epoch hold at least 2E, which is more. The ref and chunk
+// lists follow the active queue, so at most one queue has a grown list.
 func TestPortFootprintBounded(t *testing.T) {
 	const (
 		minE = 640 << 10 // an epoch sends at least this many bytes
@@ -513,6 +514,11 @@ func TestPortFootprintBounded(t *testing.T) {
 		if chunks > limit || bytes > limit*chunkSize {
 			t.Fatalf("epoch %d, %s: port holds %d chunks (%d bytes) for %d-byte epochs, want at most %d",
 				epoch, when, chunks, bytes, maxE, limit)
+		}
+		q0, q1 := &p.queues[0], &p.queues[1]
+		if cap(q0.refs) > 0 && cap(q1.refs) > 0 || cap(q0.chunks) > 0 && cap(q1.chunks) > 0 {
+			t.Fatalf("epoch %d, %s: both queues hold lists (refs %d and %d, chunks %d and %d)",
+				epoch, when, cap(q0.refs), cap(q1.refs), cap(q0.chunks), cap(q1.chunks))
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
