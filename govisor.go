@@ -94,10 +94,6 @@ const (
 // NewPool creates a host memory pool of the given capacity in 4 KiB frames.
 func NewPool(frames uint64) *Pool { return mem.NewPool(frames) }
 
-// NewPoolSharded creates a host pool with an explicit lock-stripe count
-// (contention tuning for Host.RunParallel; semantics are unaffected).
-func NewPoolSharded(frames uint64, shards int) *Pool { return mem.NewPoolSharded(frames, shards) }
-
 // NewVM creates a VM over a host pool.
 func NewVM(pool *Pool, cfg Config) (*VM, error) { return core.NewVM(pool, cfg) }
 

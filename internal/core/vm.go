@@ -190,12 +190,10 @@ type VM struct {
 	Stats VMStats
 
 	// Paravirtual / prebuilt paging state.
-	tb          *mmu.TableBuilder
-	ptPages     map[uint64]bool // pinned table pages (para)
-	churnVA     uint64
-	virtioSlot  int
-	virtioByIRQ map[uint]*virtio.MMIODev
-	costs       vcpu.Costs
+	tb         *mmu.TableBuilder
+	ptPages    map[uint64]bool // pinned table pages (para)
+	virtioSlot int
+	costs      vcpu.Costs
 
 	// netPorts are the virtual-switch attachments of this VM's NICs; the
 	// parallel engine defers their switches at run start so inter-VM frames
@@ -246,7 +244,6 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 	var cpu *vcpu.CPU
 	if cfg.Reference {
 		cpu = vcpu.NewReference(g, ctx)
-		g.SetReferenceDMA()
 	} else {
 		cpu = vcpu.New(g, ctx)
 	}
@@ -257,18 +254,16 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 	}
 
 	vm := &VM{
-		Name:        cfg.Name,
-		Mode:        cfg.Mode,
-		Mem:         g,
-		CPU:         cpu,
-		MMUCtx:      ctx,
-		Bus:         dev.NewBus(),
-		IntCtl:      dev.NewIntController(),
-		State:       StateCreated,
-		ptPages:     make(map[uint64]bool),
-		churnVA:     ChurnWindowVA,
-		virtioByIRQ: make(map[uint]*virtio.MMIODev),
-		costs:       cpu.Costs,
+		Name:    cfg.Name,
+		Mode:    cfg.Mode,
+		Mem:     g,
+		CPU:     cpu,
+		MMUCtx:  ctx,
+		Bus:     dev.NewBus(),
+		IntCtl:  dev.NewIntController(),
+		State:   StateCreated,
+		ptPages: make(map[uint64]bool),
+		costs:   cpu.Costs,
 	}
 	cpu.IsMMIO = vm.Bus.IsMMIO
 	vm.IntCtl.SetPin = func(asserted bool) {
@@ -329,7 +324,6 @@ func (vm *VM) attachVirtio(name string, backend virtio.Backend) (*virtio.MMIODev
 	if err := vm.Bus.Attach(base, dev.VirtioStride, d); err != nil {
 		return nil, err
 	}
-	vm.virtioByIRQ[irq] = d
 	return d, nil
 }
 
@@ -442,7 +436,7 @@ func (vm *VM) Boot(kernel []byte) error {
 		}
 	}
 	// Churn window: allocate the L0 table and expose the PTE slots.
-	l0, err := tb.EnsureL0(vm.churnVA)
+	l0, err := tb.EnsureL0(ChurnWindowVA)
 	if err != nil {
 		return err
 	}
@@ -469,8 +463,8 @@ func (vm *VM) Boot(kernel []byte) error {
 	vm.Params[gabi.PHeapBase] = heapBase
 	vm.Params[gabi.PHeapPages] = tableStart - heapBase
 	vm.Params[gabi.PSatp] = satp
-	vm.Params[gabi.PChurnVA] = vm.churnVA
-	vm.Params[gabi.PChurnPTE] = l0<<isa.PageShift + isa.VPN(vm.churnVA, 0)*8
+	vm.Params[gabi.PChurnVA] = ChurnWindowVA
+	vm.Params[gabi.PChurnPTE] = l0<<isa.PageShift + isa.VPN(ChurnWindowVA, 0)*8
 	vm.Params[gabi.PChurnPages] = ChurnWindowPages
 	for i, v := range vm.Params {
 		if f := vm.Mem.WriteUintPriv(gabi.ParamBase+uint64(i)*8, 8, v); f != nil {

@@ -131,11 +131,11 @@ func checkDataplaneDelivery(t *testing.T, label string, h *core.Host, sw *vnet.S
 	}
 }
 
-// TestDifferentialDataplaneInvisible: the timestamp-ordered switch flush and
-// the span-DMA memo must be architecturally invisible. RunParallel with 1..4
-// workers is byte-identical per VM (full comparison including exit counters
-// and population stats), and a reference-engine fleet (per-instruction
-// interpreter, page-by-page DMA) matches in full.
+// TestDifferentialDataplaneInvisible: the timestamp-ordered switch flush must
+// be architecturally invisible. RunParallel with 1..4 workers is
+// byte-identical per VM (full comparison including exit counters and
+// population stats), and a reference-engine fleet (per-instruction
+// interpreter) matches in full.
 func TestDifferentialDataplaneInvisible(t *testing.T) {
 	pairs := dataplanePairs()
 
@@ -160,9 +160,8 @@ func TestDifferentialDataplaneInvisible(t *testing.T) {
 		}
 	}
 
-	// Reference engine: the per-instruction interpreter, every DMA access
-	// resolving through the unmemoized per-page path. Full comparison — the
-	// fast engine may not even perturb population or dirty-tracking
+	// Reference engine: the per-instruction interpreter. Full comparison —
+	// the fast engine may not even perturb population or dirty-tracking
 	// counters.
 	hn, nsw := buildDataplaneFleet(t, pairs, func(cfg *core.Config) { cfg.Reference = true })
 	hn.RunParallel(1, 8_000_000_000)

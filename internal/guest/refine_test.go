@@ -13,7 +13,7 @@ import (
 
 // The refinement suite: the fast engine (icache, threaded dispatch,
 // superblocks, chain cache, traces, over the translation and resolution
-// memos and span DMA) must be indistinguishable from the reference
+// memos) must be indistinguishable from the reference
 // interpreter (core.Config.Reference) in everything a guest or an experiment
 // can observe — cycles, instret, registers, CSRs, UART output, result slots,
 // every RAM byte, exit counters, VMM/MMU/TLB statistics, dirty and

@@ -6,6 +6,7 @@
 package ksm
 
 import (
+	"bytes"
 	"hash/fnv"
 
 	"govisor/internal/mem"
@@ -64,15 +65,7 @@ func (s *Scanner) equalFrames(a, b uint64) bool {
 	if da == nil || db == nil {
 		return s.pool.IsZero(a) && s.pool.IsZero(b)
 	}
-	if len(da) != len(db) {
-		return false
-	}
-	for i := range da {
-		if da[i] != db[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(da, db)
 }
 
 // ScanVM performs one full pass over a guest's pages, merging any whose

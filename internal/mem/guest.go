@@ -107,19 +107,10 @@ type GuestPhys struct {
 	// writeHit for the per-store version-bump coalescing the memo layers on
 	// top.
 	//
-	// Both memos serve the CPU's loads and stores and the device DMA of the
-	// same VM (ReadSpan, WriteSpan, ReadRaw), which share slots. That needs
-	// no more than the single-owner discipline below: DMA runs on the VM's
-	// own worker (an MMIO exit into a device model) or at an epoch barrier
-	// (switch delivery, migration, KSM), never concurrently with the VM's
-	// CPU, so the atomic gfn/epoch/armed publication that lets PageVersion
-	// observers on other goroutines probe a slot still suffices.
+	// Device DMA and page copies (Read, Write, ReadRaw) bypass both memos:
+	// a bulk copy evicts none of the CPU's entries.
 	wmemo  [wmemoSlots]writeMemo
 	wepoch uint64 // write-epoch counter (atomic)
-
-	// refDMA selects the page-by-page reference arm of DMA
-	// (SetReferenceDMA).
-	refDMA bool
 
 	// Stats visible to experiments.
 	DirtySets   uint64 // writes that newly dirtied a page
@@ -542,6 +533,13 @@ func (g *GuestPhys) Write(gpa uint64, buf []byte) *Fault {
 	return nil
 }
 
+// ReadSpan is Read. It and WriteSpan stay as names because the benchmark's
+// span micro-measurement (benchmark/micro.go) calls them.
+func (g *GuestPhys) ReadSpan(gpa uint64, buf []byte) *Fault { return g.Read(gpa, buf) }
+
+// WriteSpan is Write; see ReadSpan.
+func (g *GuestPhys) WriteSpan(gpa uint64, buf []byte) *Fault { return g.Write(gpa, buf) }
+
 // readHit is the read memo's hit rule: it returns gfn's slot and whether
 // the slot still holds the page — same gfn, content version unchanged since
 // the fill. Every event that could change what a read returns (stores,
@@ -754,11 +752,9 @@ func (g *GuestPhys) WriteUintPriv(gpa uint64, size int, v uint64) *Fault {
 
 // ReadRaw is Read of one page (len(buf) ≤ isa.PageSize) without fault
 // handling, for VMM-internal use (migration, snapshots, the icache's page
-// capture) where pages are known present; unmapped pages read as zero. It
-// is a ReadSpan, so a stable page streamed every pre-copy round hits the
-// read memo.
+// capture) where pages are known present; unmapped pages read as zero.
 func (g *GuestPhys) ReadRaw(gfn uint64, buf []byte) {
-	if g.Frame(gfn) == NoFrame || g.ReadSpan(gfn<<isa.PageShift, buf) != nil {
+	if g.Frame(gfn) == NoFrame || g.Read(gfn<<isa.PageShift, buf) != nil {
 		clear(buf)
 	}
 }

@@ -33,10 +33,9 @@
 // holding it — so the lock orders the last use of an array under its old
 // frame before its first use under the new one. An array is reachable only
 // from a frame with refcount > 0; every holder of a page slice outside the
-// pool (the GuestPhys read, write and span memos, which the icache's page
-// capture reads through) is invalidated by the page-version or write-epoch
-// bump of the unmap or remap that dropped the reference, before the array
-// can be handed on.
+// pool (the GuestPhys read and write memos) is invalidated by the
+// page-version or write-epoch bump of the unmap or remap that dropped the
+// reference, before the array can be handed on.
 package mem
 
 import (
@@ -345,7 +344,7 @@ func (p *Pool) ReadAt(hfn uint64, off int, buf []byte) {
 // would corrupt other VMs. A whole page of zeros written into a frame with
 // no backing array leaves it lazily zero: the frame already reads as that.
 // A frame that has an array keeps it and is cleared in place, because the
-// read, write and span memos may still point at the array.
+// read and write memos may still point at the array.
 func (p *Pool) WriteAt(hfn uint64, off int, buf []byte) {
 	if p.rc(hfn) > 1 {
 		panic(fmt.Sprintf("mem: write to shared frame %d without COW break", hfn))

@@ -89,10 +89,10 @@ func (m *ilMachine) checkFault(step int, what string, f *Fault, kind FaultKind, 
 	}
 }
 
-// check compares every page of every space with its shadow twice: straight
-// from the pool (what the frame holds) and through the read memo (what a
-// load or DMA would see), and checks the pool's reference counts against
-// the mappings.
+// check compares every page of every space with its shadow three times:
+// straight from the pool (what the frame holds), through Read (what DMA
+// sees) and word by word through the read memo (what a load sees), and
+// checks the pool's reference counts against the mappings.
 func (m *ilMachine) check(step int) {
 	m.t.Helper()
 	refs := make(map[uint64]uint32)
@@ -118,8 +118,13 @@ func (m *ilMachine) check(step int) {
 				data != nil && !bytes.Equal(data, want) {
 				m.t.Fatalf("step %d: space %d gfn %d: frame %d content differs from the shadow", step, s, gfn, hfn)
 			}
-			if f := g.ReadSpan(gfn<<isa.PageShift, page); f != nil || !bytes.Equal(page, want) {
-				m.t.Fatalf("step %d: space %d gfn %d: memoized read differs from the shadow (fault %v)", step, s, gfn, f)
+			if f := g.Read(gfn<<isa.PageShift, page); f != nil || !bytes.Equal(page, want) {
+				m.t.Fatalf("step %d: space %d gfn %d: read differs from the shadow (fault %v)", step, s, gfn, f)
+			}
+			for off := uint64(0); off < isa.PageSize; off += 8 {
+				if v, f := g.ReadUint(gfn<<isa.PageShift+off, 8); f != nil || v != readUintFrom(want, off, 8) {
+					m.t.Fatalf("step %d: space %d gfn %d: memoized load at %#x differs from the shadow (fault %v)", step, s, gfn, off, f)
+				}
 			}
 		}
 	}
@@ -141,7 +146,7 @@ var zeroPage [isa.PageSize]byte
 // spaces on one pool, and after every step poisons the retired backing
 // arrays and checks every space against a shadow copy of its RAM. With
 // backing arrays recycled between frames, a holder of a page slice that
-// outlives the frame's last reference — a read, write or span memo entry
+// outlives the frame's last reference — a read or write memo entry
 // missing its invalidation — reads poison or writes into another VM's page,
 // and the shadow sees it.
 //
@@ -249,7 +254,7 @@ func (m *ilMachine) step(step int, op, a, b, c byte) {
 			span[j] = byte(step + j)
 		}
 		kind, at := m.expectFault(s, gpa, n)
-		m.checkFault(step, "span write", g.WriteSpan(gpa, span), kind, at)
+		m.checkFault(step, "span write", g.Write(gpa, span), kind, at)
 		// Pages before the faulting one were written.
 		for p, rest := gpa, span; len(rest) > 0; {
 			if kind != FaultNone && p >= at {
@@ -268,7 +273,7 @@ func (m *ilMachine) step(step int, op, a, b, c byte) {
 	case 10: // DMA read, up to two pages, possibly off the end of RAM
 		n := 1 + (int(b)<<4|int(c))%len(m.buf)
 		kind, at := m.expectFault(s, gpa, n)
-		m.checkFault(step, "span read", g.ReadSpan(gpa, m.buf[:n]), kind, at)
+		m.checkFault(step, "span read", g.Read(gpa, m.buf[:n]), kind, at)
 		for p, got := gpa, m.buf[:n]; kind == FaultNone && len(got) > 0; {
 			want := sh.ram[p>>isa.PageShift][p&isa.PageMask:]
 			k := min(len(got), len(want))

@@ -9,10 +9,10 @@ import (
 
 // fuzzSide is one arm of the write-memo differential fuzz: a pool with a
 // primary space (the one being stored into) and a peer space for dedup-style
-// sharing. The memo arm stores through WriteUintMemo/WriteUintFast and runs
-// DMA through the memos; the oracle arm stores through the unmemoized
-// WriteUint and pins DMA to the reference arm (SetReferenceDMA). Everything
-// else is driven identically, so any observable divergence is a memo bug.
+// sharing. The memo arm stores through WriteUintMemo/WriteUintFast; the
+// oracle arm stores through the unmemoized WriteUint. Everything else,
+// DMA included, is driven identically, so any observable divergence is a
+// memo bug.
 type fuzzSide struct {
 	pool *Pool
 	g    *GuestPhys
@@ -24,16 +24,12 @@ const fuzzPages = 8
 
 func newFuzzSide(memo bool) *fuzzSide {
 	p := NewPool(512)
-	s := &fuzzSide{
+	return &fuzzSide{
 		pool: p,
 		g:    NewGuestPhys(p, fuzzPages*isa.PageSize),
 		peer: NewGuestPhys(p, fuzzPages*isa.PageSize),
 		memo: memo,
 	}
-	if !memo {
-		s.g.SetReferenceDMA()
-	}
-	return s
 }
 
 func (s *fuzzSide) store(gpa uint64, v uint64) *Fault {
@@ -45,8 +41,8 @@ func (s *fuzzSide) store(gpa uint64, v uint64) *Fault {
 
 // FuzzWriteMemo drives randomized interleavings of stores, CollectDirty,
 // write-protect flips, COW sharing (KSM-merge shape), Unmap, Populate and
-// DMA (WriteSpan, ReadSpan, ReadRaw — sharing the memos with the stores)
-// against a memo-off oracle. After every operation the two arms must agree
+// DMA (Write, Read, ReadRaw, which bypass the memos: a DMA write must keep
+// the memo arm's entries coherent with the page) against a memo-off oracle. After every operation the two arms must agree
 // on fault kinds, read values and dirty sets; at the end, on every page's
 // content, presence, dirty bit and the guest-visible memory statistics.
 // Opcodes 0–7 are the store-path ops the checked-in corpus was written
@@ -132,14 +128,14 @@ func FuzzWriteMemo(f *testing.F) {
 				for j := range bufM[:span] {
 					bufM[j] = byte(i + j)
 				}
-				fm := memo.g.WriteSpan(gpa, bufM[:span])
-				fo := oracle.g.WriteSpan(gpa, bufM[:span])
+				fm := memo.g.Write(gpa, bufM[:span])
+				fo := oracle.g.Write(gpa, bufM[:span])
 				if (fm == nil) != (fo == nil) || (fm != nil && fm.Kind != fo.Kind) {
 					t.Fatalf("op %d: span write fault diverged: memo %v oracle %v", i, fm, fo)
 				}
 			case 9: // DMA read
-				fm := memo.g.ReadSpan(gpa, bufM[:span])
-				fo := oracle.g.ReadSpan(gpa, bufO[:span])
+				fm := memo.g.Read(gpa, bufM[:span])
+				fo := oracle.g.Read(gpa, bufO[:span])
 				if (fm == nil) != (fo == nil) || (fm != nil && fm.Kind != fo.Kind) {
 					t.Fatalf("op %d: span read fault diverged: memo %v oracle %v", i, fm, fo)
 				}

@@ -74,13 +74,12 @@ func TestICacheSelfModifyingCode(t *testing.T) {
 	}
 }
 
-// TestDMAIntoObservedCodePage: device DMA shares the write memo with the
-// CPU, so its coalesced version bump must still fire when the icache has
-// observed the page since the last write. A guest store into its own code
-// page installs the page's write-memo entry, the fetches that follow
-// observe the page version (disarming the entry), and a WriteSpan into the
-// page must then move the version and the fast engine must execute the new
-// bytes — exactly as the reference interpreter does.
+// TestDMAIntoObservedCodePage: device DMA into a code page whose write-memo
+// entry is live must move the page version the icache observed. A guest
+// store into its own code page installs the page's write-memo entry, the
+// fetches that follow observe the page version (disarming the entry), and a
+// DMA Write into the page must then move the version and the fast engine
+// must execute the new bytes — exactly as the reference interpreter does.
 func TestDMAIntoObservedCodePage(t *testing.T) {
 	img := words(
 		isa.Inst{Op: isa.OpADDI, Rd: isa.RegT1, Rs1: isa.RegZero, Imm: 7},     // 0x1000
@@ -103,7 +102,7 @@ func TestDMAIntoObservedCodePage(t *testing.T) {
 	}
 	for _, c := range []*CPU{fast, ref} {
 		before := c.Mem.PageVersion(1)
-		if f := c.Mem.WriteSpan(0x1008, patch); f != nil {
+		if f := c.Mem.Write(0x1008, patch); f != nil {
 			t.Fatal(f)
 		}
 		if c.Mem.PageVersion(1) == before {

@@ -176,7 +176,7 @@ func (q *Queue) resolve(head uint16) (Chain, bool) {
 	for hops := 0; hops < int(q.num); hops++ {
 		d := q.desc + uint64(idx%q.num)*descSize
 		var raw [descSize]byte
-		if f := q.g.ReadSpan(d, raw[:]); f != nil {
+		if f := q.g.Read(d, raw[:]); f != nil {
 			break
 		}
 		addr := binary.LittleEndian.Uint64(raw[0:])
@@ -194,14 +194,16 @@ func (q *Queue) resolve(head uint16) (Chain, bool) {
 
 // Push records a completed chain in the used ring, advancing the
 // device-owned shadow producer index (see usedIdx — guest memory is written,
-// never read back).
+// never read back). The ring obeys the rule data DMA does: a write to a
+// write-protected page (a shadow-tracked or pinned page-table page) faults
+// and is dropped.
 func (q *Queue) Push(head uint16, written uint32) {
 	slot := uint64(q.usedIdx % q.num)
 	entry := q.used + 4 + 8*slot
-	q.g.WriteUintPriv(entry, 4, uint64(head))
-	q.g.WriteUintPriv(entry+4, 4, uint64(written))
+	q.g.WriteUint(entry, 4, uint64(head))
+	q.g.WriteUint(entry+4, 4, uint64(written))
 	q.usedIdx++
-	q.g.WriteUintPriv(q.used+2, 2, uint64(q.usedIdx))
+	q.g.WriteUint(q.used+2, 2, uint64(q.usedIdx))
 }
 
 // UsedIdx returns the device's producer index as the guest observes it.
@@ -221,16 +223,14 @@ func (q *Queue) ensure(gpa uint64, n int) {
 	}
 }
 
-// ReadFrom copies a descriptor buffer out of guest memory through the read
-// memo (mem.GuestPhys.ReadSpan): a stable page resolves once, not once per
-// access.
+// ReadFrom copies a descriptor buffer out of guest memory.
 func (q *Queue) ReadFrom(b DescBuf, buf []byte) error {
 	n := int(b.Len)
 	if n > len(buf) {
 		n = len(buf)
 	}
 	q.ensure(b.Addr, n)
-	if f := q.g.ReadSpan(b.Addr, buf[:n]); f != nil {
+	if f := q.g.Read(b.Addr, buf[:n]); f != nil {
 		return f
 	}
 	return nil
@@ -268,15 +268,14 @@ func (q *Queue) gather(bufs []DescBuf) ([]byte, bool) {
 	return buf, true
 }
 
-// WriteTo copies data into a device-writable buffer through the write memo
-// (mem.GuestPhys.WriteSpan).
+// WriteTo copies data into a device-writable buffer.
 func (q *Queue) WriteTo(b DescBuf, data []byte) error {
 	n := len(data)
 	if n > int(b.Len) {
 		n = int(b.Len)
 	}
 	q.ensure(b.Addr, n)
-	if f := q.g.WriteSpan(b.Addr, data[:n]); f != nil {
+	if f := q.g.Write(b.Addr, data[:n]); f != nil {
 		return f
 	}
 	return nil
