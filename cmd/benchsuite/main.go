@@ -3,10 +3,6 @@
 // IDs (e.g. "T1 F7 A2") to run a subset; -list shows what exists. Unknown
 // IDs are an error, not a silent no-op.
 //
-// Flags:
-//
-//	-quick  scale the M-series workloads down (smoke budgets)
-//
 // Performance is measured by the harness in benchmark/ (go run ./benchmark),
 // not here: these tables reproduce the paper's shapes. To profile the
 // simulator, run one workload traced: go run ./benchmark -workload W -trace 1.
@@ -25,7 +21,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
-	quick := flag.Bool("quick", false, "scale M-series microbenchmark workloads down for smoke runs")
 	flag.Parse()
 
 	experiments := bench.All()
@@ -60,8 +55,6 @@ func main() {
 			strings.Join(unknown, " "), strings.Join(ids, " "))
 		os.Exit(2)
 	}
-
-	bench.SetQuick(*quick)
 
 	failed := 0
 	for _, e := range experiments {

@@ -54,10 +54,11 @@ func main() {
 		// Dedup the identical guests and report the saving.
 		pool := host.Pool
 		before := pool.InUse()
-		scanner := govisor.NewDedupScanner(pool)
+		spaces := make([]*govisor.GuestPhys, 0, n)
 		for _, vm := range host.VMs {
-			scanner.ScanVM(vm.Mem)
+			spaces = append(spaces, vm.Mem)
 		}
+		govisor.NewDedupScanner(pool).ScanAll(spaces)
 		saved := before - pool.InUse()
 
 		fmt.Printf("%4d %16d %14d %11.3f %11d pg\n",

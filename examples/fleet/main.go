@@ -64,13 +64,11 @@ func main() {
 		// Cross-VM services run at epoch barriers: here, a KSM pass over the
 		// fleet every epoch.
 		scanner := govisor.NewDedupScanner(host.Pool)
-		var spaces []*govisor.VM
-		spaces = append(spaces, host.VMs...)
-		host.EpochFunc = func() {
-			for _, vm := range spaces {
-				scanner.ScanVM(vm.Mem)
-			}
+		var spaces []*govisor.GuestPhys
+		for _, vm := range host.VMs {
+			spaces = append(spaces, vm.Mem)
 		}
+		host.EpochFunc = func() { scanner.ScanAll(spaces) }
 
 		start := time.Now()
 		host.RunParallel(workers, 2_000_000_000)

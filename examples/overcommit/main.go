@@ -78,10 +78,12 @@ func main() {
 		vms = append(vms, vm)
 	}
 	before := pool.InUse()
-	sc := govisor.NewDedupScanner(pool)
+	spaces := make([]*mem.GuestPhys, 0, len(vms))
 	for _, vm := range vms {
-		sc.ScanVM(vm.Mem)
+		spaces = append(spaces, vm.Mem)
 	}
+	sc := govisor.NewDedupScanner(pool)
+	sc.ScanAll(spaces)
 	fmt.Printf("frames: %d → %d (%.0f%% reclaimed; %d pages merged)\n",
 		before, pool.InUse(),
 		100*float64(before-pool.InUse())/float64(before),

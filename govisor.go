@@ -67,6 +67,8 @@ type (
 	Marker = core.Marker
 	// Pool is host physical memory.
 	Pool = mem.Pool
+	// GuestPhys is a VM's guest-physical address space (VM.Mem).
+	GuestPhys = mem.GuestPhys
 	// Costs is the cycle cost model.
 	Costs = vcpu.Costs
 	// Workload parameterizes the universal guest kernel.

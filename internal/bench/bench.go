@@ -28,29 +28,6 @@ const (
 // AllModes lists the execution modes in comparison order.
 var AllModes = []core.Mode{core.ModeNative, core.ModeHW, core.ModePara, core.ModeTrap}
 
-// quickScale divides the M-series (M7) workload sizes when quick mode is on:
-// the tables keep their shape but run in seconds. The reproduced experiments
-// (T/F/A) are untouched — their result is the shape, and shrinking them
-// would change it.
-var quickScale uint64 = 1
-
-// SetQuick toggles quick mode for the M-series experiments.
-func SetQuick(on bool) {
-	if on {
-		quickScale = 25
-	} else {
-		quickScale = 1
-	}
-}
-
-// scaled applies the quick divisor with a floor of 1.
-func scaled(n uint64) uint64 {
-	if s := n / quickScale; s > 0 {
-		return s
-	}
-	return 1
-}
-
 // newVM builds a VM in the given mode with default sizing.
 func newVM(mode core.Mode, cfg func(*core.Config)) (*core.VM, error) {
 	c := core.Config{Name: "bench-" + mode.String(), Mode: mode, MemBytes: benchRAM}

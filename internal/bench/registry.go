@@ -51,7 +51,5 @@ func All() []Experiment {
 			"more rounds trade total time for downtime until convergence stalls"},
 		{"A4", "Ablation: virtio queue depth", A4QueueDepth,
 			"deeper batches amortize the doorbell exit until it stops mattering"},
-		{"M7", "Resilience: streamed-migration host evacuation", M7Evacuation,
-			"every VM drains byte-identically over real wire connections, clean and under the seeded fault schedule; downtime percentiles, retries and resumes are deterministic"},
 	}
 }

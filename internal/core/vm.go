@@ -125,11 +125,10 @@ type Config struct {
 	// NestedLevels overrides the nested walk depth in ModeHW (default 3).
 	NestedLevels int
 	// Reference runs the VM on the reference engine: the per-instruction
-	// interpreter that is the executable semantics of GV64 (vcpu/ref.go),
-	// with device DMA resolved page by page. It is the oracle the
-	// differential suites hold the default fast engine to — every
-	// guest-visible byte, simulated cycle and statistic must match — and
-	// nothing else sets it.
+	// interpreter that is the executable semantics of GV64 (vcpu/ref.go).
+	// It is the oracle the differential suites hold the default fast
+	// engine to — every guest-visible byte, simulated cycle and statistic
+	// must match — and nothing else sets it.
 	Reference bool
 }
 

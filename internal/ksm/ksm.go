@@ -99,12 +99,13 @@ func (s *Scanner) ScanVM(g *mem.GuestPhys) uint64 {
 			s.canon[hash] = canonRef{hfn: hfn, owner: g, gfn: gfn}
 			continue
 		}
-		// Canon entries outlive passes: the recorded owner may have unmapped
-		// or split the page since, and the pool may have handed the frame to
-		// another VM that is not copy-on-write. Merge only onto a frame its
-		// recorded owner still maps (so MarkCOWIfMapped below does protect
-		// it) and whose content still matches; otherwise the entry is stale
-		// and this page becomes the canonical one.
+		// Canon entries outlive passes (ScanVM keeps them all, ScanAll the
+		// merged ones): the recorded owner may have unmapped or split the
+		// page since, and the pool may have handed the frame to another VM
+		// that is not copy-on-write. Merge only onto a frame its recorded
+		// owner still maps (so MarkCOWIfMapped below does protect it) and
+		// whose content still matches; otherwise the entry is stale and
+		// this page becomes the canonical one.
 		if ref.owner.Frame(ref.gfn) != ref.hfn || !s.equalFrames(ref.hfn, hfn) {
 			s.canon[hash] = canonRef{hfn: hfn, owner: g, gfn: gfn}
 			continue
@@ -124,10 +125,20 @@ func (s *Scanner) ScanVM(g *mem.GuestPhys) uint64 {
 }
 
 // ScanAll runs one pass over every VM address space, returning total frames
-// freed.
+// freed. The pass first drops every canonical entry whose frame is no
+// longer shared or no longer mapped by its recorded owner at the recorded
+// gfn. Entries for merged frames stay; like KSM's unstable tree, the rest
+// is rebuilt by the pass, so a kept scanner holds at most one pass's pages
+// plus the shared frames, however often the guests rewrite their pages.
 //
 //govisor:serialonly(remaps frames shared across VMs; only safe at the epoch barrier)
 func (s *Scanner) ScanAll(gs []*mem.GuestPhys) uint64 {
+	//govisor:nondet(each entry is kept or dropped on its own state; the survivors do not depend on iteration order)
+	for hash, ref := range s.canon {
+		if !s.pool.Shared(ref.hfn) || ref.owner.Frame(ref.gfn) != ref.hfn {
+			delete(s.canon, hash)
+		}
+	}
 	var freed uint64
 	for _, g := range gs {
 		freed += s.ScanVM(g)

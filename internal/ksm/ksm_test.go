@@ -2,6 +2,7 @@ package ksm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"govisor/internal/isa"
@@ -319,5 +320,47 @@ func TestKeptScannerSkipsRecycledCanonFrame(t *testing.T) {
 	}
 	if got, f := victim.ReadUint(2<<isa.PageShift, 8); f != nil || got != 0x7777777777777777 {
 		t.Fatalf("victim reads %#x (fault %v) after another VM's store", got, f)
+	}
+}
+
+// TestKeptScannerCanonStaysBounded: a scanner kept across passes over a
+// guest that rewrites every page with new content between passes must
+// not remember the old contents. After every pass the canonical map holds
+// at most the pages scanned plus the shared frames.
+func TestKeptScannerCanonStaysBounded(t *testing.T) {
+	const pages = 16
+	pool := mem.NewPool(128)
+	churn := newVMSpace(t, pool, pages)
+	// Two stable spaces with one image: their merged frames stay shared
+	// across every pass.
+	b, c := newVMSpace(t, pool, pages), newVMSpace(t, pool, pages)
+	for gfn := uint64(0); gfn < pages; gfn++ {
+		fillPage(b, gfn, byte(gfn+1))
+		fillPage(c, gfn, byte(gfn+1))
+	}
+	spaces := []*mem.GuestPhys{churn, b, c}
+	s := NewScanner(pool)
+	buf := make([]byte, isa.PageSize)
+	for pass := uint64(0); pass < 20; pass++ {
+		for gfn := uint64(0); gfn < pages; gfn++ {
+			binary.LittleEndian.PutUint64(buf, pass<<32|gfn+1) // content no pass has seen
+			churn.WriteRaw(gfn, buf)
+		}
+		s.ScanAll(spaces)
+		shared := map[uint64]bool{}
+		for _, g := range spaces {
+			for gfn := uint64(0); gfn < pages; gfn++ {
+				if hfn := g.Frame(gfn); pool.Shared(hfn) {
+					shared[hfn] = true
+				}
+			}
+		}
+		if len(shared) != pages {
+			t.Fatalf("pass %d: %d shared frames, want the stable image's %d", pass, len(shared), pages)
+		}
+		if limit := len(spaces)*pages + len(shared); len(s.canon) > limit {
+			t.Fatalf("pass %d: canon holds %d entries, more than %d pages + %d shared frames",
+				pass, len(s.canon), len(spaces)*pages, len(shared))
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package migrate implements live migration of govisor VMs: iterative
 // pre-copy with dirty-page tracking (the NSDI'05 design), stop-and-copy as
 // the baseline, and post-copy with demand paging over a simulated
-// rate-limited link. Experiments F7, F8, A3 and M7 run on top of it. There
-// is one engine, StreamMigrate (stream.go, over the wire format of
-// wire.go); Migrate runs it over a clean net.Pipe.
+// rate-limited link. Experiments F7, F8 and A3 run on top of it, and the
+// M7 evacuation drill is a test of this package (drill_test.go). There is
+// one engine, StreamMigrate (stream.go, over the wire format of wire.go);
+// Migrate runs it over a clean net.Pipe.
 //
 // Time is simulated: N logical bytes over the link (pageWireSize a page,
 // cpuStateWireSize for the CPU state, however the wire encodes them) cost

@@ -4,10 +4,13 @@ package migrate
 // stop-and-copy and post-copy run over a byte transport (net.Pipe, TCP,
 // anything io.ReadWriteCloser) with the wire codec in wire.go, under an
 // explicit failure model. Connections drop, frames corrupt, writes
-// truncate; the engine retries with backoff in simulated cycles, resumes
-// from the last destination-acked round re-sending only what was dirtied
+// truncate; both ends follow one failure rule (retry): each operation
+// retries with backoff in simulated cycles and gives up after MaxAttempts
+// consecutive failed attempts. Before the commit the source resumes from
+// the last destination-acked round, re-sending only what was dirtied
 // since, and if the brown-out exceeds a hard DowntimeBudget it aborts and
-// rolls the source back so the guest never observes the attempt.
+// rolls the source back so the guest never observes the attempt. After it
+// the destination redials, and a failed redial is one more failed attempt.
 //
 // Cost model: the simulated clock charges the *logical* wire sizes
 // (pageWireSize per page, cpuStateWireSize for the CPU state) in round
@@ -65,8 +68,8 @@ type StreamOptions struct {
 	Options
 	// Wire opens a connection attempt (default: a clean net.Pipe).
 	Wire Wire
-	// MaxAttempts bounds consecutive failures of one operation before the
-	// migration gives up (default 5).
+	// MaxAttempts bounds consecutive failed attempts of one operation, at
+	// either end, before the migration gives up (default 5).
 	MaxAttempts int
 	// BackoffCycles is the base retry backoff in simulated cycles,
 	// doubling per consecutive failure (default 200_000).
@@ -110,13 +113,14 @@ func StreamMigrate(src, dst *core.VM, opt StreamOptions) (StreamReport, error) {
 	if opt.Wire == nil {
 		opt.Wire = PipeWire(nil)
 	}
+	def := DefaultStreamOptions()
 	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 5
+		opt.MaxAttempts = def.MaxAttempts
 	}
 	if opt.BackoffCycles == 0 {
-		opt.BackoffCycles = 200_000
+		opt.BackoffCycles = def.BackoffCycles
 	}
-	e := &streamEngine{s: newSession(src, dst, opt), src: src, opt: opt}
+	e := &streamEngine{s: newSession(src, dst, opt), src: src, opt: opt, retry: newRetry(opt)}
 	e.rep.Mode = opt.Mode
 	var err error
 	switch opt.Mode {
@@ -133,6 +137,34 @@ func StreamMigrate(src, dst *core.VM, opt StreamOptions) (StreamReport, error) {
 	return e.rep, err
 }
 
+// retry is the migration's one failure rule, kept per operation at both
+// ends: count consecutive failed attempts, give up at MaxAttempts, and wait
+// a backoff that starts at BackoffCycles and doubles per failure before the
+// next attempt. Only a completed operation resets it.
+type retry struct {
+	max        int
+	base, next uint64
+	fails      int
+}
+
+func newRetry(opt StreamOptions) retry {
+	return retry{max: opt.MaxAttempts, base: opt.BackoffCycles, next: opt.BackoffCycles}
+}
+
+// fail records one failed attempt. It returns the backoff to wait before
+// the next attempt, or ok false when the operation must give up.
+func (r *retry) fail() (backoff uint64, ok bool) {
+	if r.fails++; r.fails >= r.max {
+		return 0, false
+	}
+	backoff = r.next
+	r.next *= 2
+	return backoff, true
+}
+
+// done resets the rule after a completed operation.
+func (r *retry) done() { r.fails, r.next = 0, r.base }
+
 // ---- destination session -------------------------------------------------
 
 // session holds the state both hosts' migration daemons share across
@@ -145,15 +177,14 @@ type session struct {
 	npages   uint64
 	zeroPage []byte
 
-	mu           sync.Mutex
-	ackedRounds  uint64
-	committed    bool
-	applied      []byte // dest: pages landed (stream or pull)
-	appliedCount uint64
-	present      []byte // dest: source-present bitmap from commit
-	presentCount uint64
-	arch         core.ArchState
-	haveArch     bool
+	mu          sync.Mutex
+	ackedRounds uint64
+	committed   bool
+	applied     []byte // dest: pages landed (stream or pull)
+	present     []byte // dest: source-present bitmap from commit
+	missing     uint64 // dest: present pages not yet landed
+	arch        core.ArchState
+	haveArch    bool
 	// dest-side accounting merged into the engine report at sync points
 	destFills   uint64
 	destBytes   uint64
@@ -209,30 +240,23 @@ func (s *session) addWire(n uint64) {
 	s.mu.Unlock()
 }
 
-// markApplied records a landed page; once the present set is covered it
-// clears the destination's PageSource — the source is no longer pinned.
+// markApplied records a landed page; when it lands the last missing
+// present page it clears the destination's PageSource — the source is no
+// longer pinned.
 func (s *session) markApplied(gfn uint64) {
 	s.mu.Lock()
+	release := false
 	if !bitmapGet(s.applied, gfn) {
 		bitmapSet(s.applied, gfn)
-		s.appliedCount++
-	}
-	release := s.committed && s.presentCount > 0 && s.coveredLocked()
-	s.mu.Unlock()
-	if release && s.dst.PageSource != nil {
-		s.dst.PageSource = nil
-	}
-}
-
-// coveredLocked reports whether every source-present page has landed.
-// Caller holds mu.
-func (s *session) coveredLocked() bool {
-	for i := uint64(0); i < s.npages; i++ {
-		if bitmapGet(s.present, i) && !bitmapGet(s.applied, i) {
-			return false
+		if bitmapGet(s.present, gfn) {
+			s.missing--
+			release = s.missing == 0
 		}
 	}
-	return true
+	s.mu.Unlock()
+	if release {
+		s.dst.PageSource = nil
+	}
 }
 
 // applyRuns lands an ftPages payload in the destination's RAM, in gfn
@@ -317,7 +341,7 @@ func (s *session) serve(conn *wireConn) (keepConn bool) {
 				return false // session complete
 			}
 			if s.opt.PostCopyPushChunk > 0 {
-				s.pushLoop(conn)
+				s.pushLoop()
 				return false
 			}
 			return true // demand-only: the PageSource closure owns conn now
@@ -342,10 +366,9 @@ func (s *session) commit(m commitMsg, conn *wireConn) error {
 	s.committed = true
 	if s.opt.Mode == PostCopy {
 		s.present = append([]byte(nil), m.Present...)
-		s.presentCount = 0
 		for i := uint64(0); i < s.npages; i++ {
-			if bitmapGet(s.present, i) {
-				s.presentCount++
+			if bitmapGet(s.present, i) && !bitmapGet(s.applied, i) {
+				s.missing++
 			}
 		}
 	}
@@ -363,15 +386,17 @@ func (s *session) commit(m commitMsg, conn *wireConn) error {
 // present bitmap locally (absent pages fall back to demand-zero at no
 // cost), pull over the wire with retry/redial, and charge one RTT plus
 // the transfer of pageWireSize per pulled page.
-func (s *session) demandPull(gfn uint64) ([]byte, bool) {
+func (s *session) demandPull(gfn uint64) (page []byte, ok bool) {
 	s.mu.Lock()
 	skip := !bitmapGet(s.present, gfn) || bitmapGet(s.applied, gfn)
 	s.mu.Unlock()
 	if skip {
 		return nil, false
 	}
-	page, ok, err := s.pullOverWire(gfn)
-	if err != nil {
+	if err := s.retryRemote(func() (err error) {
+		page, ok, err = s.tryPull(gfn)
+		return err
+	}); err != nil {
 		s.dst.FailRemote(fmt.Errorf("migrate: demand pull gfn %d: %w", gfn, err))
 		return nil, false
 	}
@@ -389,26 +414,29 @@ func (s *session) demandPull(gfn uint64) ([]byte, bool) {
 	return page, true
 }
 
-// pullOverWire fetches one page from the source, redialing on failure.
-func (s *session) pullOverWire(gfn uint64) ([]byte, bool, error) {
-	backoff := s.opt.BackoffCycles
-	for attempt := 0; ; attempt++ {
-		page, ok, err := s.tryPull(gfn)
-		if err == nil {
-			return page, ok, nil
-		}
-		if attempt+1 >= s.opt.MaxAttempts {
-			return nil, false, err
-		}
+// retryRemote runs one destination-driven post-commit operation under the
+// failure rule. After a failed attempt it waits out the backoff on the
+// destination's clock and redials; a failed redial is one more failed
+// attempt, so only MaxAttempts consecutive failures lose the source. Giving
+// up closes the conn, so a source-side server still reading it exits.
+func (s *session) retryRemote(op func() error) error {
+	r := newRetry(s.opt)
+	err := op()
+	for err != nil {
 		s.mu.Lock()
 		s.destRetries++
 		s.mu.Unlock()
+		backoff, ok := r.fail()
+		if !ok {
+			s.dstConn.Close()
+			return err
+		}
 		s.chargeDst(backoff)
-		backoff *= 2
-		if rerr := s.redial(); rerr != nil {
-			return nil, false, rerr
+		if err = s.redial(); err == nil {
+			err = op()
 		}
 	}
+	return nil
 }
 
 func (s *session) tryPull(gfn uint64) ([]byte, bool, error) {
@@ -447,33 +475,51 @@ func (s *session) chargeDst(c uint64) {
 	}
 }
 
-// redial replaces the failed post-commit connection: close both old
-// halves, open a fresh wire, hand the source half to whichever source-side
-// server runs (the engine's serve loop in chunk mode, a spawned goroutine
-// in demand-only mode), and re-handshake.
-func (s *session) redial() error {
-	if old := s.dstConn; old != nil {
-		old.Close()
-	}
+// dial opens a fresh wire, hands the far half to serve (which starts the
+// peer's side of it), and handshakes on the near half: hello out, welcome
+// back. The source dials before a pre-commit attempt; the destination dials
+// to replace a failed post-commit conn, with a Pull hello. The conn comes
+// back even when the handshake fails, for the caller to close.
+func (s *session) dial(hello helloMsg, serve func(far io.ReadWriteCloser)) (*wireConn, welcomeMsg, error) {
 	sh, dh, err := s.opt.Wire()
 	if err != nil {
-		return err
+		return nil, welcomeMsg{}, err
 	}
-	conn := newWireConn(dh)
-	s.dstConn = conn
-	if s.opt.PostCopyPushChunk > 0 {
-		s.srcConns <- sh
-	} else {
-		go s.runServer(newWireConn(sh))
+	near, far := sh, dh
+	if hello.Pull {
+		near, far = dh, sh
 	}
-	if err := conn.writeFrame(ftHello, encodeHello(helloMsg{NPages: s.npages, Mode: s.opt.Mode, Pull: true})); err != nil {
-		return err
+	conn := newWireConn(near)
+	serve(far)
+	if err := conn.writeFrame(ftHello, encodeHello(hello)); err != nil {
+		return conn, welcomeMsg{}, err
 	}
 	p, err := conn.expectFrame(ftWelcome)
 	if err != nil {
-		return err
+		return conn, welcomeMsg{}, err
 	}
-	if _, err := decodeWelcome(p); err != nil {
+	w, err := decodeWelcome(p)
+	return conn, w, err
+}
+
+// redial replaces the failed post-commit connection: close the old half
+// and dial, handing the source half to whichever source-side server runs
+// (the engine's serve loop in chunk mode, a spawned goroutine in
+// demand-only mode). When no wire opens, the closed old conn stays, and
+// the next attempt on it fails.
+func (s *session) redial() error {
+	s.dstConn.Close()
+	conn, _, err := s.dial(helloMsg{NPages: s.npages, Mode: s.opt.Mode, Pull: true}, func(sh io.ReadWriteCloser) {
+		if s.opt.PostCopyPushChunk > 0 {
+			s.srcConns <- sh
+		} else {
+			go s.runServer(newWireConn(sh))
+		}
+	})
+	if conn != nil {
+		s.dstConn = conn
+	}
+	if err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -497,32 +543,15 @@ func (s *session) runServer(conn *wireConn) {
 
 // pushLoop is the destination's chunk-mode driver: request background
 // chunks, apply them, run the guest for the chunk's transfer cycles
-// (demand pulls interleave on the same conn), redial on failure.
-func (s *session) pushLoop(conn *wireConn) {
-	backoff := s.opt.BackoffCycles
-	fails := 0
-	for {
-		done, err := s.pushChunkOnce()
-		if err == nil {
-			if done {
-				return
-			}
-			fails = 0
-			backoff = s.opt.BackoffCycles
-			continue
-		}
-		fails++
-		s.mu.Lock()
-		s.destRetries++
-		s.mu.Unlock()
-		if fails >= s.opt.MaxAttempts {
+// (demand pulls interleave on the same conn), redial on failure. Each
+// chunk is one operation under the failure rule.
+func (s *session) pushLoop() {
+	for done := false; !done; {
+		if err := s.retryRemote(func() (err error) {
+			done, err = s.pushChunkOnce()
+			return err
+		}); err != nil {
 			s.dst.FailRemote(fmt.Errorf("migrate: post-copy push lost the source: %w", err))
-			return
-		}
-		s.chargeDst(backoff)
-		backoff *= 2
-		if rerr := s.redial(); rerr != nil {
-			s.dst.FailRemote(fmt.Errorf("migrate: post-copy redial: %w", rerr))
 			return
 		}
 	}
@@ -689,8 +718,7 @@ type streamEngine struct {
 	reactorDone chan struct{}
 	lastWelcome welcomeMsg
 	connected   bool
-	fails       int
-	backoff     uint64
+	retry       retry
 
 	paused       bool
 	ckpt         core.ArchState
@@ -698,31 +726,23 @@ type streamEngine struct {
 	lastCommitDT uint64
 }
 
-// connect opens a wire, spawns the destination reactor, handshakes.
+// connect dials when no conn is up, with the destination reactor serving
+// the far half.
 func (e *streamEngine) connect() error {
-	e.teardown()
-	sh, dh, err := e.opt.Wire()
-	if err != nil {
-		return err
+	if e.conn != nil {
+		return nil
 	}
-	e.conn = newWireConn(sh)
-	dconn := newWireConn(dh)
-	e.reactorDone = make(chan struct{})
-	go func(done chan struct{}) {
-		keep := e.s.serve(dconn)
-		if !keep {
-			dconn.Close()
-		}
-		close(done)
-	}(e.reactorDone)
-	if err := e.conn.writeFrame(ftHello, encodeHello(helloMsg{NPages: e.src.Mem.Pages(), Mode: e.opt.Mode})); err != nil {
-		return err
-	}
-	p, err := e.conn.expectFrame(ftWelcome)
-	if err != nil {
-		return err
-	}
-	w, err := decodeWelcome(p)
+	conn, w, err := e.s.dial(helloMsg{NPages: e.src.Mem.Pages(), Mode: e.opt.Mode}, func(dh io.ReadWriteCloser) {
+		dconn, done := newWireConn(dh), make(chan struct{})
+		e.reactorDone = done
+		go func() {
+			if !e.s.serve(dconn) {
+				dconn.Close()
+			}
+			close(done)
+		}()
+	})
+	e.conn = conn
 	if err != nil {
 		return err
 	}
@@ -749,46 +769,35 @@ func (e *streamEngine) teardown() {
 	}
 }
 
-// ensureConn (re)establishes the wire. A connect does not reset the
-// failure count, only a completed operation does (succeeded), so a frame
-// the destination rejects on every attempt still exhausts MaxAttempts.
-func (e *streamEngine) ensureConn() error {
-	for e.conn == nil {
+// attempt runs one source-driven operation under the failure rule: bring
+// a conn up, skip the operation when the destination's welcome shows it
+// already landed (its ack was lost), else try it. A failed connect or try
+// tears the conn down and counts one failed attempt, charging its backoff.
+// A connect alone does not reset the count, so a frame the destination
+// rejects on every attempt still exhausts MaxAttempts.
+func (e *streamEngine) attempt(landed func(welcomeMsg) bool, try func() error) error {
+	for {
 		err := e.connect()
-		if err == nil {
+		if err == nil && !landed(e.lastWelcome) {
+			err = try()
+		}
+		switch {
+		case err == nil:
+			e.retry.done()
 			return nil
+		case errors.Is(err, errBudget):
+			return err
 		}
 		e.teardown()
-		if gerr := e.fail(err); gerr != nil {
-			return gerr
+		e.rep.Retries++
+		backoff, ok := e.retry.fail()
+		if !ok {
+			return err
+		}
+		if err := e.chargeOverhead(backoff); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// fail records one failure and charges backoff; it returns non-nil when
-// the engine must give up (attempts exhausted or budget blown).
-func (e *streamEngine) fail(cause error) error {
-	e.rep.Retries++
-	e.fails++
-	if e.fails >= e.opt.MaxAttempts {
-		return cause
-	}
-	if e.backoff == 0 {
-		e.backoff = e.opt.BackoffCycles
-	}
-	c := e.backoff
-	e.backoff *= 2
-	if err := e.chargeOverhead(c); err != nil {
-		return err
-	}
-	return nil
-}
-
-// succeeded resets the failure count and backoff after an operation.
-func (e *streamEngine) succeeded() {
-	e.fails = 0
-	e.backoff = e.opt.BackoffCycles
 }
 
 // chargeOverhead accounts non-transfer cycles (backoff, injected delay):
@@ -824,30 +833,13 @@ func (e *streamEngine) checkBudget() error {
 // ack, retrying across reconnects. The welcome tells whether a round
 // whose ack was lost actually landed, so it is never re-sent. Returns the
 // cycles charged (summed across attempts).
-func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (uint64, error) {
-	var spent uint64
-	for {
-		if err := e.ensureConn(); err != nil {
-			return spent, err
-		}
-		if e.lastWelcome.AckedRounds > idx {
-			e.succeeded()
-			return spent, nil
-		}
+func (e *streamEngine) sendRound(gfns []uint64, idx uint64, interleave bool) (spent uint64, err error) {
+	err = e.attempt(func(w welcomeMsg) bool { return w.AckedRounds > idx }, func() error {
 		c, err := e.trySendRound(gfns, idx, interleave)
 		spent += c
-		if err == nil {
-			e.succeeded()
-			return spent, nil
-		}
-		if errors.Is(err, errBudget) {
-			return spent, err
-		}
-		e.teardown()
-		if gerr := e.fail(err); gerr != nil {
-			return spent, gerr
-		}
-	}
+		return err
+	})
+	return spent, err
 }
 
 // trySendRound is one attempt: write the page runs and the round marker,
@@ -897,48 +889,26 @@ func (e *streamEngine) trySendRound(gfns []uint64, idx uint64, interleave bool) 
 // coordination service before declaring either side dead.
 func (e *streamEngine) sendCommit(present []byte) error {
 	txCPU := e.opt.Link.TxCycles(cpuStateWireSize)
-	for {
-		if err := e.ensureConn(); err != nil {
-			if e.s.isCommitted() {
-				return nil
-			}
+	err := e.attempt(func(w welcomeMsg) bool { return w.Committed }, func() error {
+		if err := e.conn.writeFrame(ftArch, e.src.CaptureArch().Append(make([]byte, 0, core.ArchStateSize))); err != nil {
 			return err
 		}
-		if e.lastWelcome.Committed {
-			e.succeeded()
-			return nil
-		}
-		err := func() error {
-			if err := e.conn.writeFrame(ftArch, e.src.CaptureArch().Append(make([]byte, 0, core.ArchStateSize))); err != nil {
-				return err
-			}
-			e.downtime += txCPU
-			e.rep.BytesSent += cpuStateWireSize
-			if err := e.checkBudget(); err != nil {
-				return err
-			}
-			e.lastCommitDT = e.downtime
-			if err := e.conn.writeFrame(ftCommit, encodeCommit(commitMsg{Downtime: e.downtime, Mode: e.opt.Mode, Present: present})); err != nil {
-				return err
-			}
-			_, err := e.conn.expectFrame(ftCommitAck)
-			return err
-		}()
-		if err == nil {
-			e.succeeded()
-			return nil
-		}
-		if errors.Is(err, errBudget) {
+		e.downtime += txCPU
+		e.rep.BytesSent += cpuStateWireSize
+		if err := e.checkBudget(); err != nil {
 			return err
 		}
-		e.teardown()
-		if gerr := e.fail(err); gerr != nil {
-			if e.s.isCommitted() {
-				return nil
-			}
-			return gerr
+		e.lastCommitDT = e.downtime
+		if err := e.conn.writeFrame(ftCommit, encodeCommit(commitMsg{Downtime: e.downtime, Mode: e.opt.Mode, Present: present})); err != nil {
+			return err
 		}
+		_, err := e.conn.expectFrame(ftCommitAck)
+		return err
+	})
+	if err != nil && e.s.isCommitted() {
+		return nil // the commit landed while we were giving up
 	}
+	return err
 }
 
 // pause stops the source and checkpoints it for rollback.
@@ -962,14 +932,10 @@ func (e *streamEngine) bail(cause error) error {
 // abort rolls the source back to the Pause checkpoint and resumes it: the
 // guest's registers, CSRs, and cycle counter are bit-for-bit as if the
 // brown-out never happened (RAM was only read during it). Safe because
-// abort is only reachable before the commit landed — afterwards the
-// destination owns the guest.
+// abort is only reachable before the commit landed (sendCommit reports a
+// landed commit as success) — afterwards the destination owns the guest.
 func (e *streamEngine) abort(cause error) error {
 	e.teardown()
-	if e.s.isCommitted() {
-		// The commit landed while we were giving up; finish as a success.
-		return nil
-	}
 	e.src.RestoreArch(e.ckpt)
 	e.src.Resume()
 	e.rep.Aborted = true
@@ -1103,27 +1069,27 @@ func (e *streamEngine) postCopy() error {
 
 // servePhase runs the source's post-commit serving loop for chunk mode,
 // accepting redialed conns from the destination until the schedule
-// completes or the destination gives up.
+// completes or the destination gives up. Either way it waits for the
+// destination's last Step, and reports a destination that a failed demand
+// pull or push stopped.
 func (e *streamEngine) servePhase() error {
-	for {
+	for e.conn != nil {
 		err := e.s.servePulls(e.conn)
 		e.conn.Close()
 		e.rep.WireBytes += e.conn.moved
 		e.conn = nil
-		if err == nil {
-			<-e.reactorDone // destination finishes its last Step
-			e.reactorDone = nil
-			return nil
-		}
-		select {
-		case sh := <-e.s.srcConns:
-			e.conn = newWireConn(sh)
-		case <-e.reactorDone:
-			e.reactorDone = nil
-			if e.s.dst.State == core.StateError {
-				return fmt.Errorf("migrate: destination lost the source post-commit: %w", e.s.dst.Err)
+		if err != nil {
+			select {
+			case sh := <-e.s.srcConns:
+				e.conn = newWireConn(sh)
+			case <-e.reactorDone:
 			}
-			return nil
 		}
 	}
+	<-e.reactorDone
+	e.reactorDone = nil
+	if e.s.dst.State == core.StateError {
+		return fmt.Errorf("migrate: destination lost the source post-commit: %w", e.s.dst.Err)
+	}
+	return nil
 }
