@@ -139,9 +139,6 @@ func (s *Swapper) Source(g *mem.GuestPhys) func(gfn uint64) ([]byte, bool) {
 	}
 }
 
-// Stored returns the number of pages currently swapped out for g.
-func (s *Swapper) Stored(g *mem.GuestPhys) int { return len(s.store[g]) }
-
 // ReclaimOne swaps out one reclaimable page (LRU approximation: the
 // highest-numbered present, unprotected, preferably non-dirty page). It is
 // the emergency path behind core.VM.ReclaimHook when a guest faults while

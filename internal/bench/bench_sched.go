@@ -172,20 +172,6 @@ func T13Consolidation() (*metrics.Table, error) {
 	return t, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // A2ASIDFlush: TLB cost of address-space switches with and without ASID
 // tagging (ablation). This is a mechanism-level microbenchmark: two address
 // spaces over the same tables alternate every `switchEvery` accesses, as a

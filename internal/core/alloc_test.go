@@ -7,6 +7,7 @@ import (
 	"govisor/internal/guest"
 	"govisor/internal/isa"
 	"govisor/internal/mem"
+	"govisor/internal/sched"
 	"govisor/internal/vcpu"
 )
 
@@ -59,5 +60,50 @@ func TestTrapLoopsDoNotAllocate(t *testing.T) {
 				t.Fatalf("%v allocations per %d-cycle slice, want 0", n, slice)
 			}
 		})
+	}
+}
+
+// TestRunParallelEpochAllocatesNothing: on a warm compute fleet the epoch
+// loop allocates nothing per epoch, so a run of ten times as many epochs
+// allocates no more than a short one. Both runs pay the same fixed cost
+// (worker goroutines, the job channel, the switch set); a per-epoch
+// allocation — a lease record, a scheduler table — shows as growth.
+func TestRunParallelEpochAllocatesNothing(t *testing.T) {
+	if core.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	kernel, err := guest.BuildKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		vms     = 4
+		ram     = 1 << 20
+		quantum = 20_000
+	)
+	cs := sched.NewCredit()
+	cs.Quantum = quantum
+	h := core.NewHost(2*vms*ram>>isa.PageShift, 2, cs)
+	for i := 0; i < vms; i++ {
+		vm, err := h.CreateVM(core.Config{Name: "compute", Mode: core.ModeHW, MemBytes: ram, EagerMem: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		guest.Compute(1<<40, 0).Apply(vm)
+		if err := vm.Boot(kernel); err != nil {
+			t.Fatal(err)
+		}
+		h.AddToScheduler(i, 256, 0)
+	}
+	h.RunParallel(2, 100*quantum)
+	run := func(epochs uint64) float64 {
+		return testing.AllocsPerRun(1, func() { h.RunParallel(2, epochs*quantum) })
+	}
+	short, long := run(20), run(200)
+	if vm := h.VMs[0]; vm.State != core.StateRunning {
+		t.Fatalf("guest left the loop: state %v, halt code %d", vm.State, vm.HaltCode)
+	}
+	if long > short {
+		t.Fatalf("allocations: %v over 20 epochs, %v over 200", short, long)
 	}
 }

@@ -13,8 +13,6 @@ type Scheduler interface {
 	// Add registers a runnable entity with a proportional weight and an
 	// optional utilization cap in percent (0 = uncapped).
 	Add(id int, weight uint64, capPct uint64)
-	// Remove deregisters an entity.
-	Remove(id int)
 	// Next picks the entity to run and the quantum (in cycles) to grant.
 	// ok is false when nothing is runnable.
 	Next() (id int, quantum uint64, ok bool)
@@ -65,9 +63,29 @@ type Host struct {
 	// epoch is in flight.
 	EpochFunc func()
 
-	wakeAt     map[int]uint64 // host time at which each idle VM's timer fires
-	runnableAt map[int]uint64 // host time a woken VM joined the runqueue
-	idleAt     map[int]uint64 // host time each VM went idle (device-wake clock sync)
+	// slots is the host's per-VM record, indexed like VMs; wakeSleepers
+	// grows it to cover VMs created since the last epoch.
+	slots []vmSlot
+}
+
+// vmSlot is what the host keeps per VM between epochs — the host times of
+// its pending wake, runqueue entry and idle start — and, during an epoch,
+// the VM's lease: quantum is fixed in the lease phase, used is written by
+// the worker that runs the VM and read back at the barrier.
+type vmSlot struct {
+	id       int
+	wake     hostTime // an idle VM's armed timer deadline
+	runnable hostTime // when a woken VM joined the runqueue
+	idle     hostTime // when the VM went idle (device-wake clock sync)
+
+	quantum, used uint64
+}
+
+// hostTime is a host clock reading that may be unset. The clock starts at
+// 0, so 0 is a real time and cannot stand for "unset".
+type hostTime struct {
+	at  uint64
+	set bool
 }
 
 // DefaultQuantum is 1 ms of guest time at the nominal clock.
@@ -118,61 +136,63 @@ func (h *Host) parkIfNotRunning(id int, at uint64) {
 		return
 	}
 	h.Sched.Block(id)
-	if vm.State == StateIdle {
-		if _, tracked := h.idleAt[id]; !tracked {
-			h.idleAt[id] = at
-		}
+	if s := &h.slots[id]; vm.State == StateIdle && !s.idle.set {
+		s.idle = hostTime{at, true}
 	}
 }
 
 // wakeSleepers wakes idle VMs whose timers have fired on the host clock and
 // returns the number of runnable VMs. It is the serial prologue of every
-// RunParallel epoch.
+// RunParallel epoch, and grows the per-VM record to cover VMs created since
+// the last one.
 //
 //govisor:serialonly(touches every VM and the shared scheduler; epoch prologue only)
 func (h *Host) wakeSleepers() int {
+	for len(h.slots) < len(h.VMs) {
+		h.slots = append(h.slots, vmSlot{id: len(h.slots)})
+	}
 	runnable := 0
 	for i, vm := range h.VMs {
+		s := &h.slots[i]
 		if vm.State == StateIdle {
 			cmp := vm.CPU.CSR.Stimecmp
-			if _, tracked := h.wakeAt[i]; !tracked && cmp != 0 {
+			if !s.wake.set && cmp != 0 {
 				// The guest sleeps until its deadline, in wall time.
 				sleep := uint64(0)
 				if cmp > vm.CPU.Cycles {
 					sleep = cmp - vm.CPU.Cycles
 				}
-				h.wakeAt[i] = h.Now + sleep
+				s.wake = hostTime{h.Now + sleep, true}
 			}
-			if at, tracked := h.wakeAt[i]; tracked && h.Now >= at {
+			if s.wake.set && h.Now >= s.wake.at {
 				// Wall time passed while asleep (plus any lateness).
-				late := h.Now - at
+				late := h.Now - s.wake.at
 				if cmp > vm.CPU.Cycles {
 					vm.CPU.Cycles = cmp
 				}
 				vm.CPU.AddCycles(late)
-				delete(h.wakeAt, i)
-				delete(h.idleAt, i)
+				s.wake, s.idle = hostTime{}, hostTime{}
 				vm.State = StateRunning
 				h.Sched.Unblock(i)
 				// From here until dispatch the VM sits on the runqueue;
 				// that wait is wall time its clock must absorb, so the
 				// guest's own latency measurement sees scheduling delay.
-				h.runnableAt[i] = h.Now
+				s.runnable = hostTime{h.Now, true}
 			}
 		} else {
-			delete(h.wakeAt, i)
+			s.wake = hostTime{}
 			if vm.State == StateRunning {
-				if at, wasIdle := h.idleAt[i]; wasIdle {
+				if s.idle.set {
 					// A device IRQ woke this guest out of WFI: while idle
 					// its clock tracked wall time, so it absorbs the wait
 					// before resuming (the timer path above computes the
 					// same charge from the armed deadline), and the
 					// runqueue delay until dispatch is charged like any
 					// other wake.
-					if h.Now > at {
-						vm.CPU.AddCycles(h.Now - at)
+					if h.Now > s.idle.at {
+						vm.CPU.AddCycles(h.Now - s.idle.at)
 					}
-					h.runnableAt[i] = h.Now
+					s.runnable = hostTime{h.Now, true}
 				}
 				// Resync the scheduler: a device IRQ or Resume makes a VM
 				// runnable without passing through the timer wake above,
@@ -180,7 +200,7 @@ func (h *Host) wakeSleepers() int {
 				// the entity is not blocked.
 				h.Sched.Unblock(i)
 			}
-			delete(h.idleAt, i)
+			s.idle = hostTime{}
 		}
 		if vm.State == StateRunning {
 			runnable++
@@ -194,18 +214,17 @@ func (h *Host) wakeSleepers() int {
 //
 //govisor:serialonly(moves the shared host clock; epoch prologue only)
 func (h *Host) advanceToNextWake() bool {
-	next := uint64(0)
-	//govisor:nondet(pure min fold over the values; result is independent of iteration order)
-	for _, at := range h.wakeAt {
-		if next == 0 || at < next {
-			next = at
+	var next hostTime
+	for _, s := range h.slots {
+		if s.wake.set && (!next.set || s.wake.at < next.at) {
+			next = s.wake
 		}
 	}
-	if next == 0 {
+	if !next.set {
 		return false
 	}
-	if next > h.Now {
-		h.Now = next
+	if next.at > h.Now {
+		h.Now = next.at
 	} else {
 		h.Now++
 	}
@@ -218,20 +237,17 @@ func (h *Host) advanceToNextWake() bool {
 //
 //govisor:serialonly(reads every VM's pending wake; lease phase only)
 func (h *Host) clampToNextWake(quantum uint64) uint64 {
-	//govisor:nondet(pure clamp/min fold over the values; result is independent of iteration order)
-	for _, at := range h.wakeAt {
-		if at > h.Now {
-			if room := at - h.Now; room < quantum {
-				quantum = room
-			}
+	for _, s := range h.slots {
+		if !s.wake.set {
+			continue
+		}
+		if s.wake.at > h.Now {
+			quantum = min(quantum, s.wake.at-h.Now)
 		} else {
 			quantum = 1
 		}
 	}
-	if quantum == 0 {
-		quantum = 1
-	}
-	return quantum
+	return max(quantum, 1)
 }
 
 // chargeRunqueueWait applies the wall time VM id spent waiting on the
@@ -239,11 +255,11 @@ func (h *Host) clampToNextWake(quantum uint64) uint64 {
 //
 //govisor:serialonly(edits the host's runqueue record; lease phase only)
 func (h *Host) chargeRunqueueWait(id int) {
-	if rs, waited := h.runnableAt[id]; waited {
-		if h.Now > rs {
-			h.VMs[id].CPU.AddCycles(h.Now - rs)
+	if s := &h.slots[id]; s.runnable.set {
+		if h.Now > s.runnable.at {
+			h.VMs[id].CPU.AddCycles(h.Now - s.runnable.at)
 		}
-		delete(h.runnableAt, id)
+		s.runnable = hostTime{}
 	}
 }
 

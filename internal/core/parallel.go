@@ -6,14 +6,6 @@ import (
 	"govisor/internal/vnet"
 )
 
-// epochLease is one (VM, quantum) grant of an epoch. used is written by the
-// executing worker and read back after the epoch barrier.
-type epochLease struct {
-	id      int
-	quantum uint64
-	used    uint64
-}
-
 // RunParallel is how a Host runs: it multiplexes the host's VMs under the
 // scheduler, executing each epoch's leased VMs concurrently on a pool of
 // host worker goroutines (one worker runs them serially). It runs until
@@ -66,12 +58,6 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 	if workers < 1 {
 		workers = 1
 	}
-	if h.wakeAt == nil {
-		h.wakeAt = make(map[int]uint64)
-		h.runnableAt = make(map[int]uint64)
-		h.idleAt = make(map[int]uint64)
-	}
-
 	// Inter-VM networking must not race across workers: flip every switch
 	// the fleet's NICs attach to into epoch-deferred delivery for the
 	// duration of the run. Frames queue on the sending port and deliver at
@@ -79,7 +65,7 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 	switches, restoreSwitches := h.deferSwitches()
 	defer restoreSwitches()
 
-	jobs := make(chan *epochLease)
+	jobs := make(chan *vmSlot)
 	defer close(jobs)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -91,7 +77,7 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 		}()
 	}
 
-	leases := make([]*epochLease, 0, h.PCPUs)
+	leases := make([]*vmSlot, 0, h.PCPUs)
 	start := h.Now
 	for h.Now-start < limit {
 		runnable := h.wakeSleepers()
@@ -122,7 +108,9 @@ func (h *Host) RunParallel(workers int, limit uint64) uint64 {
 			quantum = h.clampToNextWake(quantum)
 			h.chargeRunqueueWait(id)
 			h.Sched.BeginLease(id)
-			leases = append(leases, &epochLease{id: id, quantum: quantum})
+			l := &h.slots[id]
+			l.quantum = quantum
+			leases = append(leases, l)
 		}
 		if len(leases) == 0 {
 			h.Now += h.Quantum // all entities capped/throttled: host idles

@@ -268,3 +268,40 @@ func TestRunParallelEpochFunc(t *testing.T) {
 		t.Fatal("EpochFunc never ran")
 	}
 }
+
+// TestRunParallelAfterLateVM: a VM created and scheduled after a first
+// RunParallel joins the host's per-VM record, and the whole fleet — the
+// late timer-idle VM included — runs to halt.
+func TestRunParallelAfterLateVM(t *testing.T) {
+	h := NewHost(tPool, 2, sched.NewCredit())
+	count := miniProgram(t, func(b *asm.Builder) {
+		b.Li(isa.RegT0, 1_000_000)
+		b.Label("loop")
+		b.I(isa.OpADDI, isa.RegT0, isa.RegT0, -1)
+		b.Branch(isa.OpBNE, isa.RegT0, isa.RegZero, "loop")
+		b.Halt(0)
+	})
+	add := func(img []byte) {
+		vm, err := h.CreateVM(Config{Name: "v", Mode: ModeHW, MemBytes: tRAM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Boot(img); err != nil {
+			t.Fatal(err)
+		}
+		h.AddToScheduler(len(h.VMs)-1, 256, 0)
+	}
+	add(count)
+	add(count)
+	h.RunParallel(2, 500_000)
+	if h.AllHalted() {
+		t.Fatal("first run already halted the fleet")
+	}
+	add(idleTickProgram(t, 3, 50_000))
+	h.RunParallel(2, 1_000_000_000)
+	for i, vm := range h.VMs {
+		if vm.State != StateHalted || vm.HaltCode != 0 {
+			t.Fatalf("vm%d: state %v, halt code %d, err %v", i, vm.State, vm.HaltCode, vm.Err)
+		}
+	}
+}

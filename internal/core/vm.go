@@ -122,8 +122,6 @@ type Config struct {
 	// NoASID disables TLB ASID tagging, so every address-space switch
 	// flushes the TLB (ablation A2). Tagging is on by default.
 	NoASID bool
-	// NestedLevels overrides the nested walk depth in ModeHW (default 3).
-	NestedLevels int
 	// Reference runs the VM on the reference engine: the per-instruction
 	// interpreter that is the executable semantics of GV64 (vcpu/ref.go).
 	// It is the oracle the differential suites hold the default fast
@@ -236,9 +234,6 @@ func NewVM(pool *mem.Pool, cfg Config) (*VM, error) {
 	}
 	ctx := mmu.NewContext(g, style)
 	ctx.UseASID = !cfg.NoASID
-	if cfg.NestedLevels > 0 {
-		ctx.NestedLevels = cfg.NestedLevels
-	}
 
 	var cpu *vcpu.CPU
 	if cfg.Reference {
@@ -403,9 +398,14 @@ func (vm *VM) Boot(kernel []byte) error {
 	if vm.State != StateCreated {
 		return fmt.Errorf("core: %s: boot in state %v", vm.Name, vm.State)
 	}
+	// RAM from the bottom: parameter block, kernel image, boot stack, heap;
+	// the boot page tables take the top ptRegionPages. The heap starts
+	// above the image and the stack page, so a heap of zero or more pages
+	// keeps the tables clear of everything the guest boots from.
 	np := vm.Mem.Pages()
-	if uint64(len(kernel)) > (np-ptRegionPages)<<isa.PageShift-gabi.KernelBase {
-		return fmt.Errorf("core: %s: kernel of %d bytes does not fit", vm.Name, len(kernel))
+	heapBase := (gabi.KernelBase + isa.PageRoundUp(uint64(len(kernel))) + 16*isa.PageSize) >> isa.PageShift
+	if np < heapBase+ptRegionPages {
+		return fmt.Errorf("core: %s: kernel of %d bytes does not fit in %d pages of RAM", vm.Name, len(kernel), np)
 	}
 	// Ensure the pages backing kernel, params and stack exist.
 	for gfn := uint64(0); gfn <= (gabi.KernelBase+uint64(len(kernel)))>>isa.PageShift; gfn++ {
@@ -458,7 +458,6 @@ func (vm *VM) Boot(kernel []byte) error {
 	}
 
 	satp := isa.MakeSatp(isa.SatpModePaged, 1, tb.RootPPN)
-	heapBase := (gabi.KernelBase + isa.PageRoundUp(uint64(len(kernel))) + 16*isa.PageSize) >> isa.PageShift
 	vm.Params[gabi.PHeapBase] = heapBase
 	vm.Params[gabi.PHeapPages] = tableStart - heapBase
 	vm.Params[gabi.PSatp] = satp

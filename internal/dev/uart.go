@@ -63,6 +63,3 @@ func (u *UART) Feed(data []byte) {
 
 // Output returns everything the guest has printed.
 func (u *UART) Output() string { return u.out.String() }
-
-// ResetOutput clears the captured output.
-func (u *UART) ResetOutput() { u.out.Reset() }

@@ -371,13 +371,6 @@ func (g *GuestPhys) Pin(gfn uint64) {
 	}
 }
 
-// Unpin clears the pin.
-func (g *GuestPhys) Unpin(gfn uint64) {
-	if gfn < g.npages {
-		clearBit(g.pinned, gfn)
-	}
-}
-
 // Pinned reports whether gfn is exempt from reclaim.
 func (g *GuestPhys) Pinned(gfn uint64) bool {
 	return gfn < g.npages && bit(g.pinned, gfn)
@@ -391,14 +384,6 @@ func (g *GuestPhys) IsCOW(gfn uint64) bool {
 // Dirty reports the dirty bit of gfn.
 func (g *GuestPhys) Dirty(gfn uint64) bool {
 	return gfn < g.npages && bit(g.dirty, gfn)
-}
-
-// MarkDirty sets the dirty bit explicitly (DMA by device models).
-func (g *GuestPhys) MarkDirty(gfn uint64) {
-	if gfn < g.npages && !bit(g.dirty, gfn) {
-		setBit(g.dirty, gfn)
-		g.DirtySets++
-	}
 }
 
 // CollectDirty appends all dirty gfns to dst, clears their bits, and returns

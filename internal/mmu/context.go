@@ -95,10 +95,6 @@ type Context struct {
 	Style  Style
 	Shadow *Engine // required iff Style == StyleShadow
 
-	// NestedLevels is the depth of the nested (gPA→hPA) tables in the cost
-	// model; 0 disables the 2-D surcharge even in StyleNested.
-	NestedLevels int
-
 	// UseASID keeps TLB entries alive across address-space switches by
 	// tagging them; when false, every SATP write flushes the whole TLB
 	// (ablation A2).
@@ -144,11 +140,10 @@ type FetchSnap struct {
 // NewContext builds a context with the default TLB geometry.
 func NewContext(m *mem.GuestPhys, style Style) *Context {
 	c := &Context{
-		Mem:          m,
-		TLB:          tlb.NewDefault(),
-		Style:        style,
-		NestedLevels: isa.PTLevels,
-		UseASID:      true,
+		Mem:     m,
+		TLB:     tlb.NewDefault(),
+		Style:   style,
+		UseASID: true,
 	}
 	if style == StyleShadow {
 		c.Shadow = NewEngine(m)
@@ -376,7 +371,7 @@ func (c *Context) MaxWalkRefs() uint64 {
 	}
 	refs := uint64(isa.PTLevels)
 	if c.Style == StyleNested {
-		refs += (refs + 1) * uint64(c.NestedLevels)
+		refs += (refs + 1) * isa.PTLevels
 	}
 	return refs
 }
@@ -412,8 +407,9 @@ func (c *Context) translateWalk(va uint64, acc isa.Access, userMode bool, asid u
 	if c.Style == StyleNested {
 		// Each guest PTE reference is itself translated through the nested
 		// tables, and the final guest-physical address pays one more nested
-		// walk: (g+1)(n+1)−1 total references for a full 2-D walk.
-		extra := (wr.Refs + 1) * c.NestedLevels
+		// walk: (g+1)(n+1)−1 total references for a full 2-D walk, with
+		// nested tables as deep as the guest's (isa.PTLevels).
+		extra := (wr.Refs + 1) * isa.PTLevels
 		refs += extra
 		c.Stats.NestedRefs += uint64(extra)
 	}

@@ -7,6 +7,7 @@ package sched
 type CFS struct {
 	baseScheduler
 	Quantum uint64
+	used    uint64 // every entity's Used summed: entities never leave, so Account keeps it
 }
 
 // referenceWeight normalizes vruntime (weight 1024 ≈ nice 0, as in Linux).
@@ -14,15 +15,14 @@ const referenceWeight = 1024
 
 // NewCFS creates the policy.
 func NewCFS() *CFS {
-	return &CFS{baseScheduler: newBase(), Quantum: defaultQuantum}
+	return &CFS{Quantum: defaultQuantum}
 }
 
 func (c *CFS) minVruntime() uint64 {
 	var m uint64
 	first := true
-	for _, id := range c.order {
-		e := c.entities[id]
-		if e == nil || e.Blocked {
+	for _, e := range c.order {
+		if e.Blocked {
 			continue
 		}
 		if first || e.vruntime < m {
@@ -43,8 +43,7 @@ func (c *CFS) Next() (int, uint64, bool) {
 	for _, e := range run {
 		if e.CapPct > 0 {
 			// An entity past its cap relative to total progress is skipped.
-			total := c.totalUsed()
-			if total > 0 && e.Used*100 > total*e.CapPct {
+			if c.used > 0 && e.Used*100 > c.used*e.CapPct {
 				continue
 			}
 		}
@@ -58,29 +57,20 @@ func (c *CFS) Next() (int, uint64, bool) {
 	return pick.ID, c.Quantum, true
 }
 
-func (c *CFS) totalUsed() uint64 {
-	var t uint64
-	for _, id := range c.order {
-		if e := c.entities[id]; e != nil {
-			t += e.Used
-		}
-	}
-	return t
-}
-
 // Account implements core.Scheduler.
 func (c *CFS) Account(id int, used uint64) {
-	e := c.entities[id]
+	e := c.Entity(id)
 	if e == nil {
 		return
 	}
 	e.Used += used
+	c.used += used
 	e.vruntime += used * referenceWeight / e.Weight
 }
 
 // Unblock implements core.Scheduler: wake at the current minimum vruntime.
 func (c *CFS) Unblock(id int) {
-	e := c.entities[id]
+	e := c.Entity(id)
 	if e == nil || !e.Blocked {
 		return
 	}

@@ -28,22 +28,21 @@ const (
 
 // NewCredit creates the scheduler with default Xen-like parameters.
 func NewCredit() *Credit {
-	return &Credit{baseScheduler: newBase(), Quantum: defaultQuantum, Period: defaultPeriod}
+	return &Credit{Quantum: defaultQuantum, Period: defaultPeriod}
 }
 
 func (c *Credit) refill() {
 	var totalWeight uint64
-	for _, id := range c.order {
-		if e := c.entities[id]; e != nil && !e.Blocked {
+	for _, e := range c.order {
+		if !e.Blocked {
 			totalWeight += e.Weight
 		}
 	}
 	if totalWeight == 0 {
 		return
 	}
-	for _, id := range c.order {
-		e := c.entities[id]
-		if e == nil || e.Blocked {
+	for _, e := range c.order {
+		if e.Blocked {
 			continue
 		}
 		share := int64(c.Period * e.Weight / totalWeight)
@@ -100,7 +99,7 @@ func (c *Credit) Next() (int, uint64, bool) {
 
 // Account implements core.Scheduler.
 func (c *Credit) Account(id int, used uint64) {
-	e := c.entities[id]
+	e := c.Entity(id)
 	if e == nil {
 		return
 	}
@@ -119,7 +118,7 @@ func (c *Credit) Account(id int, used uint64) {
 
 // Unblock implements core.Scheduler: waking enters BOOST.
 func (c *Credit) Unblock(id int) {
-	e := c.entities[id]
+	e := c.Entity(id)
 	if e == nil || !e.Blocked {
 		return
 	}

@@ -6,14 +6,12 @@ import "testing"
 // policies provide it through baseScheduler.
 type leasePolicy interface {
 	Add(id int, weight, capPct uint64)
-	Remove(id int)
 	Next() (int, uint64, bool)
 	Account(id int, used uint64)
 	Block(id int)
 	Unblock(id int)
 	BeginLease(id int)
 	EndLease(id int)
-	Leased(id int) bool
 	Entity(id int) *Entity
 	Shares() []float64
 }
@@ -59,89 +57,6 @@ func TestLeaseExcludesFromNext(t *testing.T) {
 	}
 }
 
-// TestRemoveWhileLeasedDefers is the regression test for the stale-
-// accounting bug: removing a leased entity used to drop it immediately, so
-// the quantum it was running never landed in Used (fairness shares) nor in
-// the credit scheduler's period accounting. Removal must defer to EndLease,
-// with Account still applying in between.
-func TestRemoveWhileLeasedDefers(t *testing.T) {
-	for name, mk := range policies() {
-		s := mk()
-		s.Add(0, 256, 50) // capped so credit's capDebt path is exercised
-		s.Add(1, 256, 0)
-		id, _, ok := s.Next()
-		if !ok {
-			t.Fatalf("%s: nothing runnable", name)
-		}
-		s.BeginLease(id)
-		s.Remove(id)
-		if s.Entity(id) == nil {
-			t.Fatalf("%s: leased entity removed before EndLease", name)
-		}
-		s.Account(id, 12345)
-		if got := s.Entity(id).Used; got != 12345 {
-			t.Fatalf("%s: in-flight Account dropped: Used=%d", name, got)
-		}
-		s.EndLease(id)
-		if s.Entity(id) != nil {
-			t.Fatalf("%s: deferred removal never applied", name)
-		}
-		if s.Leased(id) {
-			t.Fatalf("%s: lease leaked", name)
-		}
-		if n := len(s.Shares()); n != 1 {
-			t.Fatalf("%s: %d entities remain, want 1", name, n)
-		}
-	}
-}
-
-// TestCreditPeriodAccountingSurvivesLeasedRemove: the credit scheduler's
-// global period meter must include cycles consumed by an entity removed
-// mid-lease, so refill timing does not drift.
-func TestCreditPeriodAccountingSurvivesLeasedRemove(t *testing.T) {
-	c := NewCredit()
-	c.Add(0, 256, 0)
-	c.Add(1, 256, 0)
-	id, _, _ := c.Next()
-	c.BeginLease(id)
-	c.Remove(id)
-	c.Account(id, c.Period/2)
-	c.EndLease(id)
-	if c.periodSpent != c.Period/2 {
-		t.Fatalf("periodSpent=%d, want %d", c.periodSpent, c.Period/2)
-	}
-}
-
-// TestReAddCancelsPendingRemove: Add of an entity whose removal is deferred
-// behind a lease cancels the removal, adopts the caller's new weight/cap,
-// and keeps the in-flight lease's accounting alive.
-func TestReAddCancelsPendingRemove(t *testing.T) {
-	for name, mk := range policies() {
-		s := mk()
-		s.Add(0, 256, 0)
-		s.BeginLease(0)
-		s.Remove(0)
-		s.Add(0, 512, 25)
-		s.Account(0, 777)
-		s.EndLease(0)
-		e := s.Entity(0)
-		if e == nil {
-			t.Fatalf("%s: re-added entity still removed", name)
-		}
-		if e.Used != 777 {
-			t.Fatalf("%s: accounting lost on re-add: Used=%d", name, e.Used)
-		}
-		if e.Weight != 512 || e.CapPct != 25 {
-			t.Fatalf("%s: re-add kept stale parameters: weight=%d cap=%d", name, e.Weight, e.CapPct)
-		}
-		// A plain duplicate Add (no pending removal) still no-ops.
-		s.Add(0, 999, 0)
-		if s.Entity(0).Weight != 512 {
-			t.Fatalf("%s: duplicate Add overwrote weight", name)
-		}
-	}
-}
-
 // TestBlockWhileLeased: a lease finishing on a now-blocked entity must leave
 // it out of the runnable set but keep its accounting.
 func TestBlockWhileLeased(t *testing.T) {
@@ -172,8 +87,8 @@ func TestBlockWhileLeased(t *testing.T) {
 	}
 }
 
-// TestLeaseUnknownEntityHarmless: leasing an id that was never added (or
-// already removed) must not wedge the scheduler.
+// TestLeaseUnknownEntityHarmless: leasing an id that was never added must
+// not wedge the scheduler.
 func TestLeaseUnknownEntityHarmless(t *testing.T) {
 	for name, mk := range policies() {
 		s := mk()

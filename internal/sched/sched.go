@@ -17,6 +17,7 @@ type Entity struct {
 
 	Used uint64 // total cycles consumed (for fairness measurement)
 
+	leased   bool   // excluded from Next until EndLease
 	credits  int64  // credit scheduler
 	boosted  bool   // credit scheduler: woken and not yet rescheduled
 	vruntime uint64 // cfs
@@ -28,108 +29,72 @@ type Entity struct {
 // distinct entities with BeginLease (each excluded from Next until its
 // EndLease), runs them concurrently, and applies Account/EndLease serially
 // at the epoch barrier.
+//
+// Ids are small non-negative integers (a host's VM indices), sparse and
+// registered in any order. order is the table every policy walks, in
+// registration order; byID indexes the same entities by id.
 type baseScheduler struct {
-	entities map[int]*Entity
-	order    []int // stable iteration order
-
-	leased        map[int]bool // excluded from Next until EndLease
-	removePending map[int]bool // Remove arrived while leased; applied at EndLease
+	order []*Entity
+	byID  []*Entity
 
 	run []*Entity // runnable's result, refilled by every call
 }
 
-func newBase() baseScheduler {
-	return baseScheduler{
-		entities:      make(map[int]*Entity),
-		leased:        make(map[int]bool),
-		removePending: make(map[int]bool),
-	}
-}
-
-// Add registers an entity.
+// Add registers an entity; adding a registered id again is a no-op.
 //
 //govisor:serialonly(mutates the shared runqueue; scheduler topology changes are barrier-only)
 func (b *baseScheduler) Add(id int, weight, capPct uint64) {
+	if b.Entity(id) != nil {
+		return
+	}
 	if weight == 0 {
 		weight = 1
 	}
-	if e, dup := b.entities[id]; dup {
-		// Re-adding an entity whose removal is still pending behind a lease
-		// is a fresh registration that cannot drop the in-flight lease's
-		// accounting: cancel the removal and install the caller's new
-		// parameters, but keep the entity (and its Used) live so the
-		// pending Account still lands.
-		if b.removePending[id] {
-			delete(b.removePending, id)
-			e.Weight, e.CapPct = weight, capPct
-		}
-		return
+	e := &Entity{ID: id, Weight: weight, CapPct: capPct}
+	if id >= len(b.byID) {
+		b.byID = append(b.byID, make([]*Entity, id+1-len(b.byID))...)
 	}
-	b.entities[id] = &Entity{ID: id, Weight: weight, CapPct: capPct}
-	b.order = append(b.order, id)
+	b.byID[id] = e
+	b.order = append(b.order, e)
 }
 
-// Remove deregisters an entity. Removing a currently-leased entity defers
-// until EndLease so the in-flight quantum's Account still lands on live
-// state — dropping it would leave Used (fairness) and the credit/CFS global
-// accounting (periodSpent, total vruntime progress) silently short.
-//
-//govisor:serialonly(mutates the shared runqueue; scheduler topology changes are barrier-only)
-func (b *baseScheduler) Remove(id int) {
-	if b.leased[id] {
-		b.removePending[id] = true
-		return
+// Entity returns the entity registered as id, or nil (experiments read
+// Used).
+func (b *baseScheduler) Entity(id int) *Entity {
+	if id < 0 || id >= len(b.byID) {
+		return nil
 	}
-	b.remove(id)
-}
-
-func (b *baseScheduler) remove(id int) {
-	delete(b.entities, id)
-	delete(b.removePending, id)
-	for i, v := range b.order {
-		if v == id {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
+	return b.byID[id]
 }
 
 // BeginLease marks id as dispatched for the current epoch: Next will not
 // offer it again until EndLease.
 func (b *baseScheduler) BeginLease(id int) {
-	if _, ok := b.entities[id]; ok {
-		b.leased[id] = true
+	if e := b.Entity(id); e != nil {
+		e.leased = true
 	}
 }
 
-// EndLease returns id to the schedulable set and applies a Remove that
-// arrived while the lease was outstanding.
+// EndLease returns id to the schedulable set.
 func (b *baseScheduler) EndLease(id int) {
-	delete(b.leased, id)
-	if b.removePending[id] {
-		b.remove(id)
+	if e := b.Entity(id); e != nil {
+		e.leased = false
 	}
 }
-
-// Leased reports whether id is currently leased (test visibility).
-func (b *baseScheduler) Leased(id int) bool { return b.leased[id] }
 
 // Block marks an entity unrunnable.
 func (b *baseScheduler) Block(id int) {
-	if e := b.entities[id]; e != nil {
+	if e := b.Entity(id); e != nil {
 		e.Blocked = true
 	}
 }
 
-// Entity exposes accounting state (experiments read Used).
-func (b *baseScheduler) Entity(id int) *Entity { return b.entities[id] }
-
-// Shares returns each live entity's consumed cycles, in registration order
+// Shares returns each entity's consumed cycles, in registration order
 // (input to metrics.JainIndex).
 func (b *baseScheduler) Shares() []float64 {
 	out := make([]float64, 0, len(b.order))
-	for _, id := range b.order {
-		out = append(out, float64(b.entities[id].Used))
+	for _, e := range b.order {
+		out = append(out, float64(e.Used))
 	}
 	return out
 }
@@ -138,8 +103,8 @@ func (b *baseScheduler) Shares() []float64 {
 // slice is the scheduler's own and valid only until the next call.
 func (b *baseScheduler) runnable() []*Entity {
 	b.run = b.run[:0]
-	for _, id := range b.order {
-		if e := b.entities[id]; e != nil && !e.Blocked && !b.leased[id] {
+	for _, e := range b.order {
+		if !e.Blocked && !e.leased {
 			b.run = append(b.run, e)
 		}
 	}
@@ -157,7 +122,7 @@ type RoundRobin struct {
 
 // NewRoundRobin creates the policy with the given quantum in cycles.
 func NewRoundRobin(quantum uint64) *RoundRobin {
-	return &RoundRobin{baseScheduler: newBase(), Quantum: quantum}
+	return &RoundRobin{Quantum: quantum}
 }
 
 // Next implements core.Scheduler.
@@ -173,14 +138,14 @@ func (r *RoundRobin) Next() (int, uint64, bool) {
 
 // Account implements core.Scheduler.
 func (r *RoundRobin) Account(id int, used uint64) {
-	if e := r.entities[id]; e != nil {
+	if e := r.Entity(id); e != nil {
 		e.Used += used
 	}
 }
 
 // Unblock implements core.Scheduler.
 func (r *RoundRobin) Unblock(id int) {
-	if e := r.entities[id]; e != nil {
+	if e := r.Entity(id); e != nil {
 		e.Blocked = false
 	}
 }

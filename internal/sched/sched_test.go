@@ -195,20 +195,6 @@ func TestCFSWakeDoesNotStarveOrMonopolize(t *testing.T) {
 	}
 }
 
-func TestRemoveEntity(t *testing.T) {
-	c := NewCredit()
-	c.Add(1, 256, 0)
-	c.Add(2, 256, 0)
-	c.Remove(1)
-	for i := 0; i < 10; i++ {
-		id, _, ok := c.Next()
-		if !ok || id != 2 {
-			t.Fatalf("removed entity dispatched: %d", id)
-		}
-		c.Account(id, 100)
-	}
-}
-
 func TestAddDuplicateIgnored(t *testing.T) {
 	c := NewCFS()
 	c.Add(1, 1024, 0)

@@ -114,9 +114,6 @@ func (q *Queue) Configure(g *mem.GuestPhys, num uint16, desc, avail, used uint64
 // Ready reports whether the queue has been configured.
 func (q *Queue) Ready() bool { return q.ready }
 
-// Num returns the configured ring size.
-func (q *Queue) Num() uint16 { return q.num }
-
 func (q *Queue) read16(gpa uint64) uint16 {
 	v, f := q.g.ReadUint(gpa, 2)
 	if f != nil {
