@@ -6,6 +6,7 @@
 package balloon
 
 import (
+	"govisor/internal/isa"
 	"govisor/internal/mem"
 	"govisor/internal/virtio"
 )
@@ -96,11 +97,19 @@ func (c *Controller) Rebalance() {
 // VM's PageSource hook. Unlike ballooning (where the guest hands over pages
 // it knows are free), swap may evict any page — kernel text, page tables —
 // so content preservation is what keeps the guest correct under thrash.
+//
+// A zero page keeps no copy, by the memory pool's zero rule: its slot holds
+// the shared zeroPage, and swapping it back in through GuestPhys.WriteRaw
+// leaves the new frame lazily zero.
 type Swapper struct {
 	store map[*mem.GuestPhys]map[uint64][]byte
 
 	SwapOuts, SwapIns uint64
 }
+
+// zeroPage is every zero page's swap slot. It is shared and read-only:
+// PageSource consumers copy out of it and never write it.
+var zeroPage = make([]byte, isa.PageSize)
 
 // NewSwapper creates an empty swap device.
 func NewSwapper() *Swapper {
@@ -109,20 +118,24 @@ func NewSwapper() *Swapper {
 
 // SwapOut saves gfn's contents and releases its frame.
 func (s *Swapper) SwapOut(g *mem.GuestPhys, gfn uint64) {
-	buf := make([]byte, 4096)
-	g.ReadRaw(gfn, buf)
+	page := zeroPage
+	if hfn := g.Frame(gfn); hfn != mem.NoFrame && !g.Pool().IsZero(hfn) {
+		page = make([]byte, isa.PageSize)
+		g.ReadRaw(gfn, page)
+	}
 	m := s.store[g]
 	if m == nil {
 		m = make(map[uint64][]byte)
 		s.store[g] = m
 	}
-	m[gfn] = buf
+	m[gfn] = page
 	g.Unmap(gfn)
 	s.SwapOuts++
 }
 
 // Source returns a PageSource function for g: a not-present fault on a
-// swapped page restores its contents (and forgets the swap slot).
+// swapped page restores its contents (and forgets the swap slot). The page
+// it hands back is read-only.
 func (s *Swapper) Source(g *mem.GuestPhys) func(gfn uint64) ([]byte, bool) {
 	return func(gfn uint64) ([]byte, bool) {
 		m := s.store[g]

@@ -118,3 +118,52 @@ func TestReclaimOneSkipsProtectedAndEmpty(t *testing.T) {
 		t.Fatal("reclaimed a write-protected page")
 	}
 }
+
+// TestSwapZeroPageKeepsNoCopy: a zero page swaps out into the shared zero
+// slot, not a 4 KiB copy, and swaps back in as a lazily zero frame; a
+// non-zero page beside it keeps its own copy and its bytes.
+func TestSwapZeroPageKeepsNoCopy(t *testing.T) {
+	pool := mem.NewPool(64)
+	g := space(t, pool, 4)
+	g.WriteUint(1*isa.PageSize, 8, 0xDEAD)
+	g.WriteUint(2*isa.PageSize, 8, 0xDEAD)
+	g.WriteUint(2*isa.PageSize, 8, 0) // an array, cleared in place
+	s := NewSwapper()
+	for gfn := uint64(0); gfn < 3; gfn++ {
+		s.SwapOut(g, gfn)
+	}
+	for _, gfn := range []uint64{0, 2} {
+		if &s.store[g][gfn][0] != &zeroPage[0] {
+			t.Errorf("zero page %d: swap slot holds its own buffer", gfn)
+		}
+	}
+	if &s.store[g][1][0] == &zeroPage[0] {
+		t.Fatal("non-zero page 1 swapped out as zeros")
+	}
+
+	src := s.Source(g)
+	for gfn := uint64(0); gfn < 3; gfn++ {
+		page, ok := src(gfn)
+		if !ok {
+			t.Fatalf("page %d: no swap slot", gfn)
+		}
+		if err := g.WriteRaw(gfn, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gfn, want := range []uint64{0, 0xDEAD, 0} {
+		got, err := g.ReadUint(uint64(gfn)*isa.PageSize, 8)
+		if err != nil || got != uint64(want) {
+			t.Errorf("page %d: read %#x (%v), want %#x", gfn, got, err, want)
+		}
+		if data := pool.Data(g.Frame(uint64(gfn))); (data == nil) != (want == 0) {
+			t.Errorf("page %d: frame has an array %v after swap-in", gfn, data != nil)
+		}
+	}
+	if !mem.IsZeroPage(zeroPage) {
+		t.Fatal("the shared zero page was written")
+	}
+	if s.SwapOuts != 3 || s.SwapIns != 3 {
+		t.Fatalf("SwapOuts %d SwapIns %d, want 3 and 3", s.SwapOuts, s.SwapIns)
+	}
+}

@@ -64,10 +64,18 @@ func TestTrapLoopsDoNotAllocate(t *testing.T) {
 }
 
 // TestRunParallelEpochAllocatesNothing: on a warm compute fleet the epoch
-// loop allocates nothing per epoch, so a run of ten times as many epochs
-// allocates no more than a short one. Both runs pay the same fixed cost
-// (worker goroutines, the job channel, the switch set); a per-epoch
-// allocation — a lease record, a scheduler table — shows as growth.
+// loop allocates nothing per epoch, so runs of 20, 200 and 2000 epochs
+// allocate the same up to a bound that does not grow with the run. Every run
+// pays the same fixed cost (worker goroutines, the job channel, the switch
+// set); a per-epoch or per-lease allocation — a lease record, a scheduler
+// table — shows as growth of 180 or more.
+//
+// The bound is the Go runtime's, not govisor's: testing.AllocsPerRun counts
+// process-wide mallocs, and a goroutine that parks on a channel or the
+// WaitGroup takes a runtime sudog, which the runtime allocates when its
+// per-P cache is empty. At most workers+1 goroutines (the workers and the
+// epoch loop) are parked at once, so a run can need at most that many more
+// sudogs than another, however long it is.
 func TestRunParallelEpochAllocatesNothing(t *testing.T) {
 	if core.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -78,6 +86,7 @@ func TestRunParallelEpochAllocatesNothing(t *testing.T) {
 	}
 	const (
 		vms     = 4
+		workers = 2
 		ram     = 1 << 20
 		quantum = 20_000
 	)
@@ -95,15 +104,17 @@ func TestRunParallelEpochAllocatesNothing(t *testing.T) {
 		}
 		h.AddToScheduler(i, 256, 0)
 	}
-	h.RunParallel(2, 100*quantum)
+	h.RunParallel(workers, 100*quantum)
 	run := func(epochs uint64) float64 {
-		return testing.AllocsPerRun(1, func() { h.RunParallel(2, epochs*quantum) })
+		return testing.AllocsPerRun(1, func() { h.RunParallel(workers, epochs*quantum) })
 	}
-	short, long := run(20), run(200)
+	short := run(20)
+	for _, epochs := range []uint64{200, 2000} {
+		if long := run(epochs); long > short+workers+1 {
+			t.Fatalf("allocations: %v over 20 epochs, %v over %d (runtime slack %d)", short, long, epochs, workers+1)
+		}
+	}
 	if vm := h.VMs[0]; vm.State != core.StateRunning {
 		t.Fatalf("guest left the loop: state %v, halt code %d", vm.State, vm.HaltCode)
-	}
-	if long > short {
-		t.Fatalf("allocations: %v over 20 epochs, %v over 200", short, long)
 	}
 }

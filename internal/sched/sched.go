@@ -113,10 +113,12 @@ func (b *baseScheduler) runnable() []*Entity {
 
 // RoundRobin is the baseline policy: equal quanta in registration order,
 // ignoring weights and caps — the strawman the fairness experiment knocks
-// down.
+// down. A cursor circles the registration order: each pick is the first
+// runnable entity after the last pick, so one that stays runnable waits at
+// most n-1 picks, whatever blocks, unblocks or is leased meanwhile.
 type RoundRobin struct {
 	baseScheduler
-	next    int
+	next    int // order index the next pick's scan starts at
 	Quantum uint64
 }
 
@@ -127,13 +129,15 @@ func NewRoundRobin(quantum uint64) *RoundRobin {
 
 // Next implements core.Scheduler.
 func (r *RoundRobin) Next() (int, uint64, bool) {
-	run := r.runnable()
-	if len(run) == 0 {
-		return 0, 0, false
+	n := len(r.order)
+	for i := range n {
+		j := (r.next + i) % n
+		if e := r.order[j]; !e.Blocked && !e.leased {
+			r.next = j + 1
+			return e.ID, r.Quantum, true
+		}
 	}
-	e := run[r.next%len(run)]
-	r.next++
-	return e.ID, r.Quantum, true
+	return 0, 0, false
 }
 
 // Account implements core.Scheduler.

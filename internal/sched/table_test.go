@@ -11,15 +11,16 @@ import (
 // registered in a permuted order, with epoch-style leasing (up to four picks
 // leased, then accounted and released) and Block/Unblock churn between
 // epochs: 256 ids with a few 1 % caps, and 8 ids with 10 % caps that bind.
-// The hashes are the (id, quantum) streams the policies produced when the
-// entity table was id-keyed maps, so a table change that moves a single
-// pick, a quantum, a refill or a throttle shows here.
+// The credit and cfs hashes are the (id, quantum) streams those policies
+// produced when the entity table was id-keyed maps; the rr hashes are those
+// of round-robin's registration-order cursor. A table change that moves a
+// single pick, a quantum, a refill or a throttle shows here.
 func TestPinnedPickSequence(t *testing.T) {
 	want := map[string]uint64{
-		"rr/256":     0xc4b81256d79723f,
+		"rr/256":     0xe07ba6ff0b0c360d,
 		"credit/256": 0xbc049df21f968a69,
 		"cfs/256":    0xf091015c650dcc60,
-		"rr/8":       0x4678b0a50349c03f,
+		"rr/8":       0x149f4d9084f50761,
 		"credit/8":   0xce6ba589328d637c,
 		"cfs/8":      0xf8f3025327be1e4,
 	}
@@ -74,6 +75,78 @@ func TestPinnedPickSequence(t *testing.T) {
 			key := fmt.Sprintf("%s/%d", name, tc.n)
 			if got := h.Sum64(); got != want[key] {
 				t.Errorf("%s: pick stream hash %#x, want %#x", key, got, want[key])
+			}
+		}
+	}
+}
+
+// TestRoundRobinLiveness drives round-robin with random Next, lease,
+// Block and Unblock churn over sparse ids registered in a permuted order,
+// and holds it to token circulation on a ring: an entity that stays
+// runnable (neither blocked nor leased) waits at most n-1 picks of others,
+// and Next finds a runnable entity whenever one exists.
+func TestRoundRobinLiveness(t *testing.T) {
+	for _, n := range []int{2, 3, 8, 64} {
+		size := 1
+		for size < n {
+			size *= 2
+		}
+		r := NewRoundRobin(100)
+		var ids []int
+		for i := 0; i < size; i++ {
+			if id := pinnedID(i, size); id < 3*n {
+				r.Add(id, 1, 0)
+				ids = append(ids, id)
+			}
+		}
+		waited := map[int]int{} // picks of others since it became runnable
+		blocked, leased := map[int]bool{}, map[int]bool{}
+		runnable := func(id int) bool { return !blocked[id] && !leased[id] }
+		rng := uint64(0x9E3779B97F4A7C15) + uint64(n)
+		for op := 0; op < 200_000; op++ {
+			rng = xorshift(rng)
+			id := ids[rng>>8%uint64(len(ids))]
+			switch rng % 8 {
+			case 0, 1, 2, 3: // pick, leasing half of the picks
+				got, _, ok := r.Next()
+				if !ok {
+					for _, e := range ids {
+						if runnable(e) {
+							t.Fatalf("n=%d op %d: Next found nothing, but %d is runnable", n, op, e)
+						}
+					}
+					continue
+				}
+				if !runnable(got) {
+					t.Fatalf("n=%d op %d: Next picked %d (blocked %v, leased %v)", n, op, got, blocked[got], leased[got])
+				}
+				for _, e := range ids {
+					if e != got && runnable(e) {
+						if waited[e]++; waited[e] > n-1 {
+							t.Fatalf("n=%d op %d: %d has stayed runnable through %d picks of others", n, op, e, waited[e])
+						}
+					}
+				}
+				waited[got] = 0
+				if rng>>40&1 == 0 {
+					r.BeginLease(got)
+					leased[got] = true
+				}
+			case 4, 5: // a lease ends
+				if leased[id] {
+					r.EndLease(id)
+					leased[id] = false
+					waited[id] = 0
+				}
+			case 6:
+				r.Block(id)
+				blocked[id] = true
+			case 7:
+				if blocked[id] {
+					r.Unblock(id)
+					blocked[id] = false
+					waited[id] = 0
+				}
 			}
 		}
 	}

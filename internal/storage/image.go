@@ -2,11 +2,19 @@
 // in-memory image and a copy-on-write layered image with backing chains —
 // the substrate for instant VM cloning, snapshot trees, and the COW-depth
 // experiment F15.
+//
+// Both images hold their sectors in one sector store with the memory pool's
+// zero rule: a written sector is present (it counts in Allocated and shadows
+// a COW layer's backing) whatever its bytes, but host memory is spent only on
+// an extent that has been written a non-zero byte. Allocated therefore counts
+// written sectors, not host memory.
 package storage
 
 import (
 	"errors"
 	"fmt"
+
+	"govisor/internal/mem"
 )
 
 // SectorSize matches dev.SectorSize; kept as its own constant so the storage
@@ -28,55 +36,79 @@ type Image interface {
 // image allocates host memory: 8 sectors, 4 KiB.
 const extentSectors = 8
 
-// extent is one 4 KiB run of sectors and the mask of those materialized. A
-// sector that is not materialized reads as zeros.
+// extent is one 4 KiB run of sectors and the mask of those written. Its
+// array exists only once a non-zero byte has been written into the extent;
+// until then every present sector reads as zeros, and so does every sector
+// not present. present counts toward Allocated; data is the host memory.
 type extent struct {
 	present uint8
 	data    *[extentSectors * SectorSize]byte
 }
 
-// sectorStore holds the sectors an image has materialized, an extent at a
-// time, so a run of written sectors costs one allocation and one map entry
-// per 8 sectors. Its zero value is empty.
+// zeros is what a present sector of an extent with no array reads as. It is
+// shared and read-only: callers copy out of it and never write it.
+var zeros [SectorSize]byte
+
+// isZero reports whether the sector bytes in buf (at most SectorSize) are
+// all zero.
+func isZero(buf []byte) bool { return mem.IsZeroPage(buf[:min(len(buf), SectorSize)]) }
+
+// sectorStore holds the sectors an image has written, an extent at a time,
+// so a run of written sectors costs at most one allocation and one map entry
+// per 8 sectors, and a run of zero sectors only the map entry. Its zero value
+// is empty.
 type sectorStore struct {
 	extents map[uint64]extent
-	n       uint64 // materialized sectors
+	n       uint64 // written sectors
 }
 
-// sector returns lba's bytes, or nil if lba is not materialized.
+// sector returns lba's bytes, or nil if lba was never written. A written
+// sector of an extent with no array returns zeros, never nil: a COW layer
+// reads nil as "fall through to the backing".
 func (s *sectorStore) sector(lba uint64) []byte {
 	e := s.extents[lba/extentSectors]
 	if e.present&(1<<(lba%extentSectors)) == 0 {
 		return nil
+	}
+	if e.data == nil {
+		return zeros[:]
 	}
 	off := lba % extentSectors * SectorSize
 	return e.data[off : off+SectorSize]
 }
 
 // write copies buf over lba's bytes (those of a fresh sector are zero) and
-// reports whether it materialized the sector.
+// reports whether it made the sector present. The extent gets its array on
+// the first non-zero byte written into it; one that has an array keeps it
+// and takes zeros in place, as mem.Pool.WriteAt does.
 func (s *sectorStore) write(lba uint64, buf []byte) (fresh bool) {
 	k, bit := lba/extentSectors, uint8(1)<<(lba%extentSectors)
 	e := s.extents[k]
-	if fresh = e.present&bit == 0; fresh {
+	fresh = e.present&bit == 0
+	grow := e.data == nil && !isZero(buf)
+	if fresh || grow {
 		if s.extents == nil {
 			s.extents = make(map[uint64]extent)
 		}
-		if e.data == nil {
+		if grow {
 			e.data = new([extentSectors * SectorSize]byte)
 		}
-		e.present |= bit
+		if fresh {
+			e.present |= bit
+			s.n++
+		}
 		s.extents[k] = e
-		s.n++
 	}
-	off := lba % extentSectors * SectorSize
-	copy(e.data[off:off+SectorSize], buf)
+	if e.data != nil {
+		off := lba % extentSectors * SectorSize
+		copy(e.data[off:off+SectorSize], buf)
+	}
 	return fresh
 }
 
 // Raw is a flat in-memory image. Sectors are allocated lazily, an extent at
-// a time, so a large empty disk costs nothing; unwritten sectors read as
-// zeros.
+// a time, so a large empty or zero-written disk costs nothing; unwritten
+// sectors read as zeros.
 type Raw struct {
 	sectors uint64
 	store   sectorStore
@@ -117,7 +149,8 @@ func (r *Raw) WriteSector(lba uint64, buf []byte) error {
 	return nil
 }
 
-// Allocated returns the number of materialized sectors.
+// Allocated returns the number of written sectors. It counts sectors, not
+// host memory: an extent written only with zeros holds none.
 func (r *Raw) Allocated() uint64 { return r.store.n }
 
 // COW is a copy-on-write image layered over a backing image. Reads fall
@@ -191,7 +224,9 @@ func (c *COW) WriteSector(lba uint64, buf []byte) error {
 	return nil
 }
 
-// Allocated returns the number of sectors materialized in this layer only.
+// Allocated returns the number of sectors written to this layer only (each
+// shadows the backing). Like Raw.Allocated, it counts sectors, not host
+// memory.
 func (c *COW) Allocated() uint64 { return c.delta.n }
 
 // Snapshot freezes this layer and returns a new writable layer on top.
@@ -214,12 +249,11 @@ func (c *COW) Clone() *COW {
 func (c *COW) Flatten() (*Raw, error) {
 	out := NewRaw(c.sectors)
 	buf := make([]byte, SectorSize)
-	zero := make([]byte, SectorSize)
 	for lba := uint64(0); lba < c.sectors; lba++ {
 		if err := c.ReadSector(lba, buf); err != nil {
 			return nil, err
 		}
-		if string(buf) == string(zero) {
+		if isZero(buf) {
 			continue
 		}
 		if err := out.WriteSector(lba, buf); err != nil {

@@ -190,3 +190,61 @@ func TestCOWChainEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroSectorWritesHoldNoMemory: zero sectors written into a Raw image,
+// and into a COW layer over a non-zero backing, are present — they count in
+// Allocated and CopyUps and shadow the backing, so they read as zeros, not
+// as the backing's bytes — but no extent holds an array, and rewriting them
+// allocates nothing.
+func TestZeroSectorWritesHoldNoMemory(t *testing.T) {
+	const n = 4096
+	base := NewRaw(n)
+	for lba := uint64(0); lba < n; lba++ {
+		base.WriteSector(lba, sector(0x5A))
+	}
+	raw, cow := NewRaw(n), NewCOW(base)
+	zero := sector(0)
+	for _, img := range []struct {
+		name  string
+		image Image
+		store *sectorStore
+	}{{"raw", raw, &raw.store}, {"cow", cow, &cow.delta}} {
+		for lba := uint64(0); lba < n; lba++ {
+			if err := img.image.WriteSector(lba, zero); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]byte, SectorSize)
+		for lba := uint64(0); lba < n; lba++ {
+			copy(buf, sector(0xEE))
+			if err := img.image.ReadSector(lba, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, zero) {
+				t.Fatalf("%s lba %d: read %x..., want zeros", img.name, lba, buf[:8])
+			}
+		}
+		arrays := 0
+		for _, e := range img.store.extents {
+			if e.data != nil {
+				arrays++
+			}
+		}
+		if arrays != 0 {
+			t.Errorf("%s: %d of %d extents hold an array after zero writes", img.name, arrays, len(img.store.extents))
+		}
+		lba := uint64(0)
+		if a := testing.AllocsPerRun(100, func() {
+			img.image.WriteSector(lba, zero)
+			lba = (lba + 1) % n
+		}); a != 0 {
+			t.Errorf("%s: a zero rewrite allocates %v times", img.name, a)
+		}
+	}
+	if raw.Allocated() != n {
+		t.Errorf("raw: Allocated %d, want %d", raw.Allocated(), n)
+	}
+	if cow.Allocated() != n || cow.CopyUps != n || cow.ChainReads != 0 {
+		t.Errorf("cow: Allocated %d CopyUps %d ChainReads %d, want %d, %d, 0", cow.Allocated(), cow.CopyUps, cow.ChainReads, n, n)
+	}
+}
